@@ -5,7 +5,6 @@ coordinates, with quantum Airy tensors and annihilation-operator checks.
 from .curves import (
     CurveData,
     GlobalCurve,
-    LocalCurve,
     RamPoint,
     RationalFunction,
     localize_global_curve,
@@ -48,9 +47,6 @@ from .series import (
     FUNCTION,
     LaurentSeries,
     series_mul,
-    series_primitive,
-    series_residue,
-    series_rotate,
 )
 from .tensors import (
     AiryTensors,

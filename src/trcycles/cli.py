@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -88,57 +89,25 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
+_PERTURB = re.compile(r"([^,()]*),(.*),([^,()]*)")
+_INDEX_PAIR = re.compile(r"\(\s*([^(),]+?)\s*,\s*([^(),]+?)\s*\)")
+
+
 def _parse_perturb(text: str):
-    """TENSOR,INDEX,DELTA e.g.  D,(1,3),+1  or  A,((1,1),(1,1),(1,5)),-2/3"""
-    depth = 0
-    parts = []
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    if len(parts) != 3:
+    """TENSOR,INDEX,DELTA e.g.  D,(1,3),+1  or  A,((1,1),(1,1),(1,5)),-2/3
+
+    INDEX is one (label,k) pair or a parenthesized list of them; labels
+    are free text without commas or parentheses.  D keeps the first pair.
+    """
+    m = _PERTURB.fullmatch(text)
+    if m is None:
         raise ValueError("perturbation must be TENSOR,INDEX,DELTA")
-    name = parts[0].strip()
-    idx_text = parts[1].strip()
-    delta = str_to_fraction(parts[2].strip())
-    pairs = []
-    token = ""
-    stack = []
-    for ch in idx_text:
-        if ch == "(":
-            stack.append([])
-        elif ch == ")":
-            if token.strip():
-                stack[-1].append(token.strip())
-                token = ""
-            done = stack.pop()
-            if stack:
-                stack[-1].append(tuple(done))
-            else:
-                pairs.append(tuple(done))
-        elif ch == ",":
-            if token.strip():
-                stack[-1].append(token.strip())
-                token = ""
-        else:
-            token += ch
-    flat = []
-    for p in pairs:
-        for item in (p if p and isinstance(p[0], tuple) else (p,)):
-            flat.append((str(item[0]), int(item[1])))
-    if name == "D":
-        indices = flat[:1]
-    else:
-        indices = flat
-    return (name, tuple(indices), delta)
+    name, idx_text, delta = (part.strip() for part in m.groups())
+    pairs = [(label, int(k)) for label, k in _INDEX_PAIR.findall(idx_text)]
+    if not pairs or _INDEX_PAIR.sub("", idx_text).strip(" (),"):
+        raise ValueError(f"malformed perturbation index {idx_text!r}")
+    return (name, tuple(pairs[:1] if name == "D" else pairs),
+            str_to_fraction(delta))
 
 
 def cmd_verify(args) -> int:

@@ -22,7 +22,15 @@ from .errors import (
     NonGenericRamificationError,
     NotARamificationPointError,
 )
-from .scalars import ScalarField
+from .scalars import (
+    ScalarField,
+    _poly_deriv,
+    _poly_eval,
+    _poly_mul,
+    _poly_norm,
+    _poly_shift,
+    _poly_sub,
+)
 from .series import FORM, LaurentSeries
 
 
@@ -31,59 +39,6 @@ class RamPoint:
     label: str
     order: int
     times: dict  # k -> scalar, finite support
-
-
-@dataclass(frozen=True)
-class LocalCurve:
-    points: tuple  # of RamPoint
-    phi: dict      # ((label,k),(label,j)) -> scalar, symmetric
-
-
-def _poly_norm(p):
-    p = [Fraction(c) for c in p]
-    while len(p) > 1 and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_eval(p, a: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed([Fraction(q) for q in p]):
-        out = out * a + c
-    return out
-
-
-def _poly_shift(p, a: Fraction):
-    """Coefficients of p(a + u) as a polynomial in u (Taylor shift)."""
-    out = [Fraction(0)]
-    for c in reversed([Fraction(q) for q in p]):
-        new = [Fraction(0)] * (len(out) + 1)
-        for i, ci in enumerate(out):
-            new[i] += ci * a
-            new[i + 1] += ci
-        new[0] += c
-        out = _poly_norm(new)
-    return out
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_norm(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return _poly_norm([x - y for x, y in zip(a, b)])
-
-
-def _poly_deriv(p):
-    return _poly_norm([Fraction(c * i) for i, c in enumerate(p)][1:] or [0])
 
 
 @dataclass(frozen=True)
@@ -103,11 +58,11 @@ class RationalFunction:
         if den_s.is_zero():
             raise ZeroDivisionError("zero denominator polynomial")
         v = min(den_s.coeffs)
-        return (num_s * den_s.inverse(order + v)).truncate(order)
+        return num_s.mul(den_s.inverse(order + v), order)
 
     def derivative(self) -> "RationalFunction":
-        num = _poly_norm(list(self.num))
-        den = _poly_norm(list(self.den))
+        num = _poly_norm([Fraction(c) for c in self.num])
+        den = _poly_norm([Fraction(c) for c in self.den])
         top = _poly_sub(_poly_mul(_poly_deriv(num), den),
                         _poly_mul(num, _poly_deriv(den)))
         return RationalFunction(tuple(top), tuple(_poly_mul(den, den)))

@@ -17,6 +17,7 @@ asserted at every coefficient extraction.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 from .curves import CurveData
@@ -268,33 +269,59 @@ class _Engine:
         self._bridge[key] = got
         return got
 
+    def basis_product(self, label: str, es, rotations) -> LaurentSeries:
+        """Sum over the distinct orderings of the labels ``es`` of the
+        product of their rotated basis forms, paired with the sorted
+        ``rotations`` (the sum is symmetric in the rotations)."""
+        rots = sorted(rotations)
+        out = None
+        for arrangement in set(permutations(es)):
+            piece = None
+            for e, j in zip(arrangement, rots):
+                s = self.rotated_basis(label, e, j)
+                piece = s if piece is None else piece * s
+            out = piece if out is None else out + piece
+        return out
+
     # -- the residue core --------------------------------------------------
-    def kernel_contract(self, label: str, k0: int, js, factors):
-        """-Res_{z->label} (z^k0/k0) * prod(factors) / prod(y - s_j* y).
+    def kernel_contract(self, label: str, k0s, js, factors) -> dict:
+        """-Res_{z->label} (z^k0/k0) * prod(factors) / prod(y - s_j* y)
+        for every k0 in ``k0s``: the contraction of the kernel output with
+        B[(label,k0)].
 
         ``js``: rotation indices of the kernel slots beyond the first.
-        ``factors``: 1-forms/weight-2 series at the point.  Returns a
-        scalar (the contraction of the kernel output with B[(label,k0)]).
+        ``factors``: forms at the point, all over one coefficient ring.
+        One product, truncated at z^(-1-min(k0s)), serves every k0.
+        Returns {k0: value} over the requested k0 that the product's pole
+        order reaches; {} when the residue vanishes structurally (an empty
+        factor, or no such k0).
         """
-        if k0 < 1:
+        if min(k0s, default=1) < 1:
             raise ValueError("contraction index must be >= 1")
         r = self.curve.order(label)
         k = len(js) + 1
         weight = sum(f.weight for f in factors) - (k - 1)
         if weight != 1:
             raise ValueError(f"kernel integrand has weight {weight}, not 1")
+        if any(f.is_zero() for f in factors):
+            return {}
         lo_f = sum(f.lo for f in factors)
-        pieces = list(factors)
-        for j in js:
-            order = -1 - k0 - lo_f + r * (k - 2)
-            pieces.append(self.denom_inv(label, j, max(order, -r)))
-        prod = LaurentSeries.monomial(self.field, k0,
-                                      self.field.one() / k0)
+        k0s = [k0 for k0 in k0s if k0 <= r * (k - 1) - 1 - lo_f]
+        if not k0s:
+            return {}
+        top = -1 - min(k0s)
+        ring = factors[0].field
+        order = max(top - lo_f + r * (k - 2), -r)
+        # denominators last: over HPoly the factor-by-factor products are
+        # the costly ones, and this keeps their operands shortest
+        pieces = sorted(factors, key=lambda q: len(q.coeffs)) + [
+            self.denom_inv(label, j, order).over(ring) for j in js]
         remaining = sum(p.lo for p in pieces)
-        for p in sorted(pieces, key=lambda q: len(q.coeffs)):
+        prod = None
+        for p in pieces:
             remaining -= p.lo
-            prod = (prod * p).truncate(-1 - remaining)
-        return -prod.coeff(-1)
+            prod = p if prod is None else prod.mul(p, top - remaining)
+        return {k0: prod.coeff(-1 - k0) * Fraction(-1, k0) for k0 in k0s}
 
     def pole_bound(self, label: str, g: int, n: int, table: OmegaTable) -> int:
         """Candidate ceiling for indices of the (g,n) table at a point.
@@ -360,8 +387,8 @@ def _parity_filter(curve: CurveData) -> bool:
 def _charge_modulus(curve: CurveData) -> int | None:
     """Selection-rule modulus for single-point curves with all time
     indices congruent to 1 mod r: nonzero entries of F[g,n] then satisfy
-    sum(k_i) = 1 - g + n mod r (their exponent classes are conserved by
-    every kernel residue)."""
+    the r-spin degree condition sum(k_i) = 2g - 2 + n mod r (their
+    exponent classes are conserved by every kernel residue)."""
     if not curve.is_purely_local or len(curve.labels) != 1:
         return None
     label = curve.labels[0]
@@ -410,7 +437,7 @@ def _fill_level(engine: _Engine, table: OmegaTable, g: int, n1: int,
         for key in combinations_with_replacement(cands, n1):
             if charge_mod is not None and \
                     sum(k for _, k in key) % charge_mod != \
-                    (1 - g + n1) % charge_mod:
+                    (2 * g - 2 + n1) % charge_mod:
                 continue
             try:
                 value = _entry_value(engine, table, g, key[0], key[1:])
@@ -452,7 +479,7 @@ def _entry_value(engine: _Engine, table: OmegaTable, g: int,
                     for gs in _compositions(g_total, ell):
                         term = _term_value(engine, table, label, k0, slot_rot,
                                            part, parts, gs)
-                        if term is not None and term:
+                        if term:
                             total = total + term * weight
     return total
 
@@ -486,19 +513,12 @@ def _term_value(engine: _Engine, table: OmegaTable, label: str, k0: int,
             continue
         series = _fblock_series(engine, table, label, gb, mb,
                                 tuple(slot_rot[s] for s in block_slots), sb)
-        if series is None:
+        if series.is_zero():
             return None
         factors.append(series)
-    if any(f.is_zero() for f in factors):
-        return None
-    # exponent feasibility: the residue needs z^-1 in the product support
-    r = engine.curve.order(label)
-    k = len(slot_rot)
-    lo = k0 - r * (k - 1) + sum(min(f.coeffs) for f in factors)
-    if lo > -1:
-        return None
     try:
-        return engine.kernel_contract(label, k0, slot_rot[1:], factors)
+        return engine.kernel_contract(label, (k0,), slot_rot[1:],
+                                      factors).get(k0)
     except PrecisionError as exc:
         raise PrecisionError(
             f"insufficient truncation for F entry at point {label!r}, "
@@ -506,7 +526,7 @@ def _term_value(engine: _Engine, table: OmegaTable, label: str, k0: int,
 
 
 def _fblock_series(engine: _Engine, table: OmegaTable, label: str, gb: int,
-                   mb: int, rotations: tuple, sb: tuple):
+                   mb: int, rotations: tuple, sb: tuple) -> LaurentSeries:
     """Series of a lower-correlator block with its spectators contracted.
 
     sum over e-tuples of F[gb, mb][e..., sb] * prod rotated basis forms.
@@ -516,26 +536,16 @@ def _fblock_series(engine: _Engine, table: OmegaTable, label: str, gb: int,
     key = (label, gb, mb, sb, tuple(sorted(rotations)))
     cached = engine._fblock.get(key)
     if cached is not None:
-        return cached if cached is not False else None
-    tab = table.entries(gb, mb)
+        return cached
     nslots = len(rotations)
-    out = None
-    for tkey, value in tab.items():
+    out = LaurentSeries.zero(engine.field, weight=nslots)
+    for tkey, value in table.entries(gb, mb).items():
         rest = _multiset_diff(tkey, sb)
         if rest is None or len(rest) != nslots:
             continue
         if engine.curve.is_purely_local and any(e[0] != label for e in rest):
             continue
-        for arrangement in set(permutations(rest)):
-            piece = None
-            for e, j in zip(arrangement, sorted(rotations)):
-                s = engine.rotated_basis(label, e, j)
-                piece = s if piece is None else piece * s
-            piece = piece.scale(value)
-            out = piece if out is None else out + piece
-    if out is None or out.is_zero():
-        engine._fblock[key] = False
-        return None
+        out = out + engine.basis_product(label, rest, rotations).scale(value)
     engine._fblock[key] = out
     return out
 
@@ -591,35 +601,34 @@ def kk_apply(curve: CurveData, k: int, label: str, summands) -> LocalForm:
         raise ValueError("kernel order must be >= 2")
     if k > r:
         return LocalForm(curve, {})
-    coeffs = {}
     bound = r * (k - 1) - 1
     for s in summands:
         if isinstance(s, PairProduct):
             bound += -min(0, sum(f.lo for f in s.factors))
         else:
             bound += 2
-    for k0 in range(1, max(bound, 1) + 1):
-        total = engine.field.zero()
-        for js in combinations(range(1, r), k - 1):
-            slot_rot = (0,) + js
-            for s in summands:
-                if isinstance(s, DiagonalB):
-                    if k != 2:
-                        raise ValueError("DiagonalB is a two-slot summand")
-                    factors = [engine.bridge(label, 0, slot_rot[1])]
-                elif isinstance(s, PairProduct):
-                    if len(s.factors) != k:
-                        raise ValueError("summand arity != kernel order")
-                    factors = [f.rotate(r, j)
-                               for f, j in zip(s.factors, slot_rot)]
-                else:
-                    raise TypeError(f"unknown summand {s!r}")
-                total = total + engine.kernel_contract(label, k0,
-                                                       slot_rot[1:], factors)
-        if total:
-            coeffs[(label, k0)] = total
+    k0s = range(1, max(bound, 1) + 1)
+    totals = {}
+    for js in combinations(range(1, r), k - 1):
+        slot_rot = (0,) + js
+        for s in summands:
+            if isinstance(s, DiagonalB):
+                if k != 2:
+                    raise ValueError("DiagonalB is a two-slot summand")
+                factors = [engine.bridge(label, 0, slot_rot[1])]
+            elif isinstance(s, PairProduct):
+                if len(s.factors) != k:
+                    raise ValueError("summand arity != kernel order")
+                factors = [f.rotate(r, j)
+                           for f, j in zip(s.factors, slot_rot)]
+            else:
+                raise TypeError(f"unknown summand {s!r}")
+            for k0, v in engine.kernel_contract(label, k0s, slot_rot[1:],
+                                                factors).items():
+                totals[k0] = totals[k0] + v if k0 in totals else v
     out = None
-    for e, v in coeffs.items():
-        piece = bhat(gamma(curve, e[0], e[1]), curve).scale(v)
-        out = piece if out is None else out + piece
+    for k0, v in sorted(totals.items()):
+        if v:
+            piece = bhat(gamma(curve, label, k0), curve).scale(v)
+            out = piece if out is None else out + piece
     return out if out is not None else LocalForm(curve, {})

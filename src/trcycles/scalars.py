@@ -47,13 +47,54 @@ def _poly_div_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
     return out
 
 
-def _poly_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]):
+# -- dense Fraction polynomials, low to high; zero normalizes to [] ---------
+
+def _poly_mul(a, b) -> list[Fraction]:
+    """Product, not normalized: len(a) + len(b) - 1 coefficients."""
     out = [_ZERO] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 if bj:
                     out[i + j] += ai * bj
+    return out
+
+
+def _poly_norm(p: list[Fraction]) -> list[Fraction]:
+    """Strip trailing zeros in place."""
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_sub(a, b) -> list[Fraction]:
+    n = max(len(a), len(b))
+    a = list(a) + [_ZERO] * (n - len(a))
+    b = list(b) + [_ZERO] * (n - len(b))
+    return _poly_norm([x - y for x, y in zip(a, b)])
+
+
+def _poly_deriv(p) -> list[Fraction]:
+    return _poly_norm([Fraction(c * i) for i, c in enumerate(p)][1:])
+
+
+def _poly_eval(p, a: Fraction) -> Fraction:
+    out = _ZERO
+    for c in reversed([Fraction(q) for q in p]):
+        out = out * a + c
+    return out
+
+
+def _poly_shift(p, a: Fraction) -> list[Fraction]:
+    """Coefficients of p(a + u) as a polynomial in u (Taylor shift)."""
+    out = []
+    for c in reversed([Fraction(q) for q in p]):
+        new = [_ZERO] * (len(out) + 1)
+        for i, ci in enumerate(out):
+            new[i] += ci * a
+            new[i + 1] += ci
+        new[0] += c
+        out = _poly_norm(new)
     return out
 
 
@@ -235,19 +276,6 @@ def _reduce(order: int, raw: list[Fraction]) -> list[Fraction]:
                 for i, ri in enumerate(row):
                     out[i] += c * ri
     return out
-
-
-def _poly_norm(p: list[Fraction]) -> list[Fraction]:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = a + [_ZERO] * (n - len(a))
-    b = b + [_ZERO] * (n - len(b))
-    return _poly_norm([x - y for x, y in zip(a, b)])
 
 
 def _poly_divmod(p: list[Fraction], q: list[Fraction]):

@@ -7,12 +7,16 @@ exactly zero.  ``hi`` is the truncation ceiling (``None`` = the series is
 exact, all omitted coefficients are genuinely zero).  Operations shrink
 windows conservatively; asking for a coefficient above ``hi`` raises
 ``PrecisionError`` instead of returning a silently wrong value.
+
+Coefficients live in a ring object offering ``zero()``, ``one()``,
+``coerce(value)`` and ``root(r, j)``: a :class:`ScalarField`, or the
+hbar/times polynomial ring of the verifiers.  Arithmetic on coefficients
+is plain operator arithmetic, so both rings share every code path.
 """
 
 from __future__ import annotations
 
 from .errors import PrecisionError, ResidueObstructionError
-from .scalars import ScalarField
 
 FUNCTION = 0
 FORM = 1
@@ -26,7 +30,7 @@ def _min_hi(*values):
 class LaurentSeries:
     __slots__ = ("field", "coeffs", "lo", "hi", "weight")
 
-    def __init__(self, field: ScalarField, coeffs=None, lo=None, hi=None,
+    def __init__(self, field, coeffs=None, lo=None, hi=None,
                  weight: int = FUNCTION):
         self.field = field
         cs = {}
@@ -118,10 +122,11 @@ class LaurentSeries:
                              hi=None if self.hi is None else self.hi + n,
                              weight=self.weight)
 
-    def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
+    def mul(self, other: "LaurentSeries", cap: int | None = None):
+        """Product; coefficients above ``cap`` are neither formed nor kept."""
         lo = self.lo + other.lo
         hi = _min_hi(None if self.hi is None else self.hi + other.lo,
-                     None if other.hi is None else other.hi + self.lo)
+                     None if other.hi is None else other.hi + self.lo, cap)
         # hi < lo is a legal empty window (zero through hi, unknown above);
         # errors surface only when a coefficient beyond hi is requested
         out = {}
@@ -136,6 +141,15 @@ class LaurentSeries:
         out = {e: c for e, c in out.items() if c}
         return LaurentSeries(self.field, out, lo=lo, hi=hi,
                              weight=self.weight + other.weight)
+
+    __mul__ = mul
+
+    def over(self, ring) -> "LaurentSeries":
+        """The same series with its coefficients coerced into ``ring``."""
+        if ring == self.field:
+            return self
+        return LaurentSeries(ring, self.coeffs, lo=self.lo, hi=self.hi,
+                             weight=self.weight)
 
     def truncate(self, hi: int | None) -> "LaurentSeries":
         """Restrict the window from above (no-op for hi=None)."""
@@ -239,8 +253,8 @@ class LaurentSeries:
         while True:
             xn1 = LaurentSeries(self.field, {0: self.field.one()}, lo=0, hi=hi)
             for _ in range(n - 1):
-                xn1 = (xn1 * x).truncate(hi)
-            err = (xn1 * x).truncate(hi) - target
+                xn1 = xn1.mul(x, hi)
+            err = xn1.mul(x, hi) - target
             if err.is_zero():
                 break
             corr = err * xn1.scale(n).inverse(hi)
@@ -264,9 +278,7 @@ class LaurentSeries:
             if c:
                 out = out + power.scale(c)
             if e < top:
-                power = power * inner
-                if hi is not None:
-                    power = power.truncate(hi)
+                power = power.mul(inner, hi)
         return LaurentSeries(self.field, out.coeffs, lo=0, hi=hi,
                              weight=FUNCTION)
 
@@ -299,15 +311,3 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     if out.hi is not None and out.hi < out.lo and not out.coeffs:
         raise PrecisionError("window collapse in series product")
     return out
-
-
-def series_residue(w: LaurentSeries):
-    return w.residue()
-
-
-def series_primitive(w: LaurentSeries) -> LaurentSeries:
-    return w.primitive()
-
-
-def series_rotate(w: LaurentSeries, r: int, j: int) -> LaurentSeries:
-    return w.rotate(r, j)

@@ -5,7 +5,9 @@ Two independent routes to the same tensors meet here: A and D are read
 from the correlator table, C and the B-tensor come from fresh kernel
 residues.  The tensor recursion then rebuilds correlators by pure
 contraction, and the verifiers expand the annihilation identities in
-(hbar, times)-coefficients, which must all vanish.
+(hbar, times)-coefficients, which must all vanish.  Every kernel residue,
+scalar or HPoly-valued, is taken by the one routine
+``_Engine.kernel_contract`` that also drives the correlator recursion.
 
 Slot conventions for the stored B-tensor follow its defining residue:
 B[i1, i2, i3] contracts the kernel output with i1, feeds the basis form
@@ -17,8 +19,7 @@ therefore pairs with derivatives and the i3 slot with time variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, combinations_with_replacement, permutations
-from math import factorial
+from itertools import combinations, combinations_with_replacement, product
 
 from .curves import CurveData
 from .errors import UnsupportedError
@@ -30,18 +31,13 @@ from .recursion import (
     _parity_filter,
     _set_partitions,
 )
+from .series import LaurentSeries
 from .wavefunction import (
+    HPoly,
+    HPolyRing,
     assemble_logZ,
-    hp_add,
-    hp_deriv,
-    hp_mul,
-    hp_scale,
-    hp_shift,
-    hp_zero,
     monomial_from_multiset,
-    tp_mul,
-    tp_scale,
-    tp_var,
+    times_polynomial,
 )
 
 
@@ -125,6 +121,11 @@ def compute_airy_tensors(curve: CurveData, table: OmegaTable,
     # basis forms at the kernel point can come from any point: when the
     # bilinear kernel has an analytic part, their tails couple the points
     slots = [(lb, k) for lb in curve.labels for k in ks]
+
+    def residue(label, k0, factors):
+        return engine.kernel_contract(label, (k0,), (1,),
+                                      factors).get(k0, fld.zero())
+
     C = {}
     B = {}
     for label in curve.labels:
@@ -135,12 +136,10 @@ def compute_airy_tensors(curve: CurveData, table: OmegaTable,
                     continue
                 for ep in slots:
                     # C[i0, e, e'] = 2 * contraction of K2(basis_e, basis_e')
-                    rot = engine.rotated_basis(label, ep, 1)
-                    if not rot.is_zero():
-                        val = 2 * engine.kernel_contract(label, k0, (1,),
-                                                         [base, rot])
-                        if val:
-                            C[((label, k0), e, ep)] = val
+                    val = residue(label, k0,
+                                  [base, engine.rotated_basis(label, ep, 1)])
+                    if val:
+                        C[((label, k0), e, ep)] = 2 * val
                 rot_base = engine.rotated_basis(label, e, 1)
                 for ep_k in ks:
                     # B[i1, i2, i3]: the basis form of i2 against the
@@ -150,12 +149,10 @@ def compute_airy_tensors(curve: CurveData, table: OmegaTable,
                     # assignments agree and this is twice the single
                     # residue; on parity-broken curves the even entries
                     # need the genuine sum.
-                    valb = engine.kernel_contract(
-                        label, k0, (1,),
-                        [base, engine.leg(label, ep_k, 1)]) + \
-                        engine.kernel_contract(
-                        label, k0, (1,),
-                        [engine.leg(label, ep_k, 0), rot_base])
+                    valb = residue(label, k0,
+                                   [base, engine.leg(label, ep_k, 1)]) + \
+                        residue(label, k0,
+                                [engine.leg(label, ep_k, 0), rot_base])
                     if valb:
                         B[((label, k0), e, (label, ep_k))] = valb
     return AiryTensors(curve=curve, chi_max=chi_max, A=A, D=D, C=C, B=B)
@@ -320,11 +317,12 @@ def verify_quadratic_pde(curve: CurveData, at: AiryTensors,
         at = at.copy_with_perturbation(*perturb)
     fld = curve.field
     chi_needed = min(hbar_max, table.chi_max)
-    logz = assemble_logZ(table, chi_needed)
-    variables = _airy_index_variables(table)
     caps = (hbar_max, deg_max)
+    logz = HPoly(assemble_logZ(table, chi_needed).terms, caps)
+    variables = _airy_index_variables(table)
+    zero = HPoly((), caps)
 
-    P = {v: hp_deriv(logz.terms, v) for v in variables}
+    P = {v: logz.deriv(v) for v in variables}
     report = ResidualReport(checked_orders=(hbar_max, deg_max))
 
     targets = set(variables)
@@ -332,45 +330,40 @@ def verify_quadratic_pde(curve: CurveData, at: AiryTensors,
     targets.update(i0 for (i0, _, _) in at.B)
 
     for i0 in sorted(targets):
-        res = P.get(i0, hp_zero())
+        res = P.get(i0, zero)
         dval = at.D.get(i0)
         if dval:
-            res = hp_add(res, {1: {(): -dval}})
-        acc_a = {}
+            res = res + HPoly({1: {(): -dval}}, caps)
+        acc_a = zero
         for key, v in at.A.items():
             rest = _multiset_diff(key, (i0,))
             if rest is None:
                 continue
-            j, k = rest
-            npairs = 1 if j == k else 2
-            mon = tp_mul(tp_var(fld, j), tp_var(fld, k))
-            acc_a = hp_add(acc_a, {0: tp_scale(mon, v * npairs)})
+            npairs = 1 if rest[0] == rest[1] else 2
+            acc_a = acc_a + HPoly(
+                {0: {monomial_from_multiset(rest): v * npairs}}, caps)
         if acc_a:
-            res = hp_add(res, hp_scale(hp_shift(acc_a, 1),
-                                       fld.coerce(-1) / 4))
-        acc_b = hp_zero()
+            res = res + acc_a.shift(1) * (fld.coerce(-1) / 4)
+        acc_b = zero
         for (bi0, j, s), v in at.B.items():
             if bi0 != i0:
                 continue
             pj = P.get(j)
             if not pj:
                 continue
-            term = hp_mul({0: tp_scale(tp_var(fld, s), v)}, pj, *caps)
-            acc_b = hp_add(acc_b, term)
+            acc_b = acc_b + HPoly({0: {((s, 1),): v}}, caps) * pj
         if acc_b:
-            res = hp_add(res, hp_scale(hp_shift(acc_b, 1), fld.coerce(-1)))
-        acc_c = hp_zero()
+            res = res - acc_b.shift(1)
+        acc_c = zero
         for (ci0, e, ep), v in at.C.items():
             if ci0 != i0:
                 continue
-            q = hp_deriv(P.get(e, hp_zero()), ep)
-            pp = hp_mul(P.get(e, hp_zero()), P.get(ep, hp_zero()), *caps)
-            both = hp_add(q, pp)
+            pe = P.get(e, zero)
+            both = pe.deriv(ep) + pe * P.get(ep, zero)
             if both:
-                acc_c = hp_add(acc_c, hp_scale(both, v))
+                acc_c = acc_c + both * v
         if acc_c:
-            res = hp_add(res, hp_scale(hp_shift(acc_c, 1),
-                                       fld.coerce(-1) / 2))
+            res = res + acc_c.shift(1) * (fld.coerce(-1) / 2)
         for h in sorted(res):
             if h > hbar_max or h > chi_needed:
                 continue
@@ -385,12 +378,12 @@ def verify_quadratic_pde(curve: CurveData, at: AiryTensors,
 # ---------------------------------------------------------------------------
 # Order-by-order verification of the higher annihilation operator.
 
-def _g_tensor(table: OmegaTable, m: int, e_tuple: tuple, fld,
-              hbar_cap: int) -> dict:
+def _g_tensor(table: OmegaTable, m: int, e_tuple: tuple, caps: tuple,
+              hbar_cap: int) -> HPoly:
     """Coefficient polynomial of the m-fold insertion of log Z', attached
     to basis labels e_tuple (sorted): sum over (g,n) of
     hbar^(2g-2+n)/n! F[g,n+m][e..., i...] t'_{i...}."""
-    out = hp_zero()
+    out = HPoly((), caps)
     for (g, nm), tab in table.tables.items():
         n = nm - m
         if n < 0 or (g, n) == (0, 0):
@@ -398,51 +391,15 @@ def _g_tensor(table: OmegaTable, m: int, e_tuple: tuple, fld,
         h = 2 * g - 2 + n
         if h > hbar_cap:
             continue
-        poly = {}
+        entries = []
         for key, value in tab.items():
             rest = _multiset_diff(key, e_tuple)
-            if rest is None or len(rest) != n:
-                continue
-            mon = monomial_from_multiset(rest)
-            denom = 1
-            for _, mult in mon:
-                denom *= factorial(mult)
-            c = value / denom
-            prev = poly.get(mon)
-            poly[mon] = c if prev is None else prev + c
-        poly = {mm: c for mm, c in poly.items() if c}
+            if rest is not None and len(rest) == n:
+                entries.append((rest, value))
+        poly = times_polynomial(entries)
         if poly:
-            out = hp_add(out, {h: poly})
+            out = out + HPoly({h: poly})
     return out
-
-
-class _HSeries:
-    """Laurent coefficients in the kernel variable, valued in HPoly."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {e: p for e, p in (coeffs or {}).items() if p}
-
-    def mul(self, other: "_HSeries", z_cap: int, hbar_cap: int,
-            deg_cap: int) -> "_HSeries":
-        out = {}
-        for e1, p1 in self.coeffs.items():
-            for e2, p2 in other.coeffs.items():
-                e = e1 + e2
-                if e > z_cap:
-                    continue
-                prod = hp_mul(p1, p2, hbar_cap, deg_cap)
-                if prod:
-                    out[e] = hp_add(out.get(e, hp_zero()), prod)
-        return _HSeries({e: p for e, p in out.items() if p})
-
-    @staticmethod
-    def from_scalar_series(series, fld) -> "_HSeries":
-        return _HSeries({e: {0: {(): c}} for e, c in series.coeffs.items()})
-
-    def min_exp(self):
-        return min(self.coeffs) if self.coeffs else None
 
 
 def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
@@ -453,8 +410,9 @@ def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
     Both sides of the master identity (the single-insertion series equals
     the sum over kernel orders of all partition-labeled kernel terms) are
     expanded over basis contractions with (hbar, times)-polynomial
-    coefficients.  ``drop_terms`` removes structural term classes, e.g.
-    ``(3, (('U', 2), ('W', 1)))``, for negative controls.
+    coefficients: each kernel term is one HPoly-valued column of
+    ``_Engine.kernel_contract``.  ``drop_terms`` removes structural term
+    classes, e.g. ``(3, (('U', 2), ('W', 1)))``, for negative controls.
 
     Term classes are keyed (k, sorted block descriptors) with descriptors
     ('W', m) for m-fold insertion blocks and ('U', m) for disc-free
@@ -463,10 +421,10 @@ def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
     if not curve.is_purely_local:
         raise UnsupportedError(
             "order-by-order verification needs a purely local curve")
-    fld = curve.field
     engine = _Engine(curve)
     hbar_cap = min(hbar_max, table.chi_max - 1)
     deg_cap = hbar_cap + 2
+    ring = HPolyRing(curve.field, (hbar_cap, deg_cap))
     variables = _airy_index_variables(table)
     report = ResidualReport(checked_orders=(hbar_cap, deg_cap))
 
@@ -475,69 +433,61 @@ def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
         point_vars = [v for v in variables if v[0] == label]
         lhs = {}    # k0 -> HPoly
         for (lb, k0) in point_vars:
-            g1 = _g_tensor(table, 1, ((lb, k0),), fld, hbar_cap)
+            g1 = _g_tensor(table, 1, ((lb, k0),), ring.caps, hbar_cap)
             if g1:
                 lhs[k0] = g1
+        # every block has valuation >= -(largest index + 1) per slot, so
+        # no kernel term reaches a k0 beyond this column
+        k0s = range(1, r * (r + max((kv for _, kv in point_vars),
+                                    default=0)) + 1)
 
         # W-block series per (m, rotation multiset): basis expansion plus,
         # for m = 1, the contracted-leg part of the one-form pairing term
         wcache = {}
 
-        def w_series(m: int, rots: tuple) -> _HSeries:
+        def w_series(m: int, rots: tuple) -> LaurentSeries:
             key = (m, tuple(sorted(rots)))
             got = wcache.get(key)
             if got is not None:
                 return got
             coeffs = {}
+
+            def add(ex, poly):
+                coeffs[ex] = coeffs[ex] + poly if ex in coeffs else poly
+
             for e_tuple in combinations_with_replacement(point_vars, m):
-                g = _g_tensor(table, m, tuple(sorted(e_tuple)), fld,
-                              hbar_cap - m)
+                g = _g_tensor(table, m, e_tuple, ring.caps, hbar_cap - m)
                 if not g:
                     continue
-                for arrangement in set(permutations(e_tuple)):
-                    piece = None
-                    for e, j in zip(arrangement, sorted(rots)):
-                        s = engine.rotated_basis(label, e, j)
-                        piece = s if piece is None else piece * s
-                    for ex, c in piece.coeffs.items():
-                        add = hp_scale(g, c)
-                        coeffs[ex] = hp_add(coeffs.get(ex, hp_zero()), add)
-            out = _HSeries({e: hp_shift(p, m) for e, p in coeffs.items()})
+                g = g.shift(m)
+                for ex, c in engine.basis_product(label, e_tuple,
+                                                  rots).coeffs.items():
+                    add(ex, g * c)
             if m == 1:
                 # the one-form pairing term of the single insertion: its
                 # hbar^-1 meets the block's hbar^1 dressing at order zero
                 for (lb, kv) in point_vars:
-                    leg = engine.leg(label, kv, sorted(rots)[0])
+                    leg = engine.leg(label, kv, rots[0])
                     for ex, c in leg.coeffs.items():
-                        contrib = {0: tp_scale(tp_var(fld, (lb, kv)), c)}
-                        out.coeffs[ex] = hp_add(out.coeffs.get(ex, hp_zero()),
-                                                contrib)
-            wcache[key] = out
-            return out
+                        add(ex, HPoly({0: {(((lb, kv), 1),): c}}, ring.caps))
+            got = wcache[key] = LaurentSeries(ring, coeffs, weight=m)
+            return got
 
-        def u_series(block_slots: tuple, slot_rot: tuple) -> _HSeries:
+        def u_series(block_slots: tuple, slot_rot: tuple) -> LaurentSeries:
             # disc-free blocks are forms of the hbar-rescaled curve and
             # carry hbar^(m-2); the bridge (m=2) is undressed
             m = len(block_slots)
-            if m == 2:
-                p, q = block_slots
-                br = engine.bridge(label, slot_rot[p], slot_rot[q])
-                return _HSeries.from_scalar_series(br, fld)
-            coeffs = {}
-            tab = table.entries(0, m)
             rots = tuple(slot_rot[s] for s in block_slots)
-            for key, value in tab.items():
-                if any(e[0] != label for e in key):
-                    continue
-                for arrangement in set(permutations(key)):
-                    piece = None
-                    for e, j in zip(arrangement, rots):
-                        s = engine.rotated_basis(label, e, j)
-                        piece = s if piece is None else piece * s
-                    for ex, c in piece.coeffs.items():
-                        add = {m - 2: {(): c * value}}
-                        coeffs[ex] = hp_add(coeffs.get(ex, hp_zero()), add)
-            return _HSeries(coeffs)
+            if m == 2:
+                return engine.bridge(label, *rots).over(ring)
+            block = LaurentSeries.zero(curve.field, weight=m)
+            for key, value in table.entries(0, m).items():
+                if all(e[0] == label for e in key):
+                    block = block + engine.basis_product(label, key,
+                                                         rots).scale(value)
+            return LaurentSeries(
+                ring, {ex: HPoly({m - 2: {(): c}}, ring.caps)
+                       for ex, c in block.coeffs.items()}, weight=m)
 
         rhs = {}            # k0 -> HPoly
         structure = {}      # class -> contracted nonzero flag
@@ -551,25 +501,24 @@ def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
                             for b, lab in zip(part, labeling))))
                         if desc in drop_terms:
                             continue
-                        prod = _product_term(engine, label, part, labeling,
-                                             slot_rot, w_series, u_series,
-                                             k, hbar_cap, deg_cap)
-                        if prod is None:
+                        blocks = [
+                            u_series(b, slot_rot) if lab == "U"
+                            else w_series(len(b), tuple(slot_rot[x] for x in b))
+                            for b, lab in zip(part, labeling)]
+                        column = engine.kernel_contract(label, k0s, js, blocks)
+                        if not column:
                             continue
                         nonzero = False
-                        for k0, poly in prod.items():
+                        for k0, poly in column.items():
                             # kernels of the hbar-rescaled curve: hbar^(k-2)
-                            poly = hp_shift(poly, k - 2)
-                            poly = {h: p for h, p in poly.items()
-                                    if h <= hbar_cap}
+                            poly = HPoly({h + k - 2: p for h, p in poly.items()
+                                          if h + k - 2 <= hbar_cap}, ring.caps)
                             if poly:
                                 nonzero = True
-                                rhs[k0] = hp_add(rhs.get(k0, hp_zero()), poly)
+                                rhs[k0] = rhs[k0] + poly if k0 in rhs else poly
                         structure[desc] = structure.get(desc, False) or nonzero
-        ks = set(lhs) | set(rhs)
-        for k0 in sorted(ks):
-            res = hp_add(lhs.get(k0, hp_zero()),
-                         hp_scale(rhs.get(k0, hp_zero()), fld.coerce(-1)))
+        for k0 in sorted(set(lhs) | set(rhs)):
+            res = lhs.get(k0, ring.zero()) - rhs.get(k0, ring.zero())
             for h in sorted(res):
                 if h > hbar_cap:
                     continue
@@ -583,62 +532,7 @@ def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
 
 
 def _labelings(part):
-    """All U/W labelings of partition blocks (U needs block size >= 2)."""
+    """All U/W labelings of partition blocks (U needs block size >= 2),
+    the first block's label varying fastest."""
     options = [("W", "U") if len(b) >= 2 else ("W",) for b in part]
-    def rec(i):
-        if i == len(options):
-            yield ()
-            return
-        for tail in rec(i + 1):
-            for o in options[i]:
-                yield (o,) + tail
-    return rec(0)
-
-
-def _product_term(engine, label, part, labeling, slot_rot, w_series,
-                  u_series, k, hbar_cap, deg_cap):
-    """Contract one labeled partition term with every target index.
-
-    Returns {k0: HPoly} or None when the term vanishes structurally.
-    """
-    curve = engine.curve
-    r = curve.order(label)
-    blocks = []
-    for b, lab in zip(part, labeling):
-        s = u_series(b, slot_rot) if lab == "U" \
-            else w_series(len(b), tuple(slot_rot[x] for x in b))
-        if not s.coeffs:
-            return None
-        blocks.append(s)
-    lo_blocks = sum(s.min_exp() for s in blocks)
-    # k0 range: residue needs exponent -k0-1 reachable
-    k0_max = r * (k - 1) - 1 - lo_blocks
-    if k0_max < 1:
-        return None
-    order = -2 - lo_blocks + r * (k - 2)
-    denominvs = [engine.denom_inv(label, j, max(order, -r))
-                 for j in slot_rot[1:]]
-    # multiply with caps that leave room for the remaining factors'
-    # lowest exponents (denominator inverses reach down to -r each)
-    mins = [s.min_exp() for s in blocks]
-    prod = None
-    for idx, s in enumerate(blocks):
-        if prod is None:
-            prod = s
-            continue
-        rest = sum(mins[idx + 1:])
-        cap = -2 - rest + r * (k - 1)
-        prod = prod.mul(s, cap, hbar_cap, deg_cap)
-    remaining = k - 1
-    for dv in denominvs:
-        remaining -= 1
-        ds = _HSeries.from_scalar_series(dv, engine.field)
-        prod = prod.mul(ds, -2 + r * remaining, hbar_cap, deg_cap)
-    out = {}
-    for e, poly in prod.coeffs.items():
-        if e <= -2:
-            k0 = -e - 1
-            val = hp_scale(poly, engine.field.coerce(-1) / k0)
-            if val:
-                out[k0] = val
-    return out
+    return (t[::-1] for t in product(*reversed(options)))

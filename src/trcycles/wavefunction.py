@@ -5,6 +5,10 @@ coefficients are polynomials in the formal times t'_{a,k} (one variable
 per local-cycle label, k >= 1).  A monomial with multiplicities
 m_1, m_2, ... carries the tensor entry divided by prod(m_i!): the
 symmetric-tensor normalization is resolved once, here.
+
+Every hbar/times polynomial in the package is one :class:`HPoly`; the
+verifiers also use it, through :class:`HPolyRing`, as the coefficient
+ring of Laurent series in the kernel variable.
 """
 
 from __future__ import annotations
@@ -17,157 +21,160 @@ from .cycles import LocalCycle, bhat, pair_cycle_form
 from .errors import UnsupportedError
 from .recursion import OmegaTable
 
-# -- polynomials in the formal times ----------------------------------------
-# TimesPoly: dict {monomial: scalar}; monomial = sorted tuple of
-# ((label, k), multiplicity).  HPoly: dict {hbar_exponent: TimesPoly}.
-
-ONE_MONOMIAL = ()
-
-
-def tp_zero():
-    return {}
-
-
-def tp_const(field, c):
-    c = field.coerce(c)
-    return {ONE_MONOMIAL: c} if c else {}
-
-
-def tp_var(field, label_k):
-    return {((tuple(label_k), 1),): field.one()}
-
 
 def monomial_from_multiset(indices) -> tuple:
+    """Sorted tuple of ((label, k), multiplicity) for a list of indices."""
     out = {}
     for idx in indices:
         out[tuple(idx)] = out.get(tuple(idx), 0) + 1
     return tuple(sorted(out.items()))
 
 
-def monomial_degree(mon) -> int:
+def times_polynomial(entries) -> dict:
+    """{monomial: value / prod(multiplicity!)} over the (index tuple,
+    value) pairs of a symmetric tensor."""
+    poly = {}
+    for indices, value in entries:
+        mon = monomial_from_multiset(indices)
+        denom = 1
+        for _, mult in mon:
+            denom *= factorial(mult)
+        if value:
+            poly[mon] = value / denom
+    return poly
+
+
+def _degree(mon) -> int:
     return sum(m for _, m in mon)
 
 
-def tp_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for mon, c in b.items():
-        s = out.get(mon)
-        s = c if s is None else s + c
-        if s:
-            out[mon] = s
-        else:
-            out.pop(mon, None)
-    return out
-
-
-def tp_scale(a: dict, c) -> dict:
-    if not c:
-        return {}
-    return {mon: c * v for mon, v in a.items()}
-
-
 def _mon_mul(m1, m2):
+    if not m1 or not m2:
+        return m1 or m2
     out = dict(m1)
     for var, mult in m2:
         out[var] = out.get(var, 0) + mult
     return tuple(sorted(out.items()))
 
 
-def tp_mul(a: dict, b: dict, deg_cap: int | None = None) -> dict:
-    out = {}
-    for m1, c1 in a.items():
-        d1 = monomial_degree(m1)
-        for m2, c2 in b.items():
-            if deg_cap is not None and d1 + monomial_degree(m2) > deg_cap:
-                continue
-            mon = _mon_mul(m1, m2)
-            p = c1 * c2
-            s = out.get(mon)
-            s = p if s is None else s + p
-            if s:
-                out[mon] = s
+class HPoly(dict):
+    """Polynomial in hbar and the formal times.
+
+    Layout ``{hbar exponent: {monomial: scalar}}`` with monomials as in
+    :func:`monomial_from_multiset`; stored coefficients are nonzero and no
+    hbar slice is empty.  A product of two polynomials drops every term
+    above ``caps = (hbar_cap, deg_cap)`` of its left factor (``None``: no
+    cap), so an expansion never forms the orders it discards; all
+    polynomials of one expansion carry the same caps.  Values are never
+    mutated: every operation builds a new polynomial.
+    """
+
+    __slots__ = ("caps",)
+
+    def __init__(self, terms=(), caps=(None, None)):
+        super().__init__(terms)
+        self.caps = caps
+
+    def __add__(self, other: "HPoly") -> "HPoly":
+        out = dict(self)
+        for h, p in other.items():
+            acc = dict(out.get(h, ()))
+            for mon, c in p.items():
+                s = acc.get(mon)
+                s = c if s is None else s + c
+                if s:
+                    acc[mon] = s
+                else:
+                    acc.pop(mon, None)
+            if acc:
+                out[h] = acc
             else:
-                out.pop(mon, None)
-    return out
+                out.pop(h, None)
+        return HPoly(out, self.caps)
+
+    def __sub__(self, other: "HPoly") -> "HPoly":
+        return self + other * -1
+
+    def __mul__(self, other) -> "HPoly":
+        if not isinstance(other, HPoly):
+            if not other:
+                return HPoly((), self.caps)
+            return HPoly({h: {mon: c * other for mon, c in p.items()}
+                          for h, p in self.items()}, self.caps)
+        hbar_cap, deg_cap = self.caps
+        out = {}
+        for h1, p1 in self.items():
+            for h2, p2 in other.items():
+                h = h1 + h2
+                if hbar_cap is not None and h > hbar_cap:
+                    continue
+                acc = out.setdefault(h, {})
+                for m1, c1 in p1.items():
+                    d1 = _degree(m1)
+                    for m2, c2 in p2.items():
+                        if deg_cap is not None and d1 + _degree(m2) > deg_cap:
+                            continue
+                        mon = _mon_mul(m1, m2)
+                        p = c1 * c2
+                        s = acc.get(mon)
+                        s = p if s is None else s + p
+                        if s:
+                            acc[mon] = s
+                        else:
+                            acc.pop(mon, None)
+        return HPoly({h: p for h, p in out.items() if p}, self.caps)
+
+    __rmul__ = __mul__
+
+    def deriv(self, var) -> "HPoly":
+        """Derivative by the time variable ``var = (label, k)``."""
+        var = tuple(var)
+        out = {}
+        for h, p in self.items():
+            d = {}
+            for mon, c in p.items():
+                md = dict(mon)
+                mult = md.get(var)
+                if not mult:
+                    continue
+                if mult == 1:
+                    del md[var]
+                else:
+                    md[var] = mult - 1
+                d[tuple(sorted(md.items()))] = c * mult
+            if d:
+                out[h] = d
+        return HPoly(out, self.caps)
+
+    def shift(self, dh: int) -> "HPoly":
+        """Multiply by hbar**dh."""
+        return HPoly({h + dh: p for h, p in self.items()}, self.caps)
 
 
-def tp_deriv(a: dict, var) -> dict:
-    var = tuple(var)
-    out = {}
-    for mon, c in a.items():
-        md = dict(mon)
-        mult = md.get(var)
-        if not mult:
-            continue
-        if mult == 1:
-            del md[var]
-        else:
-            md[var] = mult - 1
-        out[tuple(sorted(md.items()))] = c * mult
-    return out
+class HPolyRing:
+    """HPoly as a Laurent-series coefficient ring: scalars of ``field``
+    embed as constants, and every element carries ``caps``."""
 
+    __slots__ = ("field", "caps")
 
-def tp_truncate(a: dict, deg_cap: int) -> dict:
-    return {m: c for m, c in a.items() if monomial_degree(m) <= deg_cap}
+    def __init__(self, field, caps):
+        self.field = field
+        self.caps = caps
 
+    def zero(self) -> HPoly:
+        return HPoly((), self.caps)
 
-def hp_zero():
-    return {}
+    def one(self) -> HPoly:
+        return self.coerce(1)
 
+    def coerce(self, value) -> HPoly:
+        if isinstance(value, HPoly):
+            return value
+        value = self.field.coerce(value)
+        return HPoly({0: {(): value}} if value else (), self.caps)
 
-def hp_add(a: dict, b: dict) -> dict:
-    out = {h: dict(p) for h, p in a.items()}
-    for h, p in b.items():
-        out[h] = tp_add(out.get(h, {}), p)
-        if not out[h]:
-            del out[h]
-    return out
-
-
-def hp_scale(a: dict, c) -> dict:
-    if not c:
-        return {}
-    return {h: tp_scale(p, c) for h, p in a.items()}
-
-
-def hp_shift(a: dict, dh: int) -> dict:
-    return {h + dh: p for h, p in a.items()}
-
-
-def hp_mul(a: dict, b: dict, hbar_cap: int | None = None,
-           deg_cap: int | None = None) -> dict:
-    out = {}
-    for h1, p1 in a.items():
-        for h2, p2 in b.items():
-            h = h1 + h2
-            if hbar_cap is not None and h > hbar_cap:
-                continue
-            prod = tp_mul(p1, p2, deg_cap)
-            if prod:
-                out[h] = tp_add(out.get(h, {}), prod)
-                if not out[h]:
-                    del out[h]
-    return out
-
-
-def hp_deriv(a: dict, var) -> dict:
-    out = {}
-    for h, p in a.items():
-        d = tp_deriv(p, var)
-        if d:
-            out[h] = d
-    return out
-
-
-def hp_coefficient(a: dict, h: int, mon) -> object:
-    return a.get(h, {}).get(tuple(sorted(mon)), 0)
-
-
-def hp_nonzero_items(a: dict):
-    for h in sorted(a):
-        for mon, c in sorted(a[h].items()):
-            if c:
-                yield h, mon, c
+    def root(self, r: int, j: int) -> HPoly:
+        return self.coerce(self.field.root(r, j))
 
 
 # -- the wave function -------------------------------------------------------
@@ -178,14 +185,14 @@ class LogZ:
 
     curve: CurveData
     chi_max: int
-    terms: dict                  # HPoly
+    terms: HPoly
     prime: bool = False
-    prefactor_01: dict | None = None   # HPoly of the one-form pairing term
-    prefactor_02: dict | None = None   # HPoly of the bilinear pairing term
+    prefactor_01: HPoly | None = None   # the one-form pairing term
+    prefactor_02: HPoly | None = None   # the bilinear pairing term
 
     def coefficient(self, hbar_order: int, indices):
-        return hp_coefficient(self.terms, hbar_order,
-                              monomial_from_multiset(indices))
+        return self.terms.get(hbar_order, {}).get(
+            monomial_from_multiset(indices), 0)
 
     def min_hbar_order(self):
         return min(self.terms) if self.terms else 0
@@ -193,12 +200,13 @@ class LogZ:
     def canonical_dict(self) -> dict:
         fld = self.curve.field
         out = []
-        for h, mon, c in hp_nonzero_items(self.terms):
-            out.append({
-                "hbar": h,
-                "monomial": [[[lb, k], m] for (lb, k), m in mon],
-                "value": str(fld.as_fraction(c)),
-            })
+        for h in sorted(self.terms):
+            for mon, c in sorted(self.terms[h].items()):
+                out.append({
+                    "hbar": h,
+                    "monomial": [[[lb, k], m] for (lb, k), m in mon],
+                    "value": str(fld.as_fraction(c)),
+                })
         return {"chi_max": self.chi_max, "prime": self.prime,
                 "terms": out, "version": 1}
 
@@ -206,22 +214,14 @@ class LogZ:
 def assemble_logZ(table: OmegaTable, chi_max: int) -> LogZ:
     """log Z(t'): sum over stable (g,n) of hbar^(2g-2+n) F[g,n](t')/n!."""
     curve = table.curve
-    terms = hp_zero()
+    terms = HPoly()
     for (g, n), tab in table.tables.items():
         chi = 2 * g - 2 + n
         if chi <= 0 or chi > chi_max or n < 1:
             continue
-        poly = {}
-        for key, value in tab.items():
-            mon = monomial_from_multiset(key)
-            denom = 1
-            for _, mult in mon:
-                denom *= factorial(mult)
-            coeff = value / denom
-            if coeff:
-                poly[mon] = coeff
+        poly = times_polynomial(tab.items())
         if poly:
-            terms = hp_add(terms, {chi: poly})
+            terms = terms + HPoly({chi: poly})
     return LogZ(curve=curve, chi_max=chi_max, terms=terms)
 
 
@@ -233,25 +233,23 @@ def assemble_logZprime(table: OmegaTable, curve: CurveData,
     point and the kernel map annihilates the negative-index cycles)."""
     base = assemble_logZ(table, chi_max)
     fld = curve.field
-    pre01 = hp_zero()
-    pre02 = hp_zero()
+    pre01 = HPoly()
+    pre02 = HPoly()
     variables = sorted({idx for (g, n), tab in table.tables.items()
                         for key in tab for idx in key})
     for (label, k) in variables:
         gm = LocalCycle(fld, {(label, -k): fld.one() / k})
         val = curve.omega01(label).coeff(-k - 1)
         if val:
-            pre01 = hp_add(pre01, {-1: tp_scale(tp_var(fld, (label, k)),
-                                                val / k)})
+            pre01 = pre01 + HPoly({-1: {(((label, k), 1),): val / k}})
         bform = bhat(gm, curve)
         for (label2, k2) in variables:
             gm2 = LocalCycle(fld, {(label2, -k2): fld.one() / k2})
             v2 = pair_cycle_form(gm2, bform)
             if v2:
-                mon = tp_mul(tp_var(fld, (label, k)),
-                             tp_var(fld, (label2, k2)))
-                pre02 = hp_add(pre02, {0: tp_scale(mon, v2 / 2)})
-    terms = hp_add(hp_add(base.terms, pre01), pre02)
+                mon = monomial_from_multiset(((label, k), (label2, k2)))
+                pre02 = pre02 + HPoly({0: {mon: v2 / 2}})
+    terms = base.terms + pre01 + pre02
     out = LogZ(curve=curve, chi_max=chi_max, terms=terms, prime=True,
                prefactor_01=pre01, prefactor_02=pre02)
     if out.terms and min(out.terms) < -1:

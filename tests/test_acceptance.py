@@ -96,7 +96,7 @@ def test_criterion_3_quadratic_pde():
         validate_local_curve([("1", 2, {3: 2, 5: Fraction(1, 3)}),
                               ("-1", 2, {3: 2})]),
     ]
-    from trcycles.wavefunction import hp_deriv, hp_mul, hp_add
+    from trcycles.wavefunction import HPoly
     for curve in curves:
         table = compute_omega_table(curve, 4)
         at = compute_airy_tensors(curve, table, 4)
@@ -114,12 +114,11 @@ def test_criterion_3_quadratic_pde():
             if name in ("A", "D"):
                 return True
             if name == "B":
-                pj = hp_deriv(logz, key[1])
+                pj = logz.deriv(key[1])
                 return visible(pj, 3, 3)
-            q = hp_deriv(hp_deriv(logz, key[1]), key[2])
-            pp = hp_mul(hp_deriv(logz, key[1]), hp_deriv(logz, key[2]),
-                        3, 4)
-            return visible(hp_add(q, pp), 3, 4)
+            q = logz.deriv(key[1]).deriv(key[2])
+            pp = HPoly(logz.deriv(key[1]), (3, 4)) * logz.deriv(key[2])
+            return visible(q + pp, 3, 4)
 
         swept = 0
         for name, entries in (("A", list(at.A)),

@@ -1,7 +1,10 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
-from trcycles.cli import main
+import pytest
+
+from trcycles.cli import _parse_perturb, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -124,3 +127,40 @@ def test_precision_exit_code(tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert json.loads(err.strip())["error"]["exit"] == 4
+
+
+def test_verify_order_four_curve(tmp_path):
+    spec = {"kind": "local", "version": 1, "phi": [], "n_max": None,
+            "points": [{"label": "0", "order": 4, "times": {"5": "1"}}]}
+    curve = tmp_path / "r4.json"
+    curve.write_text(json.dumps(spec))
+    out = tmp_path / "report.json"
+    assert run("verify", "--curve", str(curve), "--chi-max", "2",
+               "--out", str(out)) == 0
+    checks = {c["name"]: c["status"]
+              for c in json.loads(out.read_text())["checks"]}
+    assert checks["higher-pde"] == "pass"
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("D,(1,3),+1", ("D", (("1", 3),), Fraction(1))),
+    ("A,((1,1),(1,1),(1,5)),-2/3",
+     ("A", (("1", 1), ("1", 1), ("1", 5)), Fraction(-2, 3))),
+    ("B,((a,1),(a,3),(a,1)),1/2",
+     ("B", (("a", 1), ("a", 3), ("a", 1)), Fraction(1, 2))),
+    ("C,((1/2,1),( -1 ,3),(x y,5)),-1",
+     ("C", (("1/2", 1), ("-1", 3), ("x y", 5)), Fraction(-1))),
+    ("D,((1,3)),2", ("D", (("1", 3),), Fraction(2))),
+])
+def test_parse_perturb(text, expected):
+    assert _parse_perturb(text) == expected
+
+
+@pytest.mark.parametrize("text", ["D,,1", "D,(1,),1", "D,(1,3),1,2"])
+def test_malformed_perturbation_is_a_parse_error(tmp_path, capsys, text):
+    code = run("verify", "--curve", str(DATA / "airy.json"),
+               "--chi-max", "1", "--perturb", text,
+               "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"]["exit"] == 2

@@ -11,7 +11,9 @@ from trcycles import (
     k2_apply,
     kk_apply,
     scale_curve,
+    validate_local_curve,
 )
+from trcycles import recursion
 from trcycles.errors import UnsupportedError
 from trcycles.series import FORM, LaurentSeries
 
@@ -127,3 +129,39 @@ def test_zero_residue_of_one_point_tables(airy_table, r3_table):
         for (g, n) in table.tables:
             if n == 1:
                 assert table.local_form(g, 1, ()).at(label).residue() == 0
+
+
+@pytest.mark.parametrize("r, chi", [(4, 2), (5, 1)])
+def test_charge_selection_rule_matches_unfiltered(monkeypatch, r, chi):
+    curve = validate_local_curve([("0", r, {r + 1: 1})])
+    filtered = compute_omega_table(curve, chi).tables
+    monkeypatch.setattr(recursion, "_charge_modulus", lambda curve: None)
+    assert compute_omega_table(curve, chi).tables == filtered
+
+
+@pytest.mark.parametrize("r, support", [
+    (4, [(1, 1, 3), (1, 2, 2)]),
+    (5, [(1, 1, 4), (1, 2, 3), (2, 2, 2)]),
+])
+def test_rspin_three_point_primaries(r, support):
+    # r-spin oracle: <e_a e_b e_c>_0 = 1 exactly when a + b + c = r - 2,
+    # with a = k - 1 for the index k
+    curve = validate_local_curve([("0", r, {r + 1: 1})])
+    f03 = compute_omega_table(curve, 1).entries(0, 3)
+    assert f03 == {tuple(("0", k) for k in ks): 1 for ks in support}
+
+
+def test_parity_filter_and_pole_bound_match_unpruned(monkeypatch):
+    cases = [
+        (validate_local_curve([("0", 3, {4: 1})]), 3),
+        (validate_local_curve([("0", 4, {5: 1})]), 2),
+        (validate_local_curve([("0", 3, {4: 1, 5: 2})]), 2),
+        (validate_local_curve([("1", 2, {3: 1})]), 3),
+    ]
+    pruned = [compute_omega_table(curve, chi).tables for curve, chi in cases]
+    bound = recursion._Engine.pole_bound
+    monkeypatch.setattr(recursion, "_parity_filter", lambda curve: False)
+    monkeypatch.setattr(recursion._Engine, "pole_bound",
+                        lambda self, *args: bound(self, *args) + 3)
+    for (curve, chi), tables in zip(cases, pruned):
+        assert compute_omega_table(curve, chi).tables == tables

@@ -6,14 +6,7 @@ from hypothesis import strategies as st
 
 from trcycles.errors import PrecisionError, ResidueObstructionError
 from trcycles.scalars import ScalarField
-from trcycles.series import (
-    FORM,
-    LaurentSeries,
-    series_mul,
-    series_primitive,
-    series_residue,
-    series_rotate,
-)
+from trcycles.series import FORM, LaurentSeries, series_mul
 
 F = ScalarField(1)
 F3 = ScalarField(3)
@@ -43,30 +36,30 @@ def test_tag_propagation():
 
 
 def test_residues():
-    assert series_residue(mono(-1, weight=FORM)) == 1
-    assert series_residue(mono(2, weight=FORM)) == 0
+    assert mono(-1, weight=FORM).residue() == 1
+    assert mono(2, weight=FORM).residue() == 0
     tri = LaurentSeries(F, {-1: 3, -2: 5}, weight=FORM)
-    assert series_residue(tri) == 3
+    assert tri.residue() == 3
 
 
 def test_primitive():
-    assert series_primitive(mono(2, weight=FORM)).coeff(3) == Fraction(1, 3)
-    assert series_primitive(mono(0, weight=FORM)).coeff(1) == 1
+    assert mono(2, weight=FORM).primitive().coeff(3) == Fraction(1, 3)
+    assert mono(0, weight=FORM).primitive().coeff(1) == 1
     with pytest.raises(ResidueObstructionError):
-        series_primitive(mono(-1, weight=FORM))
+        mono(-1, weight=FORM).primitive()
 
 
 def test_rotate():
-    assert series_rotate(mono(2, weight=FORM), 2, 1).coeff(2) == -1
+    assert mono(2, weight=FORM).rotate(2, 1).coeff(2) == -1
     w3 = LaurentSeries(F3, {3: 1}, weight=FORM)
-    assert series_rotate(w3, 3, 1).coeff(3) == F3.root(3, 1)
-    assert series_rotate(w3, 3, 0) == w3
+    assert w3.rotate(3, 1).coeff(3) == F3.root(3, 1)
+    assert w3.rotate(3, 0) == w3
 
 
 def test_rotate_residue_invariance():
     w = LaurentSeries(F3, {-1: Fraction(5, 7), -4: 2, 2: 3}, weight=FORM)
     for j in range(3):
-        assert series_rotate(w, 3, j).residue() == w.residue()
+        assert w.rotate(3, j).residue() == w.residue()
 
 
 def test_inverse_and_roots():
