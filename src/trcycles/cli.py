@@ -111,6 +111,7 @@ def _parse_perturb(text: str):
 
 
 def cmd_verify(args) -> int:
+    perturb = _parse_perturb(args.perturb) if args.perturb else None
     curve = _load_curve(args.curve, args.n_max, args.chi_max)
     checks = []
 
@@ -121,7 +122,6 @@ def cmd_verify(args) -> int:
 
     table = compute_omega_table(curve, args.chi_max)
     all_simple = all(curve.order(lb) == 2 for lb in curve.labels)
-    perturb = _parse_perturb(args.perturb) if args.perturb else None
 
     # invariance checks on the correlator table
     _verify_homogeneity(curve, table, args.chi_max, check)
@@ -281,7 +281,7 @@ def cmd_localize(args) -> int:
     if isinstance(parsed, CurveData):
         _write_out(dump_curve_spec(parsed), args.out)
         return EXIT_OK
-    n_max = args.n_max if args.n_max else 12
+    n_max = 12 if args.n_max is None else args.n_max
     curve = localize_global_curve(parsed, n_max)
     _write_out(dump_curve_spec(curve), args.out)
     return EXIT_OK

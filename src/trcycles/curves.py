@@ -7,13 +7,21 @@ times are the coefficients of the expansion of the primary one-form:
 omega01 = sum_k t_k zeta**(k-1) dzeta.  With this normalization every
 uniformizer has coefficients in the ground field, so no root extraction is
 required for rational input data.
+
+A global genus-zero curve is localized from one univariate series per
+point.  At a point a of order r write x(a+z) - x(a) = c z^r s(z) with
+s(0) = 1; then R_a = z/zeta_a = s^(-1/r).  By Lagrange-Buermann the times
+are t_k = [z^(k-1)] (y x')(a+z) R_a^k, and the analytic part of the kernel,
+d1 d2 log((z1 - z2)/(zeta1 - zeta2)) at one point and d1 d2 log(z1 - z2)
+between points (the Grunsky coefficients of the uniformizers), is a finite
+sum over the power table [z^e] R_a^k; see :func:`localize_global_curve`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 from .errors import (
     BadDeclarationError,
@@ -250,8 +258,18 @@ def scale_curve(curve: CurveData, lam) -> CurveData:
 def localize_global_curve(gcurve: GlobalCurve, n_max: int) -> CurveData:
     """Expand a global curve at its declared ramification points.
 
-    Produces local times t_{a,k} for k <= n_max and the analytic part of
-    the bilinear kernel as phi coefficients up to the same order.
+    Produces local times t_{a,k} and the analytic part of the bilinear
+    kernel as phi coefficients, both for indices k <= n_max.  At a point a
+    of order r write x(a+z) - x(a) = c z^r s(z) with s(0) = 1, so that the
+    uniformizer is zeta = z s^(1/r), and let R_a = z/zeta = s^(-1/r).  By
+    Lagrange-Buermann every output is a finite sum over the power table
+    [z^e] R_a^k (k <= n_max, e <= 2 n_max):
+
+    * t_k = [z^(k-1)] y(a+z) x'(a+z) R_a^k, for k not divisible by r;
+    * phi[(a,k),(a,m)] = sum_{n=1..m} n [z^(m-n)]R_a^m [z^(k+n)]R_a^k;
+    * for a != b and d = a - b,
+      phi[(a,k),(b,m)] = sum_{P<=k, Q<=m} (-1)^(P-1) (P+Q-1)!/((P-1)!(Q-1)!)
+                         d^-(P+Q) [z^(k-P)]R_a^k [z^(m-Q)]R_b^m.
     """
     if n_max < 3:
         raise BadDeclarationError("n_max must be at least 3")
@@ -262,10 +280,21 @@ def localize_global_curve(gcurve: GlobalCurve, n_max: int) -> CurveData:
     if len({a for a, _ in decls}) != len(decls):
         raise BadDeclarationError("duplicate ramification coordinates")
 
-    work = 2 * n_max + 3
-    per_point = []
+    # the localization is exact (nothing truncated) when x, y are
+    # polynomial, every uniformizer is the identity and y dx has degree
+    # below n_max: expand far enough to see every coefficient of y x'
+    polynomial = all(len(_poly_norm([Fraction(c) for c in f.den])) == 1
+                     for f in (gcurve.x, gcurve.y))
+    top = 2 * n_max
+    reach = top
+    if polynomial:
+        reach = max(top, len(gcurve.x.num) + len(gcurve.y.num))
+    dx = gcurve.x.derivative()
+    exact = polynomial
+    points, tables, offsets = [], [], {}
     for a, r in decls:
-        x_series = gcurve.x.shifted_series(a, work + r, fld)
+        label = str(a)
+        x_series = gcurve.x.shifted_series(a, reach + r, fld)
         if x_series.support() and x_series.support()[0] < 0:
             raise BadDeclarationError(
                 f"x has a pole at declared ramification point {a}")
@@ -276,50 +305,44 @@ def localize_global_curve(gcurve: GlobalCurve, n_max: int) -> CurveData:
             got = sup[0] if sup else None
             raise BadDeclarationError(
                 f"x - x({a}) vanishes to order {got}, declared {r}")
-        c = diff.coeff(r)
-        s = diff.shift(-r).scale(1 / c).truncate(work)
-        zeta = (LaurentSeries(fld, {1: 1}) * s.nth_root(r, work))
-        per_point.append({
-            "a": a, "r": r, "c": c,
-            "u": zeta.reversion(work),   # u as a series in zeta
-            "x0": x0,
-        })
+        s = diff.shift(-r).scale(1 / diff.coeff(r))
+        R = s.nth_root(r, top).inverse(top)
+        power = LaurentSeries(fld, {0: 1})
+        powers = [None]            # powers[k][e] = [z^e] R^k, k >= 1
+        for _ in range(n_max):
+            power = power.mul(R, top)
+            powers.append([power.coeff(e) for e in range(top + 1)])
 
-    points = []
-    labels = []
-    for rec in per_point:
-        a, r = rec["a"], rec["r"]
-        label = str(a)
-        labels.append(label)
-        y_series = gcurve.y.shifted_series(a, work, fld)
-        dx = gcurve.x.derivative().shifted_series(a, work, fld)
-        w01_u = y_series * dx
-        if w01_u.support() and w01_u.support()[0] < 0:
+        w = (gcurve.y.shifted_series(a, reach, fld)
+             * dx.shifted_series(a, reach, fld))
+        if w.support() and w.support()[0] < 0:
             raise InadmissibleTimesError(
                 f"point {label!r}: the primary one-form has a pole")
-        uz = rec["u"]
-        w01_zeta = w01_u.compose(uz) * uz.derivative()
         times = {}
         for k in range(1, n_max + 1):
             if k % r == 0:
                 # multiples of r pair with terms analytic in x; they drop
                 # from every kernel denominator and are not times
                 continue
-            coef = w01_zeta.coeff(k - 1)
-            if coef:
-                times[k] = coef
-        rec["times_complete"] = (not w01_zeta.coeffs
-                                 or max(w01_zeta.coeffs) + 1 <= n_max)
+            times[k] = sum(w.coeff(j) * powers[k][k - 1 - j]
+                           for j in range(k))
+        exact = (exact and s.coeffs == {0: fld.one()}
+                 and max(w.coeffs, default=-1) < n_max)
         points.append((label, r, times))
+        tables.append(powers)
+        offsets[label] = x0
 
     phi = {}
-    for i, rec1 in enumerate(per_point):
-        for j in range(i, len(per_point)):
-            block = _phi_block(fld, rec1, per_point[j], same=(i == j),
-                               n_max=n_max)
-            li, lj = labels[i], labels[j]
+    for i, (la, _, _) in enumerate(points):
+        for j in range(i, len(points)):
+            lb = points[j][0]
+            if i == j:
+                block = _same_point_block(tables[i], n_max)
+            else:
+                block = _cross_block(tables[i], tables[j],
+                                     decls[i][0] - decls[j][0], n_max)
             for (k, m), v in block.items():
-                ikey, jkey = (li, k), (lj, m)
+                ikey, jkey = (la, k), (lb, m)
                 ckey = (ikey, jkey) if ikey <= jkey else (jkey, ikey)
                 prev = phi.get(ckey)
                 if prev is None:
@@ -328,140 +351,39 @@ def localize_global_curve(gcurve: GlobalCurve, n_max: int) -> CurveData:
                     raise BadDeclarationError(
                         f"asymmetric kernel expansion at {ckey}")
 
-    # the localization is exact (nothing truncated) when every uniformizer
-    # is the identity and x, y are polynomial: emit purely local data then
-    exact = (not phi
-             and len(_poly_norm(list(gcurve.x.den))) == 1
-             and len(_poly_norm(list(gcurve.y.den))) == 1
-             and all(rec["u"].coeffs == {1: Fraction(1)}
-                     and rec.get("times_complete") for rec in per_point))
+    exact = exact and not any(phi.values())
     curve = validate_local_curve(points, phi=phi,
                                  n_max=None if exact else n_max,
                                  provenance="global")
-    curve.x_offsets = {labels[k]: per_point[k]["x0"]
-                       for k in range(len(labels))}
+    curve.x_offsets = offsets
     return curve
 
 
-def _phi_block(fld, rec1, rec2, same: bool, n_max: int) -> dict:
-    """Analytic part of the bilinear kernel at a pair of points.
+def _same_point_block(powers, n_max: int) -> dict:
+    """{(k, m): phi} at one point, every (k, m) computed on its own so that
+    the caller's symmetry check compares independent sums."""
+    return {(k, m): sum(n * powers[m][m - n] * powers[k][k + n]
+                        for n in range(1, m + 1))
+            for k in range(1, n_max + 1) for m in range(1, n_max + 1)}
 
-    Returns {(k, m): value} so that the analytic part reads
-    sum phi[(k,m)] zeta1^(k-1) zeta2^(m-1) dzeta1 dzeta2.  Bivariate
-    arithmetic is truncated by total degree T; after two divisions by
-    (zeta1 - zeta2) coefficients of total degree <= T-2 remain exact,
-    which covers the square k, m <= n_max.
+
+def _cross_block(pa, pb, d, n_max: int) -> dict:
+    """{(k, m): phi[(a,k),(b,m)]} for points a != b with d = a - b.
+
+    With alpha_k(P) = (-1)^(P-1) [z^(k-P)]R_a^k / (P-1)!,
+    beta_m(Q) = [z^(m-Q)]R_b^m / (Q-1)! and g(N) = (N-1)! d^-N the entry is
+    sum_Q beta_m(Q) S_k(Q) with S_k(Q) = sum_P alpha_k(P) g(P+Q), which is
+    O(n_max^3) work in all.
     """
-    T = 2 * n_max + 1
-    u1, u2 = rec1["u"], rec2["u"]
-    du1 = _bv_from_series(u1.derivative(), 1, T)
-    du2 = _bv_from_series(u2.derivative(), 2, T)
-    if same:
-        P = _bv_divided_difference(u1, T)
-        num = _bv_sub(_bv_mul(du1, du2, T), _bv_mul(P, P, T))
-        num = _bv_div_linear(num)
-        num = _bv_div_linear(num)
-        quot = _bv_mul(num, _bv_inverse(_bv_mul(P, P, T), T), T)
-    else:
-        gap = rec2["a"] - rec1["a"]
-        # z1 - z2 = -gap * (1 + (u2 - u1)/gap); square and invert
-        q = _bv_scale(_bv_sub(_bv_from_series(u2, 2, T),
-                              _bv_from_series(u1, 1, T)),
-                      Fraction(1) / gap)
-        onepq = _bv_add({(0, 0): Fraction(1)}, q)
-        inv2 = _bv_inverse(_bv_mul(onepq, onepq, T), T)
-        quot = _bv_scale(_bv_mul(_bv_mul(du1, du2, T), inv2, T),
-                         Fraction(1) / (gap * gap))
+    g = {N: factorial(N - 1) / d ** N for N in range(2, 2 * n_max + 1)}
+    beta = {m: {Q: pb[m][m - Q] / factorial(Q - 1) for Q in range(1, m + 1)}
+            for m in range(1, n_max + 1)}
     out = {}
-    for (e1, e2), v in quot.items():
-        if v and e1 <= n_max - 1 and e2 <= n_max - 1:
-            out[(e1 + 1, e2 + 1)] = v
-    return out
-
-
-# -- bivariate truncated polynomials: dicts {(i, j): Fraction}, i+j <= T --
-
-def _bv_from_series(s: LaurentSeries, slot: int, T: int) -> dict:
-    out = {}
-    for e, c in s.coeffs.items():
-        if 0 <= e <= T:
-            out[(e, 0) if slot == 1 else (0, e)] = c
-    return out
-
-
-def _bv_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k)
-        out[k] = v if s is None else s + v
-    return {k: v for k, v in out.items() if v}
-
-
-def _bv_sub(a: dict, b: dict) -> dict:
-    return _bv_add(a, {k: -v for k, v in b.items()})
-
-
-def _bv_scale(a: dict, c) -> dict:
-    return {k: c * v for k, v in a.items()} if c else {}
-
-
-def _bv_mul(a: dict, b: dict, T: int) -> dict:
-    out = {}
-    for (i1, j1), v1 in a.items():
-        for (i2, j2), v2 in b.items():
-            i, j = i1 + i2, j1 + j2
-            if i + j > T:
-                continue
-            p = v1 * v2
-            s = out.get((i, j))
-            out[(i, j)] = p if s is None else s + p
-    return {k: v for k, v in out.items() if v}
-
-
-def _bv_inverse(a: dict, T: int) -> dict:
-    c0 = a.get((0, 0))
-    if not c0:
-        raise ZeroDivisionError("bivariate inverse needs a unit constant term")
-    tail = _bv_scale({k: v for k, v in a.items() if k != (0, 0)},
-                     Fraction(1) / c0)
-    acc = {(0, 0): Fraction(1)}
-    term = {(0, 0): Fraction(1)}
-    for _ in range(T + 1):
-        term = _bv_scale(_bv_mul(term, tail, T), Fraction(-1))
-        if not term:
-            break
-        acc = _bv_add(acc, term)
-    return _bv_scale(acc, Fraction(1) / c0)
-
-
-def _bv_divided_difference(u: LaurentSeries, T: int) -> dict:
-    """(u(z1) - u(z2)) / (z1 - z2) for a valuation-1 series u."""
-    out = {}
-    for m, c in u.coeffs.items():
-        if m < 1:
-            continue
-        for p in range(m):
-            q = m - 1 - p
-            if p + q <= T:
-                key = (p, q)
-                s = out.get(key)
-                out[key] = c if s is None else s + c
-    return {k: v for k, v in out.items() if v}
-
-
-def _bv_div_linear(a: dict) -> dict:
-    """Exact division by (z1 - z2) of a polynomial vanishing on the
-    diagonal.  q[i,j] = a[i+1,j] + q[i+1,j-1], solved by total degree."""
-    out = {}
-    if not a:
-        return out
-    maxdeg = max(i + j for i, j in a)
-    for d in range(0, maxdeg):
-        for i in range(d, -1, -1):
-            j = d - i
-            val = a.get((i + 1, j), Fraction(0))
-            if j > 0:
-                val = val + out.get((i + 1, j - 1), Fraction(0))
-            if val:
-                out[(i, j)] = val
+    for k in range(1, n_max + 1):
+        alpha = {P: (-1) ** (P - 1) * pa[k][k - P] / factorial(P - 1)
+                 for P in range(1, k + 1)}
+        S = {Q: sum(al * g[P + Q] for P, al in alpha.items())
+             for Q in range(1, n_max + 1)}
+        for m in range(1, n_max + 1):
+            out[(k, m)] = sum(S[Q] * b for Q, b in beta[m].items())
     return out

@@ -213,31 +213,21 @@ class LaurentSeries:
         hi = order if hi_avail is None else min(order, hi_avail)
         if hi < -v:
             raise PrecisionError("window collapse in series inverse")
-        one = self.field.one()
-        inv_lead = one / lead
-        # g = tail of self/(lead*z^v); then (1+g)^{-1} = sum of (-g)^k
-        g = {e - v: c * inv_lead for e, c in self.coeffs.items() if e != v}
-        max_rel = hi + v
-        acc = {0: one}
-        power = {0: one}
-        while True:
-            nxt = {}
-            for e1, c1 in power.items():
-                for e2, c2 in g.items():
-                    e = e1 + e2
-                    if e > max_rel:
-                        continue
-                    p = c1 * c2
-                    s = nxt.get(e)
-                    nxt[e] = p if s is None else s + p
-            nxt = {e: -c for e, c in nxt.items() if c}
-            if not nxt:
-                break
-            for e, c in nxt.items():
-                s = acc.get(e)
-                acc[e] = c if s is None else s + c
-            power = nxt
-        out = {e - v: c * inv_lead for e, c in acc.items() if c}
+        inv_lead = self.field.one() / lead
+        # self = lead z^v (1 + g); b = (1 + g)^-1 term by term from
+        # b_0 = 1, b_n = -sum_e g_e b_(n-e)
+        g = [(e - v, c * inv_lead) for e, c in sorted(self.coeffs.items())
+             if e != v]
+        b = [self.field.one()]
+        for n in range(1, hi + v + 1):
+            acc = self.field.zero()
+            for e, c in g:
+                if e > n:
+                    break
+                if b[n - e]:
+                    acc = acc + c * b[n - e]
+            b.append(-acc)
+        out = {n - v: c * inv_lead for n, c in enumerate(b) if c}
         return LaurentSeries(self.field, out, lo=-v, hi=hi,
                              weight=-self.weight)
 
@@ -260,43 +250,6 @@ class LaurentSeries:
             corr = err * xn1.scale(n).inverse(hi)
             x = (x - corr.truncate(hi)).truncate(hi)
         return x
-
-    def compose(self, inner: "LaurentSeries") -> "LaurentSeries":
-        """self(inner(z)) for a power series self, inner of valuation >= 1."""
-        if self.weight != FUNCTION:
-            raise ValueError("compose requires a function")
-        if self.lo < 0:
-            raise ValueError("compose requires a power series")
-        if inner.weight != FUNCTION or (inner.coeffs and min(inner.coeffs) < 1):
-            raise ValueError("inner series must have valuation >= 1")
-        hi = _min_hi(self.hi, inner.hi)
-        out = LaurentSeries.zero(self.field)
-        power = LaurentSeries(self.field, {0: self.field.one()}, lo=0, hi=None)
-        top = max(self.coeffs) if self.coeffs else -1
-        for e in range(0, top + 1):
-            c = self.coeffs.get(e)
-            if c:
-                out = out + power.scale(c)
-            if e < top:
-                power = power.mul(inner, hi)
-        return LaurentSeries(self.field, out.coeffs, lo=0, hi=hi,
-                             weight=FUNCTION)
-
-    def reversion(self, order: int) -> "LaurentSeries":
-        """Compositional inverse of z + O(z^2), valid up to ``order``."""
-        if self.weight != FUNCTION or self.coeff(1) != self.field.one() \
-                or (self.coeffs and min(self.coeffs) < 1):
-            raise ValueError("reversion requires z + higher-order terms")
-        hi = order if self.hi is None else min(order, self.hi)
-        ident = LaurentSeries(self.field, {1: self.field.one()}, lo=1, hi=hi)
-        u = ident
-        for _ in range(hi + 1):
-            err = (self.truncate(hi).compose(u) - ident).truncate(hi)
-            if err.is_zero():
-                break
-            u = (u - err).truncate(hi)
-        return LaurentSeries(self.field, u.coeffs, lo=1, hi=hi,
-                             weight=FUNCTION)
 
 
 # ---------------------------------------------------------------------------

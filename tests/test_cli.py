@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from trcycles import cli
 from trcycles.cli import _parse_perturb, main
 
 DATA = Path(__file__).parent / "data"
@@ -164,3 +165,38 @@ def test_malformed_perturbation_is_a_parse_error(tmp_path, capsys, text):
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"]["exit"] == 2
+
+
+def test_malformed_perturbation_fails_before_the_table(tmp_path, capsys,
+                                                       monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("the table was built before --perturb was parsed")
+    monkeypatch.setattr(cli, "compute_omega_table", refuse)
+    code = run("verify", "--curve", str(DATA / "airy.json"),
+               "--perturb", "D,(1,),1", "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"]["exit"] == 2
+
+
+def test_localize_n_max_zero_is_rejected(tmp_path, capsys):
+    code = run("localize", "--curve", str(DATA / "cubic_global.json"),
+               "--n-max", "0", "--out", str(tmp_path / "local.json"))
+    assert code == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == {
+        "code": "bad-declaration", "exit": 3,
+        "message": "n_max must be at least 3"}
+
+
+def test_compute_global_curve_at_default_chi(tmp_path):
+    # the default chi_max 3 derives n_max 32 for a global curve
+    out = tmp_path / "res.json"
+    assert run("compute", "--curve", str(DATA / "cubic_global.json"),
+               "--out", str(out)) == 0
+    doc = json.loads(out.read_text())
+    assert doc["omega"]["chi_max"] == 3
+    assert doc["curve_hash"] == ("c9cac0bb4bfd9fa25482460539cc78d4"
+                                 "449676d8b32b91b28ac6d570effb3742")
+    assert any(e["g"] == 1 and e["n"] == 2 for e in doc["omega"]["entries"])

@@ -73,14 +73,6 @@ def test_inverse_and_roots():
     assert ((r * r * r) - s.truncate(9)).is_zero()
 
 
-def test_reversion_roundtrip():
-    zeta = LaurentSeries(F, {1: 1, 2: Fraction(1, 6), 3: Fraction(-1, 72)},
-                         hi=8)
-    u = zeta.reversion(8)
-    assert zeta.compose(u).coeffs == {1: Fraction(1)}
-    assert u.compose(zeta).coeffs == {1: Fraction(1)}
-
-
 def test_primitive_derivative_roundtrip():
     w = LaurentSeries(F, {-3: 2, 0: 5, 4: Fraction(7, 3)}, weight=FORM)
     assert w.primitive().derivative() == w
