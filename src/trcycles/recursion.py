@@ -185,6 +185,7 @@ class _Engine:
         self._basis = {}      # (at_label, e) -> unrotated kernel-map series
         self._rot = {}        # (at_label, e, j) -> rotated series
         self._bridge = {}     # (label, jp, jq) -> weight-2 series
+        self._leg = {}        # (label, k_spec, j) -> rotated monomial
         self._fblock = {}     # (label, gb, mb, sb, rotations) -> series
 
     # -- factor builders -------------------------------------------------
@@ -231,9 +232,14 @@ class _Engine:
 
     def leg(self, label: str, k_spec: int, j: int) -> LaurentSeries:
         """Contracted bilinear-kernel leg: sigma_j^*(z^(k-1) dz)."""
-        r = self.curve.order(label)
-        return LaurentSeries.monomial(self.field, k_spec - 1,
-                                      weight=FORM).rotate(r, j)
+        key = (label, k_spec, j)
+        got = self._leg.get(key)
+        if got is None:
+            r = self.curve.order(label)
+            got = LaurentSeries.monomial(self.field, k_spec - 1,
+                                         weight=FORM).rotate(r, j)
+            self._leg[key] = got
+        return got
 
     def bridge(self, label: str, jp: int, jq: int) -> LaurentSeries:
         """omega02 with both slots on the kernel point: B(s_p z, s_q z)."""

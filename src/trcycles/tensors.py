@@ -165,9 +165,10 @@ def tensor_recursion(at: AiryTensors, chi_max: int) -> OmegaTable:
     2 F[g,n+1][i0,S] = sum C[i0,e,e'] (F[g-1,n+2][e,e',S]
                         + sum_stable F F)
                      + 2 sum_{s in S} sum_j B[i0,j,s] F[g,n][j, S-s].
+    The stable F F products of a key are listed once, as pairs of slices
+    e -> F[g1, S1+e] and e' -> F[g2, S2+e'], before the C rows run.
     """
     curve = at.curve
-    fld = curve.field
     table = OmegaTable(curve, chi_max)
     for key, v in at.A.items():
         table.set_entry(0, 3, key, v / 2)
@@ -187,44 +188,55 @@ def tensor_recursion(at: AiryTensors, chi_max: int) -> OmegaTable:
             n1 = chi + 2 - 2 * g
             if n1 < 1 or (g, n1) in ((0, 3), (1, 1)):
                 continue
-            _tensor_level(at, table, crows, brows, g, n1, odd_only)
+            _tensor_level(curve, table, crows, brows, g, n1, odd_only)
     return table
 
 
-def _tensor_level(at, table, crows, brows, g, n1, odd_only):
-    curve = at.curve
+def _tensor_level(curve, table, crows, brows, g, n1, odd_only):
     fld = curve.field
-    per_point = []
-    for label in curve.labels:
-        bound = max(1, 6 * g - 4 + 2 * n1)
-        ks = range(1, bound + 1)
-        if odd_only:
-            ks = [k for k in ks if k % 2 == 1]
-        per_point.append([(label, k) for k in ks])
+    bound = max(1, 6 * g - 4 + 2 * n1)
+    ks = [k for k in range(1, bound + 1) if not odd_only or k % 2 == 1]
+    per_point = [[(label, k) for k in ks] for label in curve.labels]
     groups = (per_point if curve.is_purely_local
               else [sorted(sum(per_point, []))])
     n = n1 - 1
+    slices = {}     # (g1, m, i1) -> {e: F[g1, m][(e,) + i1]}, m = |i1| + 1
+
+    def fslice(g1, i1):
+        m = len(i1) + 1
+        got = slices.get((g1, m, i1))
+        if got is None:
+            got = slices[g1, m, i1] = {}
+            for entry, v in table.entries(g1, m).items():
+                rest = _multiset_diff(entry, i1)
+                if rest is not None:
+                    got[rest[0]] = v
+        return got
+
     for cands in groups:
         for key in combinations_with_replacement(cands, n1):
             i0, spec = key[0], tuple(key[1:])
+            rows = crows.get(i0, ())
+            splits = _multiset_splits(spec, 2) if rows else ()
+            terms = []      # (slice e -> f1, slice e' -> f2, weight)
+            for (i1, i2), weight in splits:
+                for g1 in range(0, g + 1):
+                    g2 = g - g1
+                    if 2 * g1 - 1 + len(i1) <= 0 or 2 * g2 - 1 + len(i2) <= 0:
+                        continue
+                    f1, f2 = fslice(g1, i1), fslice(g2, i2)
+                    if f1 and f2:
+                        terms.append((f1, f2, weight))
             total = fld.zero()
-            for e, ep, cval in crows.get(i0, ()):
+            for e, ep, cval in rows:
                 inner = table.get(g - 1, n + 2, (e, ep) + spec) \
                     if g >= 1 else fld.zero()
-                for parts, weight in _multiset_splits(spec, 2):
-                    i1, i2 = parts
-                    for g1 in range(0, g + 1):
-                        g2 = g - g1
-                        if 2 * g1 - 2 + len(i1) + 1 <= 0:
-                            continue
-                        if 2 * g2 - 2 + len(i2) + 1 <= 0:
-                            continue
-                        f1 = table.get(g1, len(i1) + 1, (e,) + i1)
-                        if not f1:
-                            continue
-                        f2 = table.get(g2, len(i2) + 1, (ep,) + i2)
-                        if f2:
-                            inner = inner + weight * f1 * f2
+                for f1, f2, weight in terms:
+                    v1 = f1.get(e)
+                    if v1:
+                        v2 = f2.get(ep)
+                        if v2:
+                            inner = inner + weight * v1 * v2
                 if inner:
                     total = total + cval * inner
             seen = set()

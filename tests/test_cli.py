@@ -88,6 +88,17 @@ def test_verify_perturbation_negative_control(tmp_path):
     assert ", 1, " in detail   # residual located at hbar order one
 
 
+def test_verify_c_perturbation_breaks_the_tensor_recursion(tmp_path):
+    out = tmp_path / "report.json"
+    code = run("verify", "--curve", str(DATA / "two_point.json"),
+               "--chi-max", "3", "--perturb", "C,((1,5),(1,1),(1,1)),+1",
+               "--out", str(out))
+    assert code == 1
+    failing = {c["name"] for c in json.loads(out.read_text())["checks"]
+               if c["status"] == "fail"}
+    assert failing == {"engine-equivalence", "quadratic-pde"}
+
+
 def test_verify_results_roundtrip(tmp_path):
     res = tmp_path / "res.json"
     rep = tmp_path / "rep.json"

@@ -12,6 +12,7 @@ from trcycles import (
     verify_quadratic_pde,
 )
 from trcycles.errors import UnsupportedError
+from trcycles.recursion import _parity_filter
 
 
 def L(*ks):
@@ -60,6 +61,44 @@ def test_engine_equivalence_two_point(two_point_curve, two_point_table):
     ttab = tensor_recursion(at, 4)
     for gn in set(two_point_table.tables) | set(ttab.tables):
         assert two_point_table.entries(*gn) == ttab.entries(*gn), gn
+
+
+def _assert_engines_agree(curve, chi):
+    table = compute_omega_table(curve, chi)
+    ttab = tensor_recursion(compute_airy_tensors(curve, table, chi), chi)
+    for gn in set(table.tables) | set(ttab.tables):
+        assert table.entries(*gn) == ttab.entries(*gn), gn
+
+
+def test_engine_equivalence_two_point_chi5(two_point_curve):
+    _assert_engines_agree(two_point_curve, 5)
+
+
+@pytest.mark.parametrize("points", [
+    [("1", 2, {3: 1, 4: Fraction(1, 2), 5: Fraction(1, 3)})],
+    [("1", 2, {3: 1, 4: Fraction(1, 2)}),
+     ("-1", 2, {3: 2, 4: Fraction(-1, 3)})],
+], ids=["one-point", "two-point"])
+def test_engine_equivalence_parity_broken(points):
+    # even times switch the parity filter off, so on these purely local
+    # curves both engines run over even indices too
+    curve = validate_local_curve(points)
+    assert not _parity_filter(curve)
+    _assert_engines_agree(curve, 4)
+
+
+@pytest.mark.parametrize("name, idx, moved", [
+    ("C", (("1", 5), ("1", 1), ("1", 1)), {(2, 1)}),
+    ("B", (("1", 3), ("1", 3), ("1", 3)), {(1, 2), (1, 3), (2, 1)}),
+])
+def test_tensor_recursion_contraction_is_falsifiable(two_point_curve, name,
+                                                     idx, moved):
+    table = compute_omega_table(two_point_curve, 3)
+    at = compute_airy_tensors(two_point_curve, table, 3)
+    base = tensor_recursion(at, 3)
+    bumped = tensor_recursion(at.copy_with_perturbation(name, idx, 1), 3)
+    assert {gn for gn in set(base.tables) | set(bumped.tables)
+            if base.entries(*gn) != bumped.entries(*gn)} == moved
 
 
 def test_tensor_form_needs_simple_points(r3_curve, r3_table):
