@@ -72,20 +72,28 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _simple_tensors(curve, table, chi_max):
+    """The Airy tensors when every point is simple, else None."""
+    if all(curve.order(lb) == 2 for lb in curve.labels):
+        return compute_airy_tensors(curve, table, chi_max)
+    return None
+
+
+def _results_json(curve, table, chi_max, tensors) -> str:
+    """The compute output: table, tensors and the genus scalars."""
+    fg = {g: compute_Fg(table, curve, g)
+          for g in range(2, (chi_max + 1) // 2 + 1) if 2 * g - 1 <= chi_max}
+    return dump_results(curve, table, tensors, fg)
+
+
 def cmd_compute(args) -> int:
     curve = _load_curve(args.curve, args.n_max, args.chi_max)
     table = compute_omega_table(curve, args.chi_max)
-    tensors = None
-    if all(curve.order(lb) == 2 for lb in curve.labels):
-        tensors = compute_airy_tensors(curve, table, args.chi_max)
-    fg = {}
-    for g in range(2, (args.chi_max + 1) // 2 + 1):
-        if 2 * g - 1 <= args.chi_max:
-            fg[g] = compute_Fg(table, curve, g)
-    if args.format == "table":
-        _write_out(format_table(table), args.out)
-    else:
-        _write_out(dump_results(curve, table, tensors, fg), args.out)
+    # the tensors are built for either format, so both fail alike
+    results = _results_json(curve, table, args.chi_max,
+                            _simple_tensors(curve, table, args.chi_max))
+    _write_out(format_table(table) if args.format == "table" else results,
+               args.out)
     return EXIT_OK
 
 
@@ -121,7 +129,6 @@ def cmd_verify(args) -> int:
         return ok
 
     table = compute_omega_table(curve, args.chi_max)
-    all_simple = all(curve.order(lb) == 2 for lb in curve.labels)
 
     # invariance checks on the correlator table
     _verify_homogeneity(curve, table, args.chi_max, check)
@@ -130,16 +137,16 @@ def cmd_verify(args) -> int:
     _verify_pole_bound(curve, table, check)
     _verify_cycle_algebra(curve, check)
 
-    if all_simple:
-        tensors = compute_airy_tensors(curve, table, args.chi_max)
-        if perturb is not None:
-            tensors = tensors.copy_with_perturbation(*perturb)
-        ttab = tensor_recursion(tensors, args.chi_max)
+    tensors = _simple_tensors(curve, table, args.chi_max)
+    if tensors is not None:
+        used = tensors if perturb is None else \
+            tensors.copy_with_perturbation(*perturb)
+        ttab = tensor_recursion(used, args.chi_max)
         same = all(table.entries(*gn) == ttab.entries(*gn)
                    for gn in set(table.tables) | set(ttab.tables))
         check("engine-equivalence", same,
               "residue recursion vs tensor recursion")
-        rep = verify_quadratic_pde(curve, tensors, table,
+        rep = verify_quadratic_pde(curve, used, table,
                                    args.hbar_max, args.deg_max)
         check("quadratic-pde", rep.ok,
               f"first nonzero: {rep.first_nonzero()}" if not rep.ok
@@ -156,19 +163,13 @@ def cmd_verify(args) -> int:
                     hir = hir and hirota_insertion_check(
                         table, curve, g, n)["ok"]
             check("insertion-operator", hir)
-    if perturb is not None and not all_simple:
+    if perturb is not None and tensors is None:
         check("perturbation", False, "perturbation needs a simple curve")
 
     if args.results:
         with open(args.results, "r", encoding="utf-8") as fh:
             stored = json.load(fh)
-        own = json.loads(dump_results(
-            curve, table,
-            compute_airy_tensors(curve, table, args.chi_max)
-            if all_simple else None,
-            {g: compute_Fg(table, curve, g)
-             for g in range(2, (args.chi_max + 1) // 2 + 1)
-             if 2 * g - 1 <= args.chi_max}))
+        own = json.loads(_results_json(curve, table, args.chi_max, tensors))
         check("results-roundtrip", stored == own,
               "stored results equal recomputation")
 

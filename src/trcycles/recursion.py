@@ -11,14 +11,19 @@ distinguished variable contracted with B[(a,k0)],
 
 where blocks carry lower correlators (re-expanded through the kernel map),
 explicit bilinear-kernel bridges between two slots, or contracted kernel
-legs for spectator variables.  All arithmetic is exact; windows are
-asserted at every coefficient extraction.
+legs for spectator variables.  The sum runs over the terms themselves, not
+over candidate entries: each block is a map from its spectator multiset to
+its series, the Cartesian product of the blocks' maps lists every term that
+can be nonzero, and one kernel product per term yields the whole k0 row.
+All arithmetic is exact; windows are asserted at every coefficient
+extraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, permutations
+from math import comb
 
 from .curves import CurveData
 from .cycles import LocalForm, bhat, gamma
@@ -56,15 +61,6 @@ class OmegaTable:
 
     def gn_list(self):
         return sorted(self.tables)
-
-    def max_index(self, g: int, n: int, label: str) -> int:
-        """Largest k appearing at a point in the stored (g,n) support."""
-        best = 0
-        for key in self.tables.get((g, n), ()):
-            for lb, k in key:
-                if lb == label and k > best:
-                    best = k
-        return best
 
     def local_form(self, g: int, n: int, contracted) -> LocalForm:
         """The (g,n) correlator in one variable, the rest contracted.
@@ -127,52 +123,25 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
-def _integer_partitions(k, largest=None):
-    """Partitions of k into nonincreasing positive parts."""
-    if largest is None:
-        largest = k
-    if k == 0:
-        yield ()
-        return
-    for first in range(min(k, largest), 0, -1):
-        for rest in _integer_partitions(k - first, first):
-            yield (first,) + rest
-
-
 def _multiset_splits(ms, nparts):
-    """Distribute a sorted label multiset into ordered parts.
+    """Distribute a label multiset into ordered parts.
 
     Yields (parts, weight) where weight counts the distinct ways to split
     the underlying set variables realizing this label split.
     """
     distinct = sorted(set(ms))
-    counts = [ms.count(x) for x in distinct]
-
-    def binom(n, k):
-        out = 1
-        for i in range(k):
-            out = out * (n - i) // (i + 1)
-        return out
 
     def rec(idx):
         if idx == len(distinct):
-            yield [[] for _ in range(nparts)], 1
+            yield [()] * nparts
             return
-        x, c = distinct[idx], counts[idx]
-        for tail, w in rec(idx + 1):
-            for comp in _compositions(c, nparts):
-                weight = w
-                rem = c
-                for m in comp:
-                    weight *= binom(rem, m)
-                    rem -= m
-                parts = [list(t) for t in tail]
-                for i, m in enumerate(comp):
-                    parts[i] = [x] * m + parts[i]
-                yield parts, weight
+        x = distinct[idx]
+        for tail in rec(idx + 1):
+            for comp in _compositions(ms.count(x), nparts):
+                yield [(x,) * m + t for m, t in zip(comp, tail)]
 
-    for parts, w in rec(0):
-        yield [tuple(sorted(p)) for p in parts], w
+    for parts in rec(0):
+        yield parts, _deal_count(parts)
 
 
 class _Engine:
@@ -186,7 +155,7 @@ class _Engine:
         self._rot = {}        # (at_label, e, j) -> rotated series
         self._bridge = {}     # (label, jp, jq) -> weight-2 series
         self._leg = {}        # (label, k_spec, j) -> rotated monomial
-        self._fblock = {}     # (label, gb, mb, sb, rotations) -> series
+        self._slice = {}      # (label, gb, mb, rotations) -> block map
 
     # -- factor builders -------------------------------------------------
     def denom_inv(self, label: str, j: int, order: int) -> LaurentSeries:
@@ -289,21 +258,43 @@ class _Engine:
             out = piece if out is None else out + piece
         return out
 
+    def table_block(self, table: OmegaTable, label: str, gb: int, mb: int,
+                    rotations: tuple) -> dict:
+        """F[gb,mb] as a kernel block with ``len(rotations)`` slots at
+        ``label``: {spectator multiset S: sum over slot labels e of
+        F[gb,mb][e..., S] * product of rotated basis forms}, nonzero
+        series only.  Cached per engine (only completed tables are read);
+        the value is symmetric in the rotations, so the key sorts them."""
+        rots = tuple(sorted(rotations))
+        key = (label, gb, mb, rots)
+        got = self._slice.get(key)
+        if got is None:
+            sums = {}
+            for entry, value in table.entries(gb, mb).items():
+                for rest in set(combinations(entry, len(rots))):
+                    if self.curve.is_purely_local and \
+                            any(e[0] != label for e in rest):
+                        continue
+                    spec = _multiset_diff(entry, rest)
+                    piece = self.basis_product(label, rest, rots).scale(value)
+                    sums[spec] = sums[spec] + piece if spec in sums else piece
+            got = self._slice[key] = {spec: f for spec, f in sums.items()
+                                      if not f.is_zero()}
+        return got
+
     # -- the residue core --------------------------------------------------
-    def kernel_contract(self, label: str, k0s, js, factors) -> dict:
+    def kernel_contract(self, label: str, js, factors,
+                        k0_max: int | None = None) -> dict:
         """-Res_{z->label} (z^k0/k0) * prod(factors) / prod(y - s_j* y)
-        for every k0 in ``k0s``: the contraction of the kernel output with
-        B[(label,k0)].
+        for every k0 >= 1 (up to ``k0_max``) that the pole order reaches:
+        the contraction of the kernel output with B[(label,k0)].
 
         ``js``: rotation indices of the kernel slots beyond the first.
         ``factors``: forms at the point, all over one coefficient ring.
-        One product, truncated at z^(-1-min(k0s)), serves every k0.
-        Returns {k0: value} over the requested k0 that the product's pole
-        order reaches; {} when the residue vanishes structurally (an empty
-        factor, or no such k0).
+        One product, truncated at z^-2, serves the whole column.
+        Returns {k0: value}; {} when the residue vanishes structurally
+        (an empty factor, or no reachable k0).
         """
-        if min(k0s, default=1) < 1:
-            raise ValueError("contraction index must be >= 1")
         r = self.curve.order(label)
         k = len(js) + 1
         weight = sum(f.weight for f in factors) - (k - 1)
@@ -312,12 +303,13 @@ class _Engine:
         if any(f.is_zero() for f in factors):
             return {}
         lo_f = sum(f.lo for f in factors)
-        k0s = [k0 for k0 in k0s if k0 <= r * (k - 1) - 1 - lo_f]
-        if not k0s:
+        reach = r * (k - 1) - 1 - lo_f
+        if k0_max is not None:
+            reach = min(reach, k0_max)
+        if reach < 1:
             return {}
-        top = -1 - min(k0s)
         ring = factors[0].field
-        order = max(top - lo_f + r * (k - 2), -r)
+        order = max(-2 - lo_f + r * (k - 2), -r)
         # denominators last: over HPoly the factor-by-factor products are
         # the costly ones, and this keeps their operands shortest
         pieces = sorted(factors, key=lambda q: len(q.coeffs)) + [
@@ -326,233 +318,159 @@ class _Engine:
         prod = None
         for p in pieces:
             remaining -= p.lo
-            prod = p if prod is None else prod.mul(p, top - remaining)
-        return {k0: prod.coeff(-1 - k0) * Fraction(-1, k0) for k0 in k0s}
-
-    def pole_bound(self, label: str, g: int, n: int, table: OmegaTable) -> int:
-        """Candidate ceiling for indices of the (g,n) table at a point.
-
-        Simple points obey the classical per-variable bound 6g-4+2n; for
-        higher orders the ceiling is derived structurally from the maximal
-        residue valuation achievable with the already-computed feeders.
-        """
-        r = self.curve.order(label)
-        if r == 2:
-            return max(1, 6 * g - 4 + 2 * n)
-        chi = 2 * g - 2 + n
-        n_spec = n - 1
-        best = 1
-
-        def block_pole(gb, s, nb):
-            mb = s + nb
-            if gb == 0 and mb == 1:
-                return None
-            if gb == 0 and mb == 2:
-                return 2 if s == 2 else 0
-            if (gb, mb) not in table.tables:
-                return None
-            mk = table.max_index(gb, mb, label)
-            if mk == 0:
-                return None
-            return s * (mk + 1)
-
-        for k in range(2, min(r, chi + 1) + 1):
-            base = r * (k - 1) - 1
-            for shape in _integer_partitions(k):
-                ell = len(shape)
-                g_total = g - k + ell
-                if g_total < 0:
-                    continue
-                for gs in _compositions(g_total, ell):
-                    for nbs in _compositions(n_spec, ell):
-                        poles = 0
-                        for s, gb, nb in zip(shape, gs, nbs):
-                            p = block_pole(gb, s, nb)
-                            if p is None:
-                                poles = None
-                                break
-                            poles += p
-                        if poles is not None:
-                            best = max(best, base + poles)
-        return best
-
-
-def _parity_filter(curve: CurveData) -> bool:
-    """True when all points are simple with odd times and no analytic part
-    (then every table entry has odd indices)."""
-    if not curve.is_purely_local:
-        return False
-    for label in curve.labels:
-        if curve.order(label) != 2:
-            return False
-        if any(k % 2 == 0 for k in curve.times(label)):
-            return False
-    return True
-
-
-def _charge_modulus(curve: CurveData) -> int | None:
-    """Selection-rule modulus for single-point curves with all time
-    indices congruent to 1 mod r: nonzero entries of F[g,n] then satisfy
-    the r-spin degree condition sum(k_i) = 2g - 2 + n mod r (their
-    exponent classes are conserved by every kernel residue)."""
-    if not curve.is_purely_local or len(curve.labels) != 1:
-        return None
-    label = curve.labels[0]
-    r = curve.order(label)
-    if r < 3:
-        return None
-    if any(k % r != 1 for k in curve.times(label)):
-        return None
-    return r
+            prod = p if prod is None else prod.mul(p, -2 - remaining)
+        return {k0: prod.coeff(-1 - k0) * Fraction(-1, k0)
+                for k0 in range(1, reach + 1)}
 
 
 def compute_omega_table(curve: CurveData, chi_max: int,
                         check_symmetry: bool = False) -> OmegaTable:
-    """Fill F[g,n] for all 2g-2+n <= chi_max by the residue recursion."""
+    """Fill F[g,n] for all 2g-2+n <= chi_max by the residue recursion.
+
+    Each entry is read with its smallest index as the distinguished one.
+    With ``check_symmetry`` every index of an entry is read as the
+    distinguished one, and the readings must agree.
+    """
     if chi_max < 1:
         raise ValueError("chi_max must be >= 1")
     engine = _Engine(curve)
     table = OmegaTable(curve, chi_max)
-    odd_only = _parity_filter(curve)
-    charge_mod = _charge_modulus(curve)
+    zero = curve.field.zero()
     for chi in range(1, chi_max + 1):
         for g in range(0, (chi + 1) // 2 + 1):
             n1 = chi + 2 - 2 * g
             if n1 < 1:
                 continue
-            _fill_level(engine, table, g, n1, odd_only, charge_mod,
-                        check_symmetry)
+            readings = {}   # sorted key -> {distinguished index: value}
+            for label in curve.labels:
+                try:
+                    row = _point_row(engine, table, label, g, n1 - 1,
+                                     check_symmetry)
+                except PrecisionError as exc:
+                    raise PrecisionError(
+                        f"insufficient truncation at (g,n)=({g},{n1}), "
+                        f"point {label!r}: {exc}") from exc
+                for (k0, spec), value in row.items():
+                    i0 = (label, k0)
+                    key = tuple(sorted((i0,) + spec))
+                    readings.setdefault(key, {})[i0] = value
+            for key in sorted(readings):
+                got = readings[key]
+                value = got.get(key[0], zero)
+                if check_symmetry and \
+                        any(got.get(i, zero) != value for i in set(key)):
+                    raise AssertionError(
+                        f"symmetry violation at F[{g},{n1}]{key}: {got}")
+                if value:
+                    table.set_entry(g, n1, key, value)
     return table
 
 
-def _fill_level(engine: _Engine, table: OmegaTable, g: int, n1: int,
-                odd_only: bool, charge_mod: int | None,
-                check_symmetry: bool) -> None:
-    curve = engine.curve
-    per_point = {}
-    for label in curve.labels:
-        bound = engine.pole_bound(label, g, n1, table)
-        ks = range(1, bound + 1)
-        if odd_only:
-            ks = [k for k in ks if k % 2 == 1]
-        per_point[label] = [(label, k) for k in ks]
-    groups = ([cands for cands in per_point.values()]
-              if curve.is_purely_local
-              else [sorted(sum(per_point.values(), []))])
-    for cands in groups:
-        for key in combinations_with_replacement(cands, n1):
-            if charge_mod is not None and \
-                    sum(k for _, k in key) % charge_mod != \
-                    (2 * g - 2 + n1) % charge_mod:
-                continue
-            try:
-                value = _entry_value(engine, table, g, key[0], key[1:])
-            except PrecisionError as exc:
-                raise PrecisionError(
-                    f"insufficient truncation at (g,n)=({g},{n1}), "
-                    f"indices {key}: {exc}") from exc
-            if check_symmetry and len(set(key)) > 1:
-                for pos in range(1, len(key)):
-                    if key[pos] == key[0]:
-                        continue
-                    alt = (key[pos],) + key[1:pos] + (key[0],) + key[pos + 1:]
-                    other = _entry_value(engine, table, g, alt[0], alt[1:])
-                    if other != value:
-                        raise AssertionError(
-                            f"symmetry violation at F[{g},{n1}]{key}: "
-                            f"{value} vs {other}")
-            if value:
-                table.set_entry(g, n1, key, value)
+def _point_row(engine: _Engine, table: OmegaTable, label: str, g: int,
+               n: int, every_k0: bool) -> dict:
+    """{(k0, S): F[g,n+1][(label,k0), S]} summed over the kernel terms at
+    ``label`` that can be nonzero, with |S| = n.
 
-
-def _entry_value(engine: _Engine, table: OmegaTable, g: int,
-                 i0: tuple, spectators: tuple):
-    """F[g, n+1] entry with distinguished contraction i0 = (a, k0)."""
-    curve = engine.curve
-    label, k0 = i0
-    r = curve.order(label)
-    total = engine.field.zero()
-    spectators = tuple(sorted(spectators))
+    A layout (order k, Galois subset, slot partition, block genera and
+    spectator counts) with a primary one-form block is dropped before any
+    block is built: its other blocks could include F[g,n+1] itself, whose
+    slice would be cached while still empty.  The other layouts multiply
+    out block maps {S_b: series}.
+    Unless ``every_k0``, only readings with (label,k0) <= min(S) are kept.
+    """
+    r = engine.curve.order(label)
+    row = {}
     for k in range(2, r + 1):
         for js in combinations(range(1, r), k - 1):
             slot_rot = (0,) + js
             for part in _set_partitions(list(range(k))):
                 ell = len(part)
-                g_total = g - k + ell
-                if g_total < 0:
+                if g - k + ell < 0:
                     continue
-                for parts, weight in _multiset_splits(spectators, ell):
-                    for gs in _compositions(g_total, ell):
-                        term = _term_value(engine, table, label, k0, slot_rot,
-                                           part, parts, gs)
-                        if term:
-                            total = total + term * weight
-    return total
+                for gs in _compositions(g - k + ell, ell):
+                    for counts in _compositions(n, ell):
+                        layout = list(zip(part, gs, counts))
+                        if any(gb == 0 and len(slots) + c == 1
+                               for slots, gb, c in layout):
+                            continue
+                        _add_terms(engine, table, label, slot_rot, layout,
+                                   every_k0, row)
+    return row
 
 
-def _term_value(engine: _Engine, table: OmegaTable, label: str, k0: int,
-                slot_rot, part, parts, gs):
-    """One (partition, split, genus) term; None when structurally absent."""
-    # classify blocks first: with one-form blocks excluded up front, every
-    # correlator block referenced below sits at a strictly lower level, so
-    # the block-series cache only ever sees completed tables
-    plan = []
-    for b_idx, block_slots in enumerate(part):
-        gb = gs[b_idx]
-        sb = parts[b_idx]
-        mb = len(block_slots) + len(sb)
-        if gb == 0 and mb == 1:
-            return None    # primary one-form factors are excluded
-        if gb == 0 and mb == 2 and len(block_slots) == 1:
-            if sb[0][0] != label:
-                return None    # contracted leg lives at another point
-        plan.append((block_slots, gb, sb, mb))
-    factors = []
-    for block_slots, gb, sb, mb in plan:
-        if gb == 0 and mb == 2:
-            if len(block_slots) == 2:
-                p, q = block_slots
-                factors.append(engine.bridge(label, slot_rot[p], slot_rot[q]))
+def _add_terms(engine, table, label, slot_rot, layout, every_k0, row):
+    """Add every term of one block layout to ``row``."""
+    blocks = [None] * len(layout)
+    legs = []
+    for b, (slots, gb, c) in enumerate(layout):
+        rots = tuple(slot_rot[s] for s in slots)
+        if gb == 0 and len(slots) + c == 2:
+            if c == 0:
+                blocks[b] = {(): engine.bridge(label, *rots)}
             else:
-                factors.append(engine.leg(label, sb[0][1],
-                                          slot_rot[block_slots[0]]))
-            continue
-        series = _fblock_series(engine, table, label, gb, mb,
-                                tuple(slot_rot[s] for s in block_slots), sb)
-        if series.is_zero():
-            return None
-        factors.append(series)
-    try:
-        return engine.kernel_contract(label, (k0,), slot_rot[1:],
-                                      factors).get(k0)
-    except PrecisionError as exc:
-        raise PrecisionError(
-            f"insufficient truncation for F entry at point {label!r}, "
-            f"k0={k0}: {exc}") from exc
+                legs.append((b, rots[0]))
+        else:
+            blocks[b] = engine.table_block(table, label, gb,
+                                           len(slots) + c, rots)
+            if not blocks[b]:
+                return
+    # the residue reaches k0 = 1 only while the factor orders sum to at
+    # most r(k-1) - 2; a block's spare order is what the others' lowest
+    # orders leave (a leg z^(k'-1) dz has order k'-1 >= 0)
+    floors = [0 if blk is None else min(f.lo for f in blk.values())
+              for blk in blocks]
+    spare = engine.curve.order(label) * (len(slot_rot) - 1) - 2 - sum(floors)
+    if spare < 0:
+        return
+    for b, rot in legs:
+        blocks[b] = {((label, kp),): engine.leg(label, kp, rot)
+                     for kp in range(1, spare + 2)}
+    blocks = [sorted(((f.lo - floor, spec, f) for spec, f in blk.items()),
+                     key=lambda item: item[0])
+              for blk, floor in zip(blocks, floors)]
+    for combo in _within(blocks, spare):
+        spec = tuple(sorted(x for part, _ in combo for x in part))
+        k0_max = None
+        if spec and not every_k0:
+            if spec[0][0] < label:
+                continue
+            if spec[0][0] == label:
+                k0_max = spec[0][1]
+        column = engine.kernel_contract(label, slot_rot[1:],
+                                        [f for _, f in combo], k0_max)
+        weight = _deal_count([part for part, _ in combo])
+        for k0, v in column.items():
+            if v:
+                v = v * weight
+                got = row.get((k0, spec))
+                row[k0, spec] = v if got is None else got + v
 
 
-def _fblock_series(engine: _Engine, table: OmegaTable, label: str, gb: int,
-                   mb: int, rotations: tuple, sb: tuple) -> LaurentSeries:
-    """Series of a lower-correlator block with its spectators contracted.
+def _within(blocks, spare):
+    """Choices of one (excess, spec, series) item per block, each block
+    sorted by excess, whose excesses sum to at most ``spare``; yields the
+    (spec, series) pairs."""
+    if not blocks:
+        yield ()
+        return
+    for excess, spec, f in blocks[0]:
+        if excess > spare:
+            break
+        for rest in _within(blocks[1:], spare - excess):
+            yield ((spec, f),) + rest
 
-    sum over e-tuples of F[gb, mb][e..., sb] * prod rotated basis forms.
-    Cached per level; the value is symmetric in the slot rotations, so the
-    cache key carries them sorted.
-    """
-    key = (label, gb, mb, sb, tuple(sorted(rotations)))
-    cached = engine._fblock.get(key)
-    if cached is not None:
-        return cached
-    nslots = len(rotations)
-    out = LaurentSeries.zero(engine.field, weight=nslots)
-    for tkey, value in table.entries(gb, mb).items():
-        rest = _multiset_diff(tkey, sb)
-        if rest is None or len(rest) != nslots:
-            continue
-        if engine.curve.is_purely_local and any(e[0] != label for e in rest):
-            continue
-        out = out + engine.basis_product(label, rest, rotations).scale(value)
-    engine._fblock[key] = out
+
+def _deal_count(parts) -> int:
+    """Ways to deal distinct spectator variables into blocks so that block
+    b receives the labels ``parts[b]``: a multinomial for each label."""
+    out = 1
+    dealt = {}
+    for part in parts:
+        for x in set(part):
+            c = part.count(x)
+            before = dealt.get(x, 0)
+            out *= comb(before + c, c)
+            dealt[x] = before + c
     return out
 
 
@@ -607,13 +525,6 @@ def kk_apply(curve: CurveData, k: int, label: str, summands) -> LocalForm:
         raise ValueError("kernel order must be >= 2")
     if k > r:
         return LocalForm(curve, {})
-    bound = r * (k - 1) - 1
-    for s in summands:
-        if isinstance(s, PairProduct):
-            bound += -min(0, sum(f.lo for f in s.factors))
-        else:
-            bound += 2
-    k0s = range(1, max(bound, 1) + 1)
     totals = {}
     for js in combinations(range(1, r), k - 1):
         slot_rot = (0,) + js
@@ -629,7 +540,7 @@ def kk_apply(curve: CurveData, k: int, label: str, summands) -> LocalForm:
                            for f, j in zip(s.factors, slot_rot)]
             else:
                 raise TypeError(f"unknown summand {s!r}")
-            for k0, v in engine.kernel_contract(label, k0s, slot_rot[1:],
+            for k0, v in engine.kernel_contract(label, slot_rot[1:],
                                                 factors).items():
                 totals[k0] = totals[k0] + v if k0 in totals else v
     out = None

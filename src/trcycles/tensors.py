@@ -28,7 +28,6 @@ from .recursion import (
     _Engine,
     _multiset_diff,
     _multiset_splits,
-    _parity_filter,
     _set_partitions,
 )
 from .series import LaurentSeries
@@ -87,6 +86,19 @@ class AiryTensors:
         return out
 
 
+def _parity_filter(curve: CurveData) -> bool:
+    """True when all points are simple with odd times and no analytic part
+    (then every table entry has odd indices)."""
+    if not curve.is_purely_local:
+        return False
+    for label in curve.labels:
+        if curve.order(label) != 2:
+            return False
+        if any(k % 2 == 0 for k in curve.times(label)):
+            return False
+    return True
+
+
 def _target_index_bound(chi_max: int) -> int:
     best = 2
     for chi in range(1, chi_max + 1):
@@ -122,37 +134,36 @@ def compute_airy_tensors(curve: CurveData, table: OmegaTable,
     # bilinear kernel has an analytic part, their tails couple the points
     slots = [(lb, k) for lb in curve.labels for k in ks]
 
-    def residue(label, k0, factors):
-        return engine.kernel_contract(label, (k0,), (1,),
-                                      factors).get(k0, fld.zero())
-
     C = {}
     B = {}
     for label in curve.labels:
-        for k0 in ks:
-            for e in slots:
-                base = engine.rotated_basis(label, e, 0)
-                if base.is_zero():
-                    continue
-                for ep in slots:
-                    # C[i0, e, e'] = 2 * contraction of K2(basis_e, basis_e')
-                    val = residue(label, k0,
-                                  [base, engine.rotated_basis(label, ep, 1)])
-                    if val:
-                        C[((label, k0), e, ep)] = 2 * val
-                rot_base = engine.rotated_basis(label, e, 1)
-                for ep_k in ks:
-                    # B[i1, i2, i3]: the basis form of i2 against the
-                    # contracted bilinear-kernel leg of i3 (which only
-                    # lives at the kernel point), summed over the two
-                    # slot assignments.  On odd contractions the two
-                    # assignments agree and this is twice the single
-                    # residue; on parity-broken curves the even entries
-                    # need the genuine sum.
-                    valb = residue(label, k0,
-                                   [base, engine.leg(label, ep_k, 1)]) + \
-                        residue(label, k0,
-                                [engine.leg(label, ep_k, 0), rot_base])
+        for e in slots:
+            base = engine.rotated_basis(label, e, 0)
+            if base.is_zero():
+                continue
+            for ep in slots:
+                # C[i0, e, e'] = 2 * contraction of K2(basis_e, basis_e')
+                column = engine.kernel_contract(
+                    label, (1,), [base, engine.rotated_basis(label, ep, 1)])
+                for k0 in ks:
+                    if column.get(k0):
+                        C[((label, k0), e, ep)] = 2 * column[k0]
+            rot_base = engine.rotated_basis(label, e, 1)
+            for ep_k in ks:
+                # B[i1, i2, i3]: the basis form of i2 against the
+                # contracted bilinear-kernel leg of i3 (which only lives
+                # at the kernel point), summed over the two slot
+                # assignments.  On odd contractions the two assignments
+                # agree and this is twice the single residue; on
+                # parity-broken curves the even entries need the genuine
+                # sum.
+                first = engine.kernel_contract(
+                    label, (1,), [base, engine.leg(label, ep_k, 1)])
+                second = engine.kernel_contract(
+                    label, (1,), [engine.leg(label, ep_k, 0), rot_base])
+                for k0 in ks:
+                    valb = first.get(k0, fld.zero()) + \
+                        second.get(k0, fld.zero())
                     if valb:
                         B[((label, k0), e, (label, ep_k))] = valb
     return AiryTensors(curve=curve, chi_max=chi_max, A=A, D=D, C=C, B=B)
@@ -448,11 +459,6 @@ def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
             g1 = _g_tensor(table, 1, ((lb, k0),), ring.caps, hbar_cap)
             if g1:
                 lhs[k0] = g1
-        # every block has valuation >= -(largest index + 1) per slot, so
-        # no kernel term reaches a k0 beyond this column
-        k0s = range(1, r * (r + max((kv for _, kv in point_vars),
-                                    default=0)) + 1)
-
         # W-block series per (m, rotation multiset): basis expansion plus,
         # for m = 1, the contracted-leg part of the one-form pairing term
         wcache = {}
@@ -517,7 +523,7 @@ def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
                             u_series(b, slot_rot) if lab == "U"
                             else w_series(len(b), tuple(slot_rot[x] for x in b))
                             for b, lab in zip(part, labeling)]
-                        column = engine.kernel_contract(label, k0s, js, blocks)
+                        column = engine.kernel_contract(label, js, blocks)
                         if not column:
                             continue
                         nonzero = False

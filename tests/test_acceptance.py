@@ -12,6 +12,7 @@ from pathlib import Path
 
 
 from oracles import engine_entry
+from unpruned import entry_value
 from trcycles import (
     GlobalCurve,
     LocalForm,
@@ -32,7 +33,7 @@ from trcycles import (
     verify_higher_pde,
     verify_quadratic_pde,
 )
-from trcycles.recursion import _entry_value, _Engine
+from trcycles.recursion import _Engine
 from trcycles.series import FORM, LaurentSeries
 from trcycles.serialize import (
     curve_hash,
@@ -272,7 +273,7 @@ def test_criterion_7_symmetry_and_rationality():
         assert value.is_rational(), key
         for pos in range(len(key)):
             alt = (key[pos],) + key[:pos] + key[pos + 1:]
-            got = _entry_value(engine, table, 0, alt[0], alt[1:])
+            got = entry_value(engine, table, 0, alt[0], alt[1:])
             assert got == value, (key, pos)
     elapsed = time.time() - t0
     print(f"criterion 7: PASS - (0,4) symmetric with rational entries "

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from oracles import engine_entry
+from unpruned import unpruned_table
 from trcycles import (
     DiagonalB,
     PairProduct,
@@ -13,8 +15,9 @@ from trcycles import (
     scale_curve,
     validate_local_curve,
 )
-from trcycles import recursion
-from trcycles.errors import UnsupportedError
+from trcycles import localize_global_curve, recursion
+from trcycles.errors import PrecisionError, UnsupportedError
+from trcycles.serialize import parse_curve_spec
 from trcycles.series import FORM, LaurentSeries
 
 
@@ -131,12 +134,15 @@ def test_zero_residue_of_one_point_tables(airy_table, r3_table):
                 assert table.local_form(g, 1, ()).at(label).residue() == 0
 
 
-@pytest.mark.parametrize("r, chi", [(4, 2), (5, 1)])
-def test_charge_selection_rule_matches_unfiltered(monkeypatch, r, chi):
+@pytest.mark.parametrize("r, chi, kmax", [
+    pytest.param(4, 2, 11, id="4-2"),
+    pytest.param(5, 1, 8, id="5-1"),
+])
+def test_charge_selection_rule_matches_unfiltered(r, chi, kmax):
+    # the r-spin degree condition is never imposed, only reproduced
     curve = validate_local_curve([("0", r, {r + 1: 1})])
     filtered = compute_omega_table(curve, chi).tables
-    monkeypatch.setattr(recursion, "_charge_modulus", lambda curve: None)
-    assert compute_omega_table(curve, chi).tables == filtered
+    assert unpruned_table(curve, chi, kmax).tables == filtered
 
 
 @pytest.mark.parametrize("r, support", [
@@ -151,17 +157,55 @@ def test_rspin_three_point_primaries(r, support):
     assert f03 == {tuple(("0", k) for k in ks): 1 for ks in support}
 
 
-def test_parity_filter_and_pole_bound_match_unpruned(monkeypatch):
+def _cubic_global(n_max):
+    text = (Path(__file__).parent / "data" / "cubic_global.json").read_text()
+    return localize_global_curve(parse_curve_spec(text), n_max)
+
+
+def test_parity_filter_and_pole_bound_match_unpruned():
+    # the term-driven fill against every key up to kmax, every split
     cases = [
-        (validate_local_curve([("0", 3, {4: 1})]), 3),
-        (validate_local_curve([("0", 4, {5: 1})]), 2),
-        (validate_local_curve([("0", 3, {4: 1, 5: 2})]), 2),
-        (validate_local_curve([("1", 2, {3: 1})]), 3),
+        (validate_local_curve([("0", 3, {4: 1})]), 3, 12),
+        (validate_local_curve([("0", 4, {5: 1})]), 2, 11),
+        (validate_local_curve([("0", 3, {4: 1, 5: 2})]), 2, 9),
+        (validate_local_curve([("1", 2, {3: 1})]), 3, 11),
+        (validate_local_curve([("0", 5, {6: 1})]), 1, 8),
+        (validate_local_curve([("a", 2, {3: 1}), ("b", 3, {4: 1})]), 2, 9),
+        (validate_local_curve([("1", 2, {3: 1, 4: Fraction(1, 2),
+                                          5: Fraction(1, 3)})]), 3, 11),
+        (_cubic_global(12), 2, 7),
     ]
-    pruned = [compute_omega_table(curve, chi).tables for curve, chi in cases]
-    bound = recursion._Engine.pole_bound
-    monkeypatch.setattr(recursion, "_parity_filter", lambda curve: False)
-    monkeypatch.setattr(recursion._Engine, "pole_bound",
-                        lambda self, *args: bound(self, *args) + 3)
-    for (curve, chi), tables in zip(cases, pruned):
-        assert compute_omega_table(curve, chi).tables == tables
+    for curve, chi, kmax in cases:
+        assert unpruned_table(curve, chi, kmax).tables == \
+            compute_omega_table(curve, chi).tables
+
+
+def test_unpruned_reference_refuses_to_clip(airy_curve):
+    # F[1,3] reaches index 7, and F[2,1] needs 9, beyond kmax 8
+    with pytest.raises(AssertionError, match="reaches kmax"):
+        unpruned_table(airy_curve, 3, 8)
+
+
+@pytest.mark.parametrize("chi, boundary", [(1, 5), (2, 7), (3, 11)])
+def test_precision_boundary_of_global_cubic(chi, boundary):
+    with pytest.raises(PrecisionError):
+        compute_omega_table(_cubic_global(boundary - 1), chi)
+    assert compute_omega_table(_cubic_global(boundary), chi).tables
+
+
+@pytest.mark.parametrize("points, chi, calls", [
+    ([("0", 3, {4: 1})], 3, 803),
+    ([("0", 4, {5: 1})], 2, 554),
+], ids=["r3-chi3", "r4-chi2"])
+def test_kernel_products_per_table(monkeypatch, points, chi, calls):
+    # one kernel product per term that can reach k0 = 1
+    count = [0]
+    contract = recursion._Engine.kernel_contract
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        return contract(self, *args, **kwargs)
+
+    monkeypatch.setattr(recursion._Engine, "kernel_contract", counted)
+    compute_omega_table(validate_local_curve(points), chi)
+    assert count[0] == calls

@@ -12,7 +12,7 @@ from trcycles import (
     verify_quadratic_pde,
 )
 from trcycles.errors import UnsupportedError
-from trcycles.recursion import _parity_filter
+from trcycles.tensors import _parity_filter
 
 
 def L(*ks):

@@ -1,0 +1,126 @@
+"""Unpruned reference for the residue recursion.
+
+Every candidate key with indices up to a fixed ``kmax`` is evaluated, each
+one by summing every (kernel order, Galois subset, slot partition,
+spectator split, genus split) term for its distinguished index, with no
+selection rule, parity filter or pole bound.  It shares the package's
+residue core (``_Engine``), so it checks the term enumeration of
+``compute_omega_table``, not the kernel residues themselves.
+"""
+
+from itertools import combinations, combinations_with_replacement
+
+from trcycles.recursion import (
+    OmegaTable,
+    _compositions,
+    _Engine,
+    _multiset_diff,
+    _multiset_splits,
+    _set_partitions,
+)
+from trcycles.series import LaurentSeries
+
+
+def unpruned_table(curve, chi_max: int, kmax: int) -> OmegaTable:
+    """F[g,n] for 2g-2+n <= chi_max over every key with indices <= kmax.
+
+    Raises AssertionError when an entry has an index above ``kmax - 2``:
+    the supports skip at most one index in a row (odd indices at simple
+    points, no multiples of r at order r), so such an entry may have a
+    neighbour beyond ``kmax`` that was silently clipped.
+    """
+    engine = _Engine(curve)
+    table = OmegaTable(curve, chi_max)
+    cands = [(label, k) for label in curve.labels
+             for k in range(1, kmax + 1)]
+    for chi in range(1, chi_max + 1):
+        for g in range(0, (chi + 1) // 2 + 1):
+            n1 = chi + 2 - 2 * g
+            if n1 < 1:
+                continue
+            for key in combinations_with_replacement(cands, n1):
+                value = entry_value(engine, table, g, key[0], key[1:])
+                if value:
+                    assert max(k for _, k in key) <= kmax - 2, \
+                        f"F[{g},{n1}]{key} reaches kmax={kmax}"
+                    table.set_entry(g, n1, key, value)
+    return table
+
+
+def entry_value(engine, table, g: int, i0: tuple, spectators: tuple):
+    """F[g, n+1] entry with distinguished contraction i0 = (a, k0)."""
+    label, k0 = i0
+    r = engine.curve.order(label)
+    total = engine.field.zero()
+    spectators = tuple(sorted(spectators))
+    splits = {ell: list(_multiset_splits(spectators, ell))
+              for ell in range(1, r + 1)}
+    for k in range(2, r + 1):
+        for js in combinations(range(1, r), k - 1):
+            slot_rot = (0,) + js
+            for part in _set_partitions(list(range(k))):
+                ell = len(part)
+                g_total = g - k + ell
+                if g_total < 0:
+                    continue
+                genera = list(_compositions(g_total, ell))
+                for parts, weight in splits[ell]:
+                    for gs in genera:
+                        term = _term_value(engine, table, label, k0, slot_rot,
+                                           part, parts, gs)
+                        if term:
+                            total = total + term * weight
+    return total
+
+
+def _term_value(engine, table, label, k0, slot_rot, part, parts, gs):
+    """One (partition, split, genus) term; None when structurally absent."""
+    plan = []
+    for b_idx, block_slots in enumerate(part):
+        gb = gs[b_idx]
+        sb = parts[b_idx]
+        mb = len(block_slots) + len(sb)
+        if gb == 0 and mb == 1:
+            return None    # primary one-form factors are excluded
+        if gb == 0 and mb == 2 and len(block_slots) == 1:
+            if sb[0][0] != label:
+                return None    # contracted leg lives at another point
+        plan.append((block_slots, gb, sb, mb))
+    factors = []
+    for block_slots, gb, sb, mb in plan:
+        if gb == 0 and mb == 2:
+            if len(block_slots) == 2:
+                p, q = block_slots
+                factors.append(engine.bridge(label, slot_rot[p], slot_rot[q]))
+            else:
+                factors.append(engine.leg(label, sb[0][1],
+                                          slot_rot[block_slots[0]]))
+            continue
+        series = _block_series(engine, table, label, gb, mb,
+                               tuple(slot_rot[s] for s in block_slots), sb)
+        if series.is_zero():
+            return None
+        factors.append(series)
+    return engine.kernel_contract(label, slot_rot[1:], factors, k0).get(k0)
+
+
+def _block_series(engine, table, label, gb, mb, rotations, sb):
+    """sum over e-tuples of F[gb, mb][e..., sb] * prod rotated basis forms.
+
+    Cached on the engine: blocks only read completed lower tables, and the
+    value is symmetric in the rotations."""
+    cache = vars(engine).setdefault("reference_blocks", {})
+    key = (label, gb, mb, sb, tuple(sorted(rotations)))
+    if key not in cache:
+        out = LaurentSeries.zero(engine.field, weight=len(rotations))
+        for tkey, value in table.entries(gb, mb).items():
+            rest = _multiset_diff(tkey, sb)
+            if rest is None or len(rest) != len(rotations):
+                continue
+            if engine.curve.is_purely_local and \
+                    any(e[0] != label for e in rest):
+                continue
+            out = out + engine.basis_product(label, rest,
+                                             rotations).scale(value)
+        cache[key] = out
+    return cache[key]
