@@ -17,11 +17,23 @@ its series, the Cartesian product of the blocks' maps lists every term that
 can be nonzero, and one kernel product per term yields the whole k0 row.
 All arithmetic is exact; windows are asserted at every coefficient
 extraction.
+
+Before a term's product is formed, ``_Engine.reaches`` rejects it when its
+exponent classes mod r cannot meet the column: the product's exponents lie
+in the Minkowski sum of the classes of its factors and denominators, and
+the column reads z^(-1-k0) for k0 = 1 .. reach.  On monomial curves this
+is the r-spin degree condition; it removes most all-zero products at
+r >= 3.  A truncated factor counts as having every class, so the guard
+never hides a precision failure.  The guard sits in the term loop, not in
+``kernel_contract``: the tensor builders and verifiers that share
+``kernel_contract`` are unaffected, and the unpruned test reference, which
+calls it directly, stays an unguarded check of the guard.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 
@@ -151,6 +163,7 @@ class _Engine:
         self.curve = curve
         self.field = curve.field
         self._denom = {}      # (label, j) -> (order, inverse series)
+        self._denom_cls = {}  # (label, j) -> exponent classes of the inverse
         self._basis = {}      # (at_label, e) -> unrotated kernel-map series
         self._rot = {}        # (at_label, e, j) -> rotated series
         self._bridge = {}     # (label, jp, jq) -> weight-2 series
@@ -163,12 +176,36 @@ class _Engine:
         got = self._denom.get(key)
         if got is not None and got[0] >= order:
             return got[1].truncate(order)
-        w01 = self.curve.omega01(label)
-        r = self.curve.order(label)
-        d = w01 - w01.rotate(r, j)
-        inv = d.inverse(order)
+        inv = self._difference(label, j).inverse(order)
         self._denom[key] = (order, inv)
         return inv
+
+    def _difference(self, label: str, j: int) -> LaurentSeries:
+        """y - sigma_j* y at ``label``, as the 1-form omega01 - sigma_j*."""
+        w01 = self.curve.omega01(label)
+        return w01 - w01.rotate(self.curve.order(label), j)
+
+    def denom_classes(self, label: str, j: int) -> int:
+        """Exponent classes mod r of 1/(y - sigma_j* y) at any order.
+
+        With y - sigma_j* y = c z^v (1 + g), the inverse is
+        c^-1 z^-v sum (-g)^n, so its classes are -v plus the additive
+        closure of the classes of g's exponents (full when truncated)."""
+        key = (label, j)
+        got = self._denom_cls.get(key)
+        if got is None:
+            r = self.curve.order(label)
+            d = self._difference(label, j)
+            shift = 1 << (-d.lo % r)
+            gens = _class_sum(d.classes(r), shift, r)
+            closure = 1
+            while True:
+                grown = closure | _class_sum(closure, gens, r)
+                if grown == closure:
+                    break
+                closure = grown
+            got = self._denom_cls[key] = _class_sum(closure, shift, r)
+        return got
 
     def basis_form(self, at_label: str, e: tuple) -> LaurentSeries:
         """Expansion at ``at_label`` of the kernel map of Gamma_e."""
@@ -283,6 +320,29 @@ class _Engine:
         return got
 
     # -- the residue core --------------------------------------------------
+    def reaches(self, label: str, js, factors, k0_max: int | None = None
+                ) -> bool:
+        """False when ``kernel_contract`` with these arguments can only
+        return an all-zero (or empty) column, decided from exponent classes
+        mod r: the product's exponents lie in the Minkowski sum of the
+        classes of the factors and of the denominators, and the column
+        reads z^(-1-k0) for k0 = 1 .. reach."""
+        r = self.curve.order(label)
+        reach = r * len(js) - 1 - sum(f.lo for f in factors)
+        if k0_max is not None:
+            reach = min(reach, k0_max)
+        if reach < 1:
+            return False
+        mask = 1
+        for f in factors:
+            mask = _class_sum(mask, f.classes(r), r)
+        for j in js:
+            mask = _class_sum(mask, self.denom_classes(label, j), r)
+        wanted = 0
+        for k0 in range(1, min(reach, r) + 1):
+            wanted |= 1 << ((-1 - k0) % r)
+        return bool(mask & wanted)
+
     def kernel_contract(self, label: str, js, factors,
                         k0_max: int | None = None) -> dict:
         """-Res_{z->label} (z^k0/k0) * prod(factors) / prod(y - s_j* y)
@@ -436,8 +496,10 @@ def _add_terms(engine, table, label, slot_rot, layout, every_k0, row):
                 continue
             if spec[0][0] == label:
                 k0_max = spec[0][1]
-        column = engine.kernel_contract(label, slot_rot[1:],
-                                        [f for _, f in combo], k0_max)
+        factors = [f for _, f in combo]
+        if not engine.reaches(label, slot_rot[1:], factors, k0_max):
+            continue
+        column = engine.kernel_contract(label, slot_rot[1:], factors, k0_max)
         weight = _deal_count([part for part, _ in combo])
         for k0, v in column.items():
             if v:
@@ -458,6 +520,16 @@ def _within(blocks, spare):
             break
         for rest in _within(blocks[1:], spare - excess):
             yield ((spec, f),) + rest
+
+
+@lru_cache(maxsize=None)
+def _class_sum(a: int, b: int, r: int) -> int:
+    """Minkowski sum of two sets of classes mod r, as bitmasks."""
+    out = 0
+    for c in range(r):
+        if a >> c & 1:
+            out |= b << c
+    return (out | out >> r) & ((1 << r) - 1)
 
 
 def _deal_count(parts) -> int:

@@ -4,12 +4,21 @@ Every coefficient in the package is either a ``fractions.Fraction`` or a
 :class:`Cyclo` element, a polynomial in the primitive r-th root of unity
 reduced modulo the r-th cyclotomic polynomial.  Curves whose ramification
 orders are all <= 2 stay in plain rationals (rho_2 = -1 is rational).
+
+A :class:`Cyclo` is a tuple of integer numerators over one positive common
+denominator, in lowest terms, so equal values are equal tuples.  A product
+is an integer convolution reduced by integer rows of x^m mod Phi_n (Phi_n
+is monic with integer coefficients) followed by a single gcd; a sum over
+one denominator needs no cross-multiplication.  Rational elements multiply
+as a scaling.  Only ``inverse`` works over ``Fraction`` coefficients (the
+extended Euclid algorithm modulo Phi_n); it is rare.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import FieldExtensionError
 
@@ -99,46 +108,61 @@ def _poly_shift(p, a: Fraction) -> list[Fraction]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """x^m mod Phi_n for m = deg .. 2*deg-2, as coefficient rows."""
-    phi = cyclotomic_polynomial(n)
+def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^m mod Phi_n for m = deg .. 2*deg-2, as sparse integer rows of
+    (i, coefficient of x^i) pairs.  Phi_n is monic with integer
+    coefficients, so every row is integral."""
+    phi = [int(c) for c in cyclotomic_polynomial(n)]
     deg = len(phi) - 1
-    rows = []
     # x^deg = -(phi[0] + ... + phi[deg-1] x^{deg-1})
     cur = [-c for c in phi[:deg]]
-    rows.append(tuple(cur))
+    dense = [cur]
     for _ in range(deg - 2):
-        shifted = [_ZERO] + cur[:-1]
         lead = cur[-1]
+        cur = [0] + cur[:-1]
         if lead:
-            head = rows[0]
-            shifted = [s + lead * h for s, h in zip(shifted, head)]
-        cur = shifted
-        rows.append(tuple(cur))
-    return tuple(rows)
+            cur = [s + lead * h for s, h in zip(cur, dense[0])]
+        dense.append(cur)
+    return tuple(tuple((i, c) for i, c in enumerate(row) if c)
+                 for row in dense)
 
 
 class Cyclo:
-    """An element of Q(rho_n), reduced modulo the n-th cyclotomic polynomial."""
+    """An element of Q(rho_n), reduced modulo the n-th cyclotomic polynomial.
 
-    __slots__ = ("order", "coeffs")
+    Stored as integer numerators ``num`` (low to high power of rho_n) over
+    one denominator ``den > 0`` with gcd(num..., den) = 1, so equal values
+    have equal fields.
+    """
+
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: int, coeffs):
         deg = len(cyclotomic_polynomial(order)) - 1
-        cs = list(coeffs)
+        cs = [Fraction(c) for c in coeffs]
         if len(cs) > deg:
             raise ValueError("coefficient vector too long; reduce first")
         cs += [_ZERO] * (deg - len(cs))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in cs))
+        den = lcm(*(c.denominator for c in cs))
+        _set_order(self, order)
+        _set_num(self, tuple(c.numerator * (den // c.denominator)
+                             for c in cs))
+        _set_den(self, den)
 
     def __setattr__(self, *_):
         raise AttributeError("Cyclo is immutable")
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     # -- constructors -------------------------------------------------
     @staticmethod
     def rational(order: int, value) -> "Cyclo":
-        return Cyclo(order, [Fraction(value)])
+        q = value if isinstance(value, (int, Fraction)) else Fraction(value)
+        deg = len(cyclotomic_polynomial(order)) - 1
+        return _make(order, (q.numerator,) + (0,) * (deg - 1),
+                     q.denominator)
 
     @staticmethod
     def root_power(order: int, j: int) -> "Cyclo":
@@ -146,9 +170,8 @@ class Cyclo:
         j %= order
         deg = len(cyclotomic_polynomial(order)) - 1
         if j < deg:
-            cs = [_ZERO] * j + [_ONE]
-            return Cyclo(order, cs)
-        return Cyclo(order, [_ZERO, _ONE]) ** j
+            return _make(order, (0,) * j + (1,) + (0,) * (deg - 1 - j), 1)
+        return Cyclo(order, [0, 1]) ** j
 
     # -- ring structure ------------------------------------------------
     def _coerce(self, other):
@@ -164,45 +187,66 @@ class Cyclo:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclo(self.order, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        d1, d2 = self.den, o.den
+        if d1 == d2:
+            return _reduced(self.order,
+                            [a + b for a, b in zip(self.num, o.num)], d1)
+        return _reduced(self.order,
+                        [a * d2 + b * d1 for a, b in zip(self.num, o.num)],
+                        d1 * d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.order, [-a for a in self.coeffs])
+        return _make(self.order, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyclo(self.order, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return self + (-o)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
+    def _scaled(self, p: int, q: int) -> "Cyclo":
+        """self * p/q for integers p and q > 0."""
+        return _reduced(self.order, [p * c for c in self.num], q * self.den)
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Cyclo(self.order, [other * c for c in self.coeffs])
+            return self._scaled(other.numerator, other.denominator)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_rational():
-            q = o.coeffs[0]
-            return Cyclo(self.order, [q * c for c in self.coeffs])
-        if self.is_rational():
-            q = self.coeffs[0]
-            return Cyclo(self.order, [q * c for c in o.coeffs])
-        raw = _poly_mul(self.coeffs, o.coeffs)
-        return Cyclo(self.order, _reduce(self.order, raw))
+        a, b = self.num, o.num
+        if not any(b[1:]):
+            return self._scaled(b[0], o.den)
+        if not any(a[1:]):
+            return o._scaled(a[0], self.den)
+        deg = len(a)
+        raw = [0] * (2 * deg - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        raw[i + j] += x * y
+        out = raw[:deg]
+        for c, row in zip(raw[deg:], _reduction_rows(self.order)):
+            if c:
+                for i, ri in row:
+                    out[i] += c * ri
+        return _reduced(self.order, out, self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
+        if self.is_rational():
+            return Cyclo.rational(self.order, Fraction(self.den, self.num[0]))
         phi = list(cyclotomic_polynomial(self.order))
-        inv = _mod_inverse(list(self.coeffs), phi)
-        return Cyclo(self.order, _reduce(self.order, inv))
+        return Cyclo(self.order, _mod_inverse(list(self.coeffs), phi))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -227,27 +271,29 @@ class Cyclo:
 
     # -- predicates & conversions --------------------------------------
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return (self.is_rational() and self.num[0] == other.numerator
+                    and self.den == other.denominator)
         if isinstance(other, Cyclo):
-            return self.order == other.order and self.coeffs == other.coeffs
+            return (self.order == other.order and self.den == other.den
+                    and self.num == other.num)
         return NotImplemented
 
     def __hash__(self):
         if self.is_rational():
-            return hash(self.coeffs[0])
-        return hash((self.order, self.coeffs))
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.order, self.num, self.den))
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __repr__(self):
         terms = []
@@ -264,18 +310,26 @@ class Cyclo:
         return f"Cyclo({self.order}; {body})"
 
 
-def _reduce(order: int, raw: list[Fraction]) -> list[Fraction]:
-    deg = len(cyclotomic_polynomial(order)) - 1
-    out = list(raw[:deg]) + [_ZERO] * max(0, deg - len(raw))
-    if len(raw) > deg:
-        rows = _reduction_rows(order)
-        for m in range(deg, len(raw)):
-            c = raw[m]
-            if c:
-                row = rows[m - deg]
-                for i, ri in enumerate(row):
-                    out[i] += c * ri
+_set_order = Cyclo.order.__set__
+_set_num = Cyclo.num.__set__
+_set_den = Cyclo.den.__set__
+
+
+def _make(order: int, num: tuple, den: int) -> Cyclo:
+    """A Cyclo from numerators and a denominator already in lowest terms."""
+    out = object.__new__(Cyclo)
+    _set_order(out, order)
+    _set_num(out, num)
+    _set_den(out, den)
     return out
+
+
+def _reduced(order: int, num, den: int) -> Cyclo:
+    """A Cyclo from integer numerators over a positive denominator."""
+    g = gcd(den, *num)
+    if g != 1:
+        return _make(order, tuple(c // g for c in num), den // g)
+    return _make(order, tuple(num), den)
 
 
 def _poly_divmod(p: list[Fraction], q: list[Fraction]):
@@ -331,6 +385,8 @@ class ScalarField:
 
     def coerce(self, value):
         if self.is_rational:
+            if isinstance(value, Fraction):
+                return value
             if isinstance(value, Cyclo):
                 return value.as_fraction()
             return Fraction(value)

@@ -113,3 +113,29 @@ def self_test() -> None:
 
 
 self_test()
+
+
+# Cyclotomic polynomials Phi_n, low to high, written out by hand.
+CYCLOTOMIC = {
+    3: (1, 1, 1),
+    4: (1, 0, 1),
+    5: (1, 1, 1, 1, 1),
+    6: (1, -1, 1),
+    8: (1, 0, 0, 0, 1),
+}
+
+
+def cyclo_mul(n: int, a, b) -> list:
+    """Coefficients of a*b in Q[x]/Phi_n: the dense product over Fractions,
+    then the remainder of long division by the monic Phi_n."""
+    phi = CYCLOTOMIC[n]
+    deg = len(phi) - 1
+    prod = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += Fraction(ai) * Fraction(bj)
+    for top in range(len(prod) - 1, deg - 1, -1):
+        lead = prod[top]
+        for i, p in enumerate(phi):
+            prod[top - deg + i] -= lead * p
+    return (prod + [Fraction(0)] * deg)[:deg]

@@ -1,7 +1,10 @@
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import engine_entry
 from unpruned import unpruned_table
@@ -194,11 +197,11 @@ def test_precision_boundary_of_global_cubic(chi, boundary):
 
 
 @pytest.mark.parametrize("points, chi, calls", [
-    ([("0", 3, {4: 1})], 3, 803),
-    ([("0", 4, {5: 1})], 2, 554),
+    ([("0", 3, {4: 1})], 3, 449),
+    ([("0", 4, {5: 1})], 2, 312),
 ], ids=["r3-chi3", "r4-chi2"])
 def test_kernel_products_per_table(monkeypatch, points, chi, calls):
-    # one kernel product per term that can reach k0 = 1
+    # one kernel product per term whose exponent classes reach the column
     count = [0]
     contract = recursion._Engine.kernel_contract
 
@@ -209,3 +212,67 @@ def test_kernel_products_per_table(monkeypatch, points, chi, calls):
     monkeypatch.setattr(recursion._Engine, "kernel_contract", counted)
     compute_omega_table(validate_local_curve(points), chi)
     assert count[0] == calls
+
+
+@pytest.mark.parametrize("make, chi", [
+    (lambda: validate_local_curve([("0", 3, {4: 1})]), 4),
+    (lambda: validate_local_curve([("0", 4, {5: 1})]), 3),
+    (lambda: validate_local_curve([("0", 5, {6: 1})]), 2),
+    (lambda: validate_local_curve([("0", 3, {4: 1, 5: 2})]), 3),
+    (lambda: validate_local_curve([("a", 2, {3: 1}), ("b", 3, {4: 1})]), 3),
+    (lambda: validate_local_curve([("1", 2, {3: 1, 4: Fraction(1, 2),
+                                             5: Fraction(1, 3)})]), 4),
+    (lambda: validate_local_curve([("1", 2, {3: 2, 5: Fraction(1, 3)}),
+                                   ("-1", 2, {3: 2})]), 5),
+    (lambda: _cubic_global(12), 2),
+], ids=["r3-chi4", "r4-chi3", "r5-chi2", "r3-mixed-chi3", "ab23-chi3",
+        "parity-broken-chi4", "two-point-chi5", "cubic-12-chi2"])
+def test_class_guard_matches_unguarded(monkeypatch, make, chi):
+    # the exponent-class guard only skips products that come out zero
+    curve = make()
+    guarded = compute_omega_table(curve, chi).tables
+    monkeypatch.setattr(recursion._Engine, "reaches",
+                        lambda self, *args, **kwargs: True)
+    assert compute_omega_table(curve, chi).tables == guarded
+
+
+@lru_cache(maxsize=None)
+def _guard_curve(r, mixed):
+    times = {r + 1: 1, r + 2: Fraction(1, 2)} if mixed else {r + 1: 1}
+    return validate_local_curve([("0", r, times)])
+
+
+@st.composite
+def _guard_case(draw):
+    r = draw(st.integers(2, 5))
+    curve = _guard_curve(r, draw(st.booleans()))
+    fld = curve.field
+    k = draw(st.integers(2, r))
+    js = tuple(sorted(draw(st.sets(st.integers(1, r - 1),
+                                   min_size=k - 1, max_size=k - 1))))
+    nfac = draw(st.integers(1, 3))
+    cuts = sorted(draw(st.lists(st.integers(0, k), min_size=nfac - 1,
+                                max_size=nfac - 1)))
+    weights = [b - a for a, b in zip([0] + cuts, cuts + [k])]
+    factors = []
+    for w in weights:
+        terms = draw(st.dictionaries(
+            st.integers(-7, 3),
+            st.tuples(st.integers(-3, 3).filter(bool),
+                      st.integers(0, r - 1)),
+            min_size=1, max_size=3))
+        factors.append(LaurentSeries(
+            fld, {e: fld.root(r, j) * c for e, (c, j) in terms.items()},
+            weight=w))
+    k0_max = draw(st.none() | st.integers(1, 8))
+    return curve, js, factors, k0_max
+
+
+@settings(max_examples=60, deadline=None)
+@given(_guard_case())
+def test_class_guard_rejects_only_zero_columns(case):
+    curve, js, factors, k0_max = case
+    engine = recursion._Engine(curve)
+    if not engine.reaches("0", js, factors, k0_max):
+        column = engine.kernel_contract("0", js, factors, k0_max)
+        assert not any(column.values())

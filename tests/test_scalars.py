@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import CYCLOTOMIC, cyclo_mul
 from trcycles.scalars import Cyclo, ScalarField, cyclotomic_polynomial
 
 
@@ -62,13 +64,62 @@ def test_field_extension_guard():
         fld4.root(3, 1)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 20),
-       st.integers(-30, 30), st.integers(1, 20))
-def test_cyclo_ring_axioms(a, b, bd, c, cd):
-    x = Cyclo(3, [Fraction(a), Fraction(b, bd)])
-    y = Cyclo(3, [Fraction(c, cd), Fraction(a)])
-    z = Cyclo.root_power(3, 2)
+_ORDERS = sorted(CYCLOTOMIC)
+
+
+@st.composite
+def _cyclos(draw, n, count):
+    deg = len(CYCLOTOMIC[n]) - 1
+    coeff = st.fractions(min_value=-30, max_value=30, max_denominator=20)
+    return [draw(st.lists(coeff, min_size=deg, max_size=deg))
+            for _ in range(count)]
+
+
+@st.composite
+def _cyclo_case(draw):
+    n = draw(st.sampled_from(_ORDERS))
+    return n, draw(_cyclos(n, 3))
+
+
+def _canonical(x):
+    return x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(_cyclo_case())
+def test_cyclo_ring_axioms(case):
+    n, (a, b, c) = case
+    x, y, z = (Cyclo(n, v) for v in (a, b, c))
+    assert list((x * y).coeffs) == cyclo_mul(n, a, b)
     assert (x + y) * z == x * z + y * z
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
+    assert Cyclo(n, x.coeffs) == x
+    for value in (x, x * y, x + y, x - y, -x, x * Fraction(3, 7)):
+        assert _canonical(value)
+    # equal values built by different routes compare and hash equal
+    built = Cyclo(n, cyclo_mul(n, a, b))
+    assert built == x * y and hash(built) == hash(x * y)
+    back = (x + y) - y
+    assert back == x and hash(back) == hash(x)
+    if x:
+        assert x * x.inverse() == 1
+        assert _canonical(x.inverse())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_ORDERS),
+       st.fractions(min_value=-50, max_value=50, max_denominator=30))
+def test_cyclo_rational_hash(n, q):
+    x = Cyclo.rational(n, q)
+    assert hash(x) == hash(q) and x == q and x.as_fraction() == q
+    assert x == Cyclo(n, [q]) and hash(x) == hash(Cyclo(n, [q]))
+    assert _canonical(x) and x.is_rational()
+
+
+def test_coerce_keeps_fractions():
+    q = Fraction(-7, 12)
+    assert ScalarField(2).coerce(q) is q
+    assert ScalarField(1).coerce(3) == 3
+    assert type(ScalarField(1).coerce(3)) is Fraction
+    assert ScalarField(1).coerce(Cyclo.rational(3, q)) == q

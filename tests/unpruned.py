@@ -5,7 +5,10 @@ one by summing every (kernel order, Galois subset, slot partition,
 spectator split, genus split) term for its distinguished index, with no
 selection rule, parity filter or pole bound.  It shares the package's
 residue core (``_Engine``), so it checks the term enumeration of
-``compute_omega_table``, not the kernel residues themselves.
+``compute_omega_table``, not the kernel residues themselves.  It calls
+``_Engine.kernel_contract`` directly and never the exponent-class guard
+``_Engine.reaches``, on purpose: the comparison then pins that pruning
+rule too.
 """
 
 from itertools import combinations, combinations_with_replacement
