@@ -162,7 +162,7 @@ class _Engine:
     def __init__(self, curve: CurveData):
         self.curve = curve
         self.field = curve.field
-        self._denom = {}      # (label, j) -> (order, inverse series)
+        self._denom = {}      # (label, j, order) -> inverse series
         self._denom_cls = {}  # (label, j) -> exponent classes of the inverse
         self._basis = {}      # (at_label, e) -> unrotated kernel-map series
         self._rot = {}        # (at_label, e, j) -> rotated series
@@ -172,13 +172,12 @@ class _Engine:
 
     # -- factor builders -------------------------------------------------
     def denom_inv(self, label: str, j: int, order: int) -> LaurentSeries:
-        key = (label, j)
+        key = (label, j, order)
         got = self._denom.get(key)
-        if got is not None and got[0] >= order:
-            return got[1].truncate(order)
-        inv = self._difference(label, j).inverse(order)
-        self._denom[key] = (order, inv)
-        return inv
+        if got is None:
+            got = self._denom[key] = \
+                self._difference(label, j).inverse(order)
+        return got
 
     def _difference(self, label: str, j: int) -> LaurentSeries:
         """y - sigma_j* y at ``label``, as the 1-form omega01 - sigma_j*."""

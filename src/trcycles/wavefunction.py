@@ -92,8 +92,12 @@ class HPoly(dict):
                 out.pop(h, None)
         return HPoly(out, self.caps)
 
+    def __neg__(self) -> "HPoly":
+        return HPoly({h: {mon: -c for mon, c in p.items()}
+                      for h, p in self.items()}, self.caps)
+
     def __sub__(self, other: "HPoly") -> "HPoly":
-        return self + other * -1
+        return self + -other
 
     def __mul__(self, other) -> "HPoly":
         if not isinstance(other, HPoly):
@@ -125,6 +129,19 @@ class HPoly(dict):
         return HPoly({h: p for h, p in out.items() if p}, self.caps)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "HPoly":
+        """Quotient by a scalar or by a one-term polynomial c*hbar^h whose
+        monomial is ``()``; any other divisor raises ``ArithmeticError``."""
+        dh = 0
+        if isinstance(other, HPoly):
+            terms = [(h, mon, c) for h, p in other.items()
+                     for mon, c in p.items()]
+            if len(terms) != 1 or terms[0][1] != ():
+                raise ArithmeticError(f"cannot divide by {dict(other)}")
+            dh, _, other = terms[0]
+        return HPoly({h - dh: {mon: c / other for mon, c in p.items()}
+                      for h, p in self.items()}, self.caps)
 
     def deriv(self, var) -> "HPoly":
         """Derivative by the time variable ``var = (label, k)``."""

@@ -3,11 +3,15 @@
 The intersection-number recursion below is implemented directly from the
 Virasoro/KdV constraints in the (2d+1)!! normalization and is validated
 against textbook values before use; it shares no code or conventions with
-the package engines.
+the package engines.  The sampled homogeneity check at the end is the
+exception: it reruns the package recursion on rescaled curves, and serves
+as the reference for the graded check of ``trcycles verify``.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+
+from trcycles import compute_omega_table, scale_curve
 
 
 def double_factorial_odd(m: int) -> int:
@@ -139,3 +143,25 @@ def cyclo_mul(n: int, a, b) -> list:
         for i, p in enumerate(phi):
             prod[top - deg + i] -= lead * p
     return (prod + [Fraction(0)] * deg)[:deg]
+
+
+def three_lambda_homogeneity(curve, table, chi):
+    """Homogeneity sampled at lambda = 2, -1 and 1/3: the table of the
+    curve with its primary form rescaled by lambda must equal
+    lambda^(2-2g-n) F[g,n] entry by entry, with no extra entries.
+    Returns (ok, detail of the last failure)."""
+    ok = True
+    detail = ""
+    for lam in (Fraction(2), Fraction(-1), Fraction(1, 3)):
+        stab = compute_omega_table(scale_curve(curve, lam), chi)
+        for (g, n), tab in table.tables.items():
+            factor = curve.field.coerce(lam) ** (2 - 2 * g - n)
+            for key, v in tab.items():
+                if stab.get(g, n, key) != factor * v:
+                    ok = False
+                    detail = f"lambda={lam}, (g,n)=({g},{n}), {key}"
+            for key in stab.entries(g, n):
+                if key not in tab and stab.get(g, n, key):
+                    ok = False
+                    detail = f"extra entry at lambda={lam}: {key}"
+    return ok, detail

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from trcycles import cli
+from trcycles import cli, recursion
 from trcycles.cli import _parse_perturb, main
+from trcycles.series import FORM, LaurentSeries
 
 DATA = Path(__file__).parent / "data"
 
@@ -97,6 +98,28 @@ def test_verify_c_perturbation_breaks_the_tensor_recursion(tmp_path):
     failing = {c["name"] for c in json.loads(out.read_text())["checks"]
                if c["status"] == "fail"}
     assert failing == {"engine-equivalence", "quadratic-pde"}
+
+
+def test_verify_non_monomial_denominator_fails_homogeneity(
+        tmp_path, capsys, monkeypatch):
+    # a leading coefficient lambda*c + 1 cannot be inverted over the
+    # graded ring: the check fails, and nothing escapes as a traceback
+    difference = recursion._Engine._difference
+
+    def planted(self, label, j):
+        d = difference(self, label, j)
+        return d + LaurentSeries.monomial(self.field, d.lo, weight=FORM,
+                                          hi=d.hi)
+    monkeypatch.setattr(recursion._Engine, "_difference", planted)
+    out = tmp_path / "report.json"
+    code = run("verify", "--curve", str(DATA / "airy.json"),
+               "--chi-max", "2", "--out", str(out))
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["homogeneity"]["status"] == "fail"
+    assert checks["homogeneity"]["details"].startswith(
+        "not monomial in lambda")
 
 
 def test_verify_results_roundtrip(tmp_path):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from trcycles import (
     assemble_logZ,
@@ -10,6 +12,7 @@ from trcycles import (
     scale_curve,
 )
 from trcycles.errors import UnsupportedError
+from trcycles.wavefunction import HPoly
 
 
 def test_logz_coefficients(airy_table):
@@ -88,3 +91,45 @@ def test_logz_canonical_dict(airy_table):
     row = [t for t in doc["terms"]
            if t["hbar"] == 1 and t["monomial"] == [[["1", 3], 1]]]
     assert row and row[0]["value"] == "1/24"
+
+
+_MONOMIALS = [(), ((("a", 1), 1),), ((("a", 1), 2),),
+              ((("a", 1), 1), (("b", 3), 1))]
+_coeffs = st.fractions(max_denominator=9).filter(bool)
+
+
+def _hpoly(terms):
+    out = HPoly()
+    for h, mon, c in terms:
+        out = out + HPoly({h: {mon: c}})
+    return out
+
+
+_terms = st.tuples(st.integers(-3, 3), st.sampled_from(_MONOMIALS), _coeffs)
+_hpolys = st.lists(_terms, max_size=6).map(_hpoly)
+
+
+@given(_hpolys, st.integers(-3, 3), _coeffs)
+def test_hpoly_division_by_one_term(a, h, c):
+    m = HPoly({h: {(): c}})
+    assert (a * m) / m == a
+    assert (a * c) / c == a
+
+
+@given(_hpolys)
+def test_hpoly_negation(a):
+    assert -a == a * -1
+    assert a - a == HPoly()
+
+
+@given(_hpolys, st.lists(_terms, min_size=2, max_size=2,
+                         unique_by=lambda t: t[:2]))
+def test_hpoly_division_by_two_terms_raises(a, terms):
+    with pytest.raises(ArithmeticError):
+        a / _hpoly(terms)
+
+
+@pytest.mark.parametrize("divisor", [HPoly(), HPoly({0: {_MONOMIALS[1]: 1}})])
+def test_hpoly_division_by_zero_or_a_time_raises(divisor):
+    with pytest.raises(ArithmeticError):
+        HPoly({1: {(): Fraction(1, 2)}}) / divisor
