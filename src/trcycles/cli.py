@@ -91,10 +91,9 @@ def cmd_compute(args) -> int:
     curve = _load_curve(args.curve, args.n_max, args.chi_max)
     table = compute_omega_table(curve, args.chi_max)
     # the tensors are built for either format, so both fail alike
-    results = _results_json(curve, table, args.chi_max,
-                            _simple_tensors(curve, table, args.chi_max))
-    _write_out(format_table(table) if args.format == "table" else results,
-               args.out)
+    tensors = _simple_tensors(curve, table, args.chi_max)
+    _write_out(format_table(table) if args.format == "table" else
+               _results_json(curve, table, args.chi_max, tensors), args.out)
     return EXIT_OK
 
 

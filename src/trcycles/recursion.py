@@ -135,27 +135,6 @@ def _compositions(total, parts):
             yield (head,) + tail
 
 
-def _multiset_splits(ms, nparts):
-    """Distribute a label multiset into ordered parts.
-
-    Yields (parts, weight) where weight counts the distinct ways to split
-    the underlying set variables realizing this label split.
-    """
-    distinct = sorted(set(ms))
-
-    def rec(idx):
-        if idx == len(distinct):
-            yield [()] * nparts
-            return
-        x = distinct[idx]
-        for tail in rec(idx + 1):
-            for comp in _compositions(ms.count(x), nparts):
-                yield [(x,) * m + t for m, t in zip(comp, tail)]
-
-    for parts in rec(0):
-        yield parts, _deal_count(parts)
-
-
 class _Engine:
     """Shared caches for kernel residue evaluation on one curve."""
 

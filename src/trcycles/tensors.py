@@ -25,9 +25,9 @@ from .curves import CurveData
 from .errors import UnsupportedError
 from .recursion import (
     OmegaTable,
+    _deal_count,
     _Engine,
     _multiset_diff,
-    _multiset_splits,
     _set_partitions,
 )
 from .series import LaurentSeries
@@ -123,6 +123,10 @@ def compute_airy_tensors(curve: CurveData, table: OmegaTable,
         chi_max = table.chi_max
     engine = _Engine(curve)
     fld = curve.field
+    # the index bound and the parity filter fix which entries the tensors
+    # have, not only which columns are skipped: entries outside them can
+    # be nonzero (unfiltered, airy chi 3 has 21 C and 36 B entries instead
+    # of 6 and 18), and the compute output publishes these tensors
     kmax = _target_index_bound(chi_max)
     odd_only = _parity_filter(curve)
     ks = [k for k in range(1, kmax + 1) if not odd_only or k % 2 == 1]
@@ -176,94 +180,87 @@ def tensor_recursion(at: AiryTensors, chi_max: int) -> OmegaTable:
     2 F[g,n+1][i0,S] = sum C[i0,e,e'] (F[g-1,n+2][e,e',S]
                         + sum_stable F F)
                      + 2 sum_{s in S} sum_j B[i0,j,s] F[g,n][j, S-s].
-    The stable F F products of a key are listed once, as pairs of slices
-    e -> F[g1, S1+e] and e' -> F[g2, S2+e'], before the C rows run.
+    Each level is pushed forward from the stored entries: every C row
+    meets the entries holding e and e', every B row the entries holding
+    j, and each term lands on the key (i0,) + rest it feeds, kept only
+    when i0 <= min(rest) (the same reading as the residue recursion).
     """
-    curve = at.curve
-    table = OmegaTable(curve, chi_max)
+    if chi_max > at.chi_max:
+        raise ValueError(f"tensors built up to chi_max {at.chi_max} "
+                         f"cannot serve chi_max {chi_max}")
+    table = OmegaTable(at.curve, chi_max)
     for key, v in at.A.items():
         table.set_entry(0, 3, key, v / 2)
     for lab, v in at.D.items():
         table.set_entry(1, 1, (lab,), v)
 
-    crows = {}
-    for (i0, e, ep), v in at.C.items():
-        crows.setdefault(i0, []).append((e, ep, v))
-    brows = {}
+    crows = {}      # (e, e') -> [(i0, C)], sorted by i0
+    for (i0, e, ep), v in sorted(at.C.items()):
+        crows.setdefault((e, ep), []).append((i0, v))
+    brows = {}      # j -> [(i0, s, B)]
     for (i0, j, s), v in at.B.items():
-        brows.setdefault((i0, s), []).append((j, v))
+        brows.setdefault(j, []).append((i0, s, v))
 
-    odd_only = _parity_filter(curve)
     for chi in range(1, chi_max + 1):
         for g in range(0, (chi + 1) // 2 + 1):
             n1 = chi + 2 - 2 * g
             if n1 < 1 or (g, n1) in ((0, 3), (1, 1)):
                 continue
-            _tensor_level(curve, table, crows, brows, g, n1, odd_only)
+            acc = {}    # key -> 2 F[g,n1][key]
+
+            def add(key, v):
+                acc[key] = acc[key] + v if key in acc else v
+
+            def add_c(e, ep, rest, v):
+                for i0, c in crows.get((e, ep), ()):
+                    if rest and i0 > rest[0]:
+                        break
+                    add((i0,) + rest, c * v)
+
+            for key, v in table.entries(g - 1, n1 + 1).items():
+                for e, part in _drops(key):
+                    for ep, rest in _drops(part):
+                        add_c(e, ep, rest, v)
+            for g1 in range(g + 1):
+                for m1 in range(1, n1 + 1):
+                    g2, m2 = g - g1, n1 + 1 - m1
+                    if 2 * g1 - 2 + m1 <= 0 or 2 * g2 - 2 + m2 <= 0:
+                        continue
+                    right = _slots(table.entries(g2, m2))
+                    for e, lefts in _slots(table.entries(g1, m1)).items():
+                        for ep, rights in right.items():
+                            if (e, ep) not in crows:
+                                continue
+                            for r1, v1 in lefts:
+                                for r2, v2 in rights:
+                                    add_c(e, ep, tuple(sorted(r1 + r2)),
+                                          _deal_count((r1, r2)) * v1 * v2)
+            for key, v in table.entries(g, n1 - 1).items():
+                for j, part in _drops(key):
+                    for i0, s, b in brows.get(j, ()):
+                        rest = tuple(sorted(part + (s,)))
+                        if i0 <= rest[0]:
+                            add((i0,) + rest, 2 * rest.count(s) * b * v)
+            for key, v in acc.items():
+                if v:
+                    table.set_entry(g, n1, key, v / 2)
     return table
 
 
-def _tensor_level(curve, table, crows, brows, g, n1, odd_only):
-    fld = curve.field
-    bound = max(1, 6 * g - 4 + 2 * n1)
-    ks = [k for k in range(1, bound + 1) if not odd_only or k % 2 == 1]
-    per_point = [[(label, k) for k in ks] for label in curve.labels]
-    groups = (per_point if curve.is_purely_local
-              else [sorted(sum(per_point, []))])
-    n = n1 - 1
-    slices = {}     # (g1, m, i1) -> {e: F[g1, m][(e,) + i1]}, m = |i1| + 1
+def _drops(key):
+    """(e, key minus one e) for each distinct index e of a sorted key."""
+    for i, e in enumerate(key):
+        if i == 0 or e != key[i - 1]:
+            yield e, key[:i] + key[i + 1:]
 
-    def fslice(g1, i1):
-        m = len(i1) + 1
-        got = slices.get((g1, m, i1))
-        if got is None:
-            got = slices[g1, m, i1] = {}
-            for entry, v in table.entries(g1, m).items():
-                rest = _multiset_diff(entry, i1)
-                if rest is not None:
-                    got[rest[0]] = v
-        return got
 
-    for cands in groups:
-        for key in combinations_with_replacement(cands, n1):
-            i0, spec = key[0], tuple(key[1:])
-            rows = crows.get(i0, ())
-            splits = _multiset_splits(spec, 2) if rows else ()
-            terms = []      # (slice e -> f1, slice e' -> f2, weight)
-            for (i1, i2), weight in splits:
-                for g1 in range(0, g + 1):
-                    g2 = g - g1
-                    if 2 * g1 - 1 + len(i1) <= 0 or 2 * g2 - 1 + len(i2) <= 0:
-                        continue
-                    f1, f2 = fslice(g1, i1), fslice(g2, i2)
-                    if f1 and f2:
-                        terms.append((f1, f2, weight))
-            total = fld.zero()
-            for e, ep, cval in rows:
-                inner = table.get(g - 1, n + 2, (e, ep) + spec) \
-                    if g >= 1 else fld.zero()
-                for f1, f2, weight in terms:
-                    v1 = f1.get(e)
-                    if v1:
-                        v2 = f2.get(ep)
-                        if v2:
-                            inner = inner + weight * v1 * v2
-                if inner:
-                    total = total + cval * inner
-            seen = set()
-            for s in spec:
-                if s in seen:
-                    continue
-                seen.add(s)
-                mult = spec.count(s)
-                rest = _multiset_diff(spec, (s,))
-                for j, bval in brows.get((i0, s), ()):
-                    fv = table.get(g, n, (j,) + rest)
-                    if fv:
-                        total = total + 2 * mult * bval * fv
-            value = total / 2
-            if value:
-                table.set_entry(g, n1, key, value)
+def _slots(entries):
+    """{e: [(key minus one e, value)]} over the entries holding e."""
+    out = {}
+    for key, v in entries.items():
+        for e, rest in _drops(key):
+            out.setdefault(e, []).append((rest, v))
+    return out
 
 
 # ---------------------------------------------------------------------------

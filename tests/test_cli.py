@@ -100,6 +100,20 @@ def test_verify_c_perturbation_breaks_the_tensor_recursion(tmp_path):
     assert failing == {"engine-equivalence", "quadratic-pde"}
 
 
+def test_verify_even_index_c_perturbation_breaks_the_tensor_recursion(
+        tmp_path):
+    # the two-point curve has odd indices only; an even C row still feeds
+    # the contraction as soon as its e, e' meet stored entries
+    out = tmp_path / "report.json"
+    code = run("verify", "--curve", str(DATA / "two_point.json"),
+               "--chi-max", "3", "--perturb", "C,((1,2),(1,1),(1,1)),+1",
+               "--out", str(out))
+    assert code == 1
+    checks = {c["name"]: c["status"]
+              for c in json.loads(out.read_text())["checks"]}
+    assert checks["engine-equivalence"] == "fail"
+
+
 def test_verify_non_monomial_denominator_fails_homogeneity(
         tmp_path, capsys, monkeypatch):
     # a leading coefficient lambda*c + 1 cannot be inverted over the

@@ -71,7 +71,8 @@ def _assert_engines_agree(curve, chi):
 
 
 def test_engine_equivalence_two_point_chi5(two_point_curve):
-    _assert_engines_agree(two_point_curve, 5)
+    for chi in (5, 6):
+        _assert_engines_agree(two_point_curve, chi)
 
 
 @pytest.mark.parametrize("points", [
@@ -81,7 +82,8 @@ def test_engine_equivalence_two_point_chi5(two_point_curve):
 ], ids=["one-point", "two-point"])
 def test_engine_equivalence_parity_broken(points):
     # even times switch the parity filter off, so on these purely local
-    # curves both engines run over even indices too
+    # curves the tensors carry even indices too (the tensor recursion
+    # itself only follows the stored entries and never consults the filter)
     curve = validate_local_curve(points)
     assert not _parity_filter(curve)
     _assert_engines_agree(curve, 4)
@@ -90,6 +92,8 @@ def test_engine_equivalence_parity_broken(points):
 @pytest.mark.parametrize("name, idx, moved", [
     ("C", (("1", 5), ("1", 1), ("1", 1)), {(2, 1)}),
     ("B", (("1", 3), ("1", 3), ("1", 3)), {(1, 2), (1, 3), (2, 1)}),
+    # an even-index row, outside the odd support of this curve
+    ("C", (("1", 2), ("1", 1), ("1", 1)), {(2, 1)}),
 ])
 def test_tensor_recursion_contraction_is_falsifiable(two_point_curve, name,
                                                      idx, moved):
@@ -99,6 +103,14 @@ def test_tensor_recursion_contraction_is_falsifiable(two_point_curve, name,
     bumped = tensor_recursion(at.copy_with_perturbation(name, idx, 1), 3)
     assert {gn for gn in set(base.tables) | set(bumped.tables)
             if base.entries(*gn) != bumped.entries(*gn)} == moved
+
+
+def test_tensor_recursion_rejects_chi_beyond_its_tensors(two_point_curve):
+    # C and B only reach the index bound of the chi they were built for
+    table = compute_omega_table(two_point_curve, 3)
+    at = compute_airy_tensors(two_point_curve, table, 3)
+    with pytest.raises(ValueError):
+        tensor_recursion(at, 4)
 
 
 def test_tensor_form_needs_simple_points(r3_curve, r3_table):

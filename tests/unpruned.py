@@ -16,9 +16,9 @@ from itertools import combinations, combinations_with_replacement
 from trcycles.recursion import (
     OmegaTable,
     _compositions,
+    _deal_count,
     _Engine,
     _multiset_diff,
-    _multiset_splits,
     _set_partitions,
 )
 from trcycles.series import LaurentSeries
@@ -127,3 +127,24 @@ def _block_series(engine, table, label, gb, mb, rotations, sb):
                                              rotations).scale(value)
         cache[key] = out
     return cache[key]
+
+
+def _multiset_splits(ms, nparts):
+    """Distribute a label multiset into ordered parts.
+
+    Yields (parts, weight) where weight counts the distinct ways to split
+    the underlying set variables realizing this label split.
+    """
+    distinct = sorted(set(ms))
+
+    def rec(idx):
+        if idx == len(distinct):
+            yield [()] * nparts
+            return
+        x = distinct[idx]
+        for tail in rec(idx + 1):
+            for comp in _compositions(ms.count(x), nparts):
+                yield [(x,) * m + t for m, t in zip(comp, tail)]
+
+    for parts in rec(0):
+        yield parts, _deal_count(parts)
