@@ -22,7 +22,7 @@ from fractions import Fraction
 from .curves import CurveData, GlobalCurve, RamPoint, localize_global_curve
 from .cycles import LocalForm, bhat, chat_polar, gamma, intersection
 from .errors import AdmissibilityError, PrecisionError, TrcyclesError
-from .recursion import compute_Fg, compute_omega_table
+from .recursion import OmegaTable, compute_Fg, compute_omega_table
 from .serialize import (
     canonical_json,
     curve_hash,
@@ -128,10 +128,8 @@ def cmd_verify(args) -> int:
                        "details": str(details)})
         return ok
 
-    table = compute_omega_table(curve, args.chi_max)
-
     # invariance checks on the correlator table
-    _verify_homogeneity(curve, table, args.chi_max, check)
+    table = _verify_homogeneity(curve, args.chi_max, check)
     _verify_dilaton(curve, table, args.chi_max, check)
     _verify_zero_residue(curve, table, check)
     _verify_pole_bound(curve, table, check)
@@ -180,18 +178,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _verify_homogeneity(curve, table, chi_max, check):
-    """F[g,n](lambda t) = lambda^(2-2g-n) F[g,n](t), for every lambda.
+def _verify_homogeneity(curve, chi_max, check):
+    """F[g,n](lambda t) = lambda^(2-2g-n) F[g,n](t), for every lambda;
+    returns the table the other checks read.
 
-    The table is filled once more over Laurent polynomials in lambda
-    (HPoly, lambda in the hbar slot): every time t becomes t*lambda and phi
-    stays in degree 0.  Each denominator y - sigma* y then leads with
-    lambda*c, so it inverts exactly in that ring, and each entry comes out
-    as the polynomial in lambda that the plain recursion would give at any
-    lambda.  Equality with the single monomial lambda^(2-2g-n) F[g,n] is
-    therefore the identity itself, not a sample of it.  A denominator whose
-    leading coefficient is no monomial in lambda cannot be inverted there
-    (ArithmeticError) and fails the check as well.
+    The table is filled over Laurent polynomials in lambda (HPoly, lambda
+    in the hbar slot): every time t becomes t*lambda, phi stays in degree
+    0, and each denominator y - sigma* y leads with lambda*c, so it
+    inverts exactly (else ArithmeticError).  Each entry must then be the
+    single monomial lambda^(2-2g-n) c; if all are, every step was
+    homogeneous, lambda = 1 is a ring map through the fill, and the plain
+    entry is c.  Otherwise the plain table is filled on its own and the
+    first entry where the two disagree is reported.
     """
     ring = HPolyRing(curve.field, (None, None))
     graded = replace(
@@ -205,15 +203,29 @@ def _verify_homogeneity(curve, table, chi_max, check):
         gtab = compute_omega_table(graded, chi_max)
     except ArithmeticError as exc:
         check("homogeneity", False, f"not monomial in lambda: {exc}")
-        return
-    detail = ""
+        return compute_omega_table(curve, chi_max)
+    table = OmegaTable(curve, chi_max)
+    table.tables = {(g, n): {key: v.get(2 - 2 * g - n, {}).get(())
+                             for key, v in gt.items()}
+                    for (g, n), gt in gtab.tables.items()}
+    detail = _first_inhomogeneous(table, gtab)
+    if detail:
+        table = compute_omega_table(curve, chi_max)
+        detail = _first_inhomogeneous(table, gtab)
+    check("homogeneity", not detail, detail)
+    return table
+
+
+def _first_inhomogeneous(table, gtab) -> str:
+    """The first (g,n) and key where the graded entry is not
+    lambda^(2-2g-n) times the plain one, or ""."""
     for g, n in sorted(set(table.tables) | set(gtab.tables)):
         tab, gt = table.entries(g, n), gtab.entries(g, n)
         for key in sorted(set(tab) | set(gt)):
             if key not in tab or gt.get(key) != {2 - 2 * g - n:
                                                  {(): tab[key]}}:
-                detail = detail or f"(g,n)=({g},{n}), {key}"
-    check("homogeneity", not detail, detail)
+                return f"(g,n)=({g},{n}), {key}"
+    return ""
 
 
 def _verify_dilaton(curve, table, chi_max, check):

@@ -33,7 +33,6 @@ from .errors import (
 from .scalars import (
     ScalarField,
     _poly_deriv,
-    _poly_eval,
     _poly_mul,
     _poly_norm,
     _poly_shift,
@@ -74,12 +73,6 @@ class RationalFunction:
         top = _poly_sub(_poly_mul(_poly_deriv(num), den),
                         _poly_mul(num, _poly_deriv(den)))
         return RationalFunction(tuple(top), tuple(_poly_mul(den, den)))
-
-    def eval_at(self, a: Fraction) -> Fraction:
-        d = _poly_eval(self.den, a)
-        if d == 0:
-            raise ZeroDivisionError(f"pole of rational function at {a}")
-        return _poly_eval(self.num, a) / d
 
 
 @dataclass(frozen=True)

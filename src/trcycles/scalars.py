@@ -87,13 +87,6 @@ def _poly_deriv(p) -> list[Fraction]:
     return _poly_norm([Fraction(c * i) for i, c in enumerate(p)][1:])
 
 
-def _poly_eval(p, a: Fraction) -> Fraction:
-    out = _ZERO
-    for c in reversed([Fraction(q) for q in p]):
-        out = out * a + c
-    return out
-
-
 def _poly_shift(p, a: Fraction) -> list[Fraction]:
     """Coefficients of p(a + u) as a polynomial in u (Taylor shift)."""
     out = []

@@ -86,6 +86,10 @@ def parse_curve_spec(text: str):
 # -- correlator tables ---------------------------------------------------------
 
 def dump_omega_table(table: OmegaTable, chash: str) -> str:
+    return canonical_json(_omega_document(table, chash))
+
+
+def _omega_document(table: OmegaTable, chash: str) -> dict:
     fld = table.field
     entries = []
     for (g, n) in table.gn_list():
@@ -95,9 +99,8 @@ def dump_omega_table(table: OmegaTable, chash: str) -> str:
                 "indices": [[lb, k] for lb, k in key],
                 "value": scalar_to_str(fld, table.entries(g, n)[key]),
             })
-    doc = {"version": 1, "curve_hash": chash,
-           "chi_max": table.chi_max, "entries": entries}
-    return canonical_json(doc)
+    return {"version": 1, "curve_hash": chash,
+            "chi_max": table.chi_max, "entries": entries}
 
 
 def parse_omega_table(text: str, curve: CurveData) -> OmegaTable:
@@ -113,11 +116,9 @@ def parse_omega_table(text: str, curve: CurveData) -> OmegaTable:
 def dump_results(curve: CurveData, table: OmegaTable, tensors=None,
                  fg: dict | None = None) -> str:
     fld = curve.field
-    doc = {
-        "version": 1,
-        "curve_hash": curve_hash(curve),
-        "omega": json.loads(dump_omega_table(table, curve_hash(curve))),
-    }
+    chash = curve_hash(curve)
+    doc = {"version": 1, "curve_hash": chash,
+           "omega": _omega_document(table, chash)}
     if tensors is not None:
         doc["airy_tensors"] = tensors.canonical_entries()
     if fg:

@@ -16,6 +16,8 @@ is plain operator arithmetic, so both rings share every code path.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import PrecisionError, ResidueObstructionError
 
 FUNCTION = 0
@@ -249,24 +251,21 @@ class LaurentSeries:
                              weight=-self.weight)
 
     def nth_root(self, n: int, order: int) -> "LaurentSeries":
-        """Principal n-th root of a series with constant term 1 (weight 0)."""
-        if self.weight != FUNCTION or self.coeff(0) != self.field.one():
+        """Principal n-th root of a series with constant term 1 (weight 0),
+        from b_0 = 1 and m b_m = sum_(k=1..m) ((1/n + 1) k - m) a_k b_(m-k)
+        (the power recurrence, Knuth, TAOCP 2, 4.7)."""
+        fld = self.field
+        if self.weight != FUNCTION or self.lo < 0 or \
+                self.coeff(0) != fld.one():
             raise ValueError("nth_root requires constant term 1")
-        if n == 1:
-            return self.truncate(order)
         hi = order if self.hi is None else min(order, self.hi)
-        x = LaurentSeries(self.field, {0: self.field.one()}, lo=0, hi=hi)
-        target = self.truncate(hi)
-        while True:
-            xn1 = LaurentSeries(self.field, {0: self.field.one()}, lo=0, hi=hi)
-            for _ in range(n - 1):
-                xn1 = xn1.mul(x, hi)
-            err = xn1.mul(x, hi) - target
-            if err.is_zero():
-                break
-            corr = err * xn1.scale(n).inverse(hi)
-            x = (x - corr.truncate(hi)).truncate(hi)
-        return x
+        a = sorted(self.coeffs.items())[1:]
+        b = [fld.one()]
+        for m in range(1, hi + 1):
+            b.append(sum((fld.coerce(Fraction((n + 1) * k - n * m, n * m))
+                          * c * b[m - k] for k, c in a if k <= m),
+                         fld.zero()))
+        return LaurentSeries(fld, dict(enumerate(b)), lo=0, hi=hi)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from test_homogeneity import extra_denominator
 from trcycles import cli, recursion
 from trcycles.cli import _parse_perturb, main
 from trcycles.series import FORM, LaurentSeries
@@ -114,10 +115,8 @@ def test_verify_even_index_c_perturbation_breaks_the_tensor_recursion(
     assert checks["engine-equivalence"] == "fail"
 
 
-def test_verify_non_monomial_denominator_fails_homogeneity(
-        tmp_path, capsys, monkeypatch):
-    # a leading coefficient lambda*c + 1 cannot be inverted over the
-    # graded ring: the check fails, and nothing escapes as a traceback
+def non_monomial_denominator(monkeypatch):
+    """y - sigma* y + z^v dz: the leading coefficient is lambda*c + 1."""
     difference = recursion._Engine._difference
 
     def planted(self, label, j):
@@ -125,6 +124,13 @@ def test_verify_non_monomial_denominator_fails_homogeneity(
         return d + LaurentSeries.monomial(self.field, d.lo, weight=FORM,
                                           hi=d.hi)
     monkeypatch.setattr(recursion._Engine, "_difference", planted)
+
+
+def test_verify_non_monomial_denominator_fails_homogeneity(
+        tmp_path, capsys, monkeypatch):
+    # a leading coefficient lambda*c + 1 cannot be inverted over the
+    # graded ring: the check fails, and nothing escapes as a traceback
+    non_monomial_denominator(monkeypatch)
     out = tmp_path / "report.json"
     code = run("verify", "--curve", str(DATA / "airy.json"),
                "--chi-max", "2", "--out", str(out))
@@ -134,6 +140,27 @@ def test_verify_non_monomial_denominator_fails_homogeneity(
     assert checks["homogeneity"]["status"] == "fail"
     assert checks["homogeneity"]["details"].startswith(
         "not monomial in lambda")
+
+
+@pytest.mark.parametrize("curve, chi, bug, code, fills", [
+    ("airy.json", 3, None, 0, 1),
+    ("two_point.json", 4, None, 0, 1),
+    ("r3.json", 3, None, 0, 1),
+    # the graded fill fails its check, so the plain table is filled too
+    ("airy.json", 3, extra_denominator, 4, 2),
+    ("airy.json", 2, non_monomial_denominator, 1, 2),
+])
+def test_verify_fills_one_table_unless_homogeneity_fails(
+        tmp_path, monkeypatch, curve, chi, bug, code, fills):
+    if bug is not None:
+        bug(monkeypatch)
+    calls = []
+    fill = cli.compute_omega_table
+    monkeypatch.setattr(cli, "compute_omega_table",
+                        lambda *args: calls.append(args) or fill(*args))
+    assert run("verify", "--curve", str(DATA / curve), "--chi-max",
+               str(chi), "--out", str(tmp_path / "r.json")) == code
+    assert len(calls) == fills
 
 
 def test_verify_results_roundtrip(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import three_lambda_homogeneity
 from trcycles import (
+    cli,
     compute_omega_table,
     localize_global_curve,
     recursion,
@@ -26,12 +27,16 @@ def _cubic_global(n_max):
 
 
 def graded_verdict(curve, chi):
-    """The graded verdict on the curve's own table, and that table."""
-    table = compute_omega_table(curve, chi)
+    """The graded verdict, and the table that verify's other checks read."""
     got = []
-    _verify_homogeneity(curve, table, chi,
-                        lambda name, ok, details="": got.append(ok))
+    table = _verify_homogeneity(curve, chi,
+                                lambda name, ok, details="": got.append(ok))
     return got == [True], table
+
+
+def in_order(table):
+    """Every (g,n) block and entry of a table, in insertion order."""
+    return [(gn, list(tab.items())) for gn, tab in table.tables.items()]
 
 
 # -- planted bugs ------------------------------------------------------------
@@ -107,8 +112,11 @@ def test_graded_check_agrees_with_three_lambda_oracle(monkeypatch, bug,
     curve = make()
     plant(monkeypatch)
     graded, table = graded_verdict(curve, chi)
-    sampled, _ = three_lambda_homogeneity(curve, table, chi)
+    plain = compute_omega_table(curve, chi)
+    sampled, _ = three_lambda_homogeneity(curve, plain, chi)
     assert graded == sampled == homogeneous
+    # read off the graded fill or filled again, it is the plain table
+    assert in_order(table) == in_order(plain)
 
 
 @pytest.mark.parametrize("make, chi", [
@@ -121,3 +129,35 @@ def test_graded_check_agrees_with_three_lambda_oracle(monkeypatch, bug,
 ], ids=["r4-chi3", "r5-chi2", "r3-mixed-chi3", "ab23-chi3", "cubic-14-chi2"])
 def test_graded_check_passes_across_curve_shapes(make, chi):
     assert graded_verdict(make(), chi)[0]
+
+
+@pytest.mark.parametrize("make, chi", [
+    (lambda: validate_local_curve([("1", 2, {3: 1})]), 3),
+    (lambda: validate_local_curve([("1", 2, {3: 2, 5: Fraction(1, 3)}),
+                                   ("-1", 2, {3: 2})]), 5),
+    (lambda: validate_local_curve([("0", 3, {4: 1})]), 4),
+    (lambda: validate_local_curve([("0", 4, {5: 1})]), 3),
+    (lambda: validate_local_curve([("0", 5, {6: 1})]), 2),
+    (lambda: validate_local_curve([("0", 3, {4: 1, 5: Fraction(1, 2)})]),
+     3),
+    (lambda: validate_local_curve([("a", 2, {3: 1}), ("b", 3, {4: 1})]), 3),
+    (lambda: validate_local_curve([("1", 2, {3: 1, 4: Fraction(1, 2),
+                                             5: Fraction(1, 3)})]), 4),
+    (lambda: _cubic_global(14), 1),
+    (lambda: _cubic_global(24), 2),
+], ids=["airy-chi3", "two-point-chi5", "r3-chi4", "r4-chi3", "r5-chi2",
+        "r3-mixed-chi3", "ab23-chi3", "parity-broken-chi4", "cubic-14-chi1",
+        "cubic-24-chi2"])
+def test_table_read_off_the_graded_fill_is_the_plain_table(monkeypatch,
+                                                          make, chi):
+    curve = make()
+    plain = compute_omega_table(curve, chi)
+    fills = []
+    monkeypatch.setattr(cli, "compute_omega_table",
+                        lambda *args: fills.append(args) or
+                        compute_omega_table(*args))
+    homogeneous, table = graded_verdict(curve, chi)
+    # one fill, over the graded ring
+    assert homogeneous and len(fills) == 1 and fills[0][0] is not curve
+    assert table.curve is curve and table.chi_max == chi
+    assert in_order(table) == in_order(plain)

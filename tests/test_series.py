@@ -73,6 +73,26 @@ def test_inverse_and_roots():
     assert ((r * r * r) - s.truncate(9)).is_zero()
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("field", [F, F3], ids=["Q", "Q(rho_3)"])
+def test_nth_root_power_is_the_series_to_its_window(field, n):
+    rho = field.root(3, 1) if field is F3 else Fraction(3, 4)
+    a = LaurentSeries(field, {0: 1, 1: Fraction(-2, 3), 2: rho,
+                              3: rho * rho + Fraction(1, 5), 6: 7}, hi=11)
+    b = a.nth_root(n, 20)
+    assert b.lo == 0 and b.hi == 11
+    power = LaurentSeries(field, {0: 1})
+    for _ in range(n):
+        power = power.mul(b, b.hi)
+    assert (power - a).is_zero() and power.hi == a.hi
+
+
+def test_nth_root_needs_constant_term_one():
+    for bad in ({0: 2, 1: 1}, {-1: 1, 0: 1}, {1: 1}):
+        with pytest.raises(ValueError):
+            LaurentSeries(F, bad).nth_root(2, 5)
+
+
 def test_primitive_derivative_roundtrip():
     w = LaurentSeries(F, {-3: 2, 0: 5, 4: Fraction(7, 3)}, weight=FORM)
     assert w.primitive().derivative() == w
