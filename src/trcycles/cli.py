@@ -253,12 +253,10 @@ def _verify_dilaton(curve, table, chi_max, check):
 
 def _verify_zero_residue(curve, table, check):
     ok = True
-    for (g, n), tab in table.tables.items():
-        if n != 1:
-            continue
-        for label in curve.labels:
+    for (g, n) in table.tables:
+        if n == 1:
             w = table.local_form(g, 1, ())
-            if w.at(label).residue():
+            if any(w.at(label).residue() for label in curve.labels):
                 ok = False
     check("zero-residue", ok)
 

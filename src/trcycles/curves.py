@@ -30,14 +30,7 @@ from .errors import (
     NonGenericRamificationError,
     NotARamificationPointError,
 )
-from .scalars import (
-    ScalarField,
-    _poly_deriv,
-    _poly_mul,
-    _poly_norm,
-    _poly_shift,
-    _poly_sub,
-)
+from .scalars import ScalarField
 from .series import FORM, LaurentSeries
 
 
@@ -58,21 +51,20 @@ class RationalFunction:
     def shifted_series(self, a: Fraction, order: int,
                        fld: ScalarField) -> LaurentSeries:
         """Laurent expansion around z = a, valid through exponent ``order``."""
-        num = _poly_shift(self.num, a)
-        den = _poly_shift(self.den, a)
-        num_s = LaurentSeries(fld, {i: c for i, c in enumerate(num)})
-        den_s = LaurentSeries(fld, {i: c for i, c in enumerate(den)})
+        num_s, den_s = (_shifted(p, a, fld) for p in (self.num, self.den))
         if den_s.is_zero():
             raise ZeroDivisionError("zero denominator polynomial")
         v = min(den_s.coeffs)
         return num_s.mul(den_s.inverse(order + v), order)
 
-    def derivative(self) -> "RationalFunction":
-        num = _poly_norm([Fraction(c) for c in self.num])
-        den = _poly_norm([Fraction(c) for c in self.den])
-        top = _poly_sub(_poly_mul(_poly_deriv(num), den),
-                        _poly_mul(num, _poly_deriv(den)))
-        return RationalFunction(tuple(top), tuple(_poly_mul(den, den)))
+
+def _shifted(poly, a, fld: ScalarField) -> LaurentSeries:
+    """poly(a + u) as an exact series in u, by Horner's rule."""
+    step = LaurentSeries(fld, {0: a, 1: 1})
+    out = LaurentSeries(fld)
+    for c in reversed(poly):
+        out = out * step + LaurentSeries(fld, {0: c})
+    return out
 
 
 @dataclass(frozen=True)
@@ -272,17 +264,17 @@ def localize_global_curve(gcurve: GlobalCurve, n_max: int) -> CurveData:
         raise BadDeclarationError("no ramification points declared")
     if len({a for a, _ in decls}) != len(decls):
         raise BadDeclarationError("duplicate ramification coordinates")
+    if not (any(gcurve.x.den) and any(gcurve.y.den)):
+        raise BadDeclarationError("x and y need a nonzero denominator")
 
     # the localization is exact (nothing truncated) when x, y are
     # polynomial, every uniformizer is the identity and y dx has degree
     # below n_max: expand far enough to see every coefficient of y x'
-    polynomial = all(len(_poly_norm([Fraction(c) for c in f.den])) == 1
-                     for f in (gcurve.x, gcurve.y))
+    polynomial = not any(gcurve.x.den[1:] + gcurve.y.den[1:])
     top = 2 * n_max
     reach = top
     if polynomial:
         reach = max(top, len(gcurve.x.num) + len(gcurve.y.num))
-    dx = gcurve.x.derivative()
     exact = polynomial
     points, tables, offsets = [], [], {}
     for a, r in decls:
@@ -306,8 +298,7 @@ def localize_global_curve(gcurve: GlobalCurve, n_max: int) -> CurveData:
             power = power.mul(R, top)
             powers.append([power.coeff(e) for e in range(top + 1)])
 
-        w = (gcurve.y.shifted_series(a, reach, fld)
-             * dx.shifted_series(a, reach, fld))
+        w = gcurve.y.shifted_series(a, reach, fld) * x_series.derivative()
         if w.support() and w.support()[0] < 0:
             raise InadmissibleTimesError(
                 f"point {label!r}: the primary one-form has a pole")

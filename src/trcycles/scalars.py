@@ -10,8 +10,8 @@ denominator, in lowest terms, so equal values are equal tuples.  A product
 is an integer convolution reduced by integer rows of x^m mod Phi_n (Phi_n
 is monic with integer coefficients) followed by a single gcd; a sum over
 one denominator needs no cross-multiplication.  Rational elements multiply
-as a scaling.  Only ``inverse`` works over ``Fraction`` coefficients (the
-extended Euclid algorithm modulo Phi_n); it is rare.
+as a scaling.  ``inverse`` multiplies the Galois conjugates sigma_m(a)
+(rho -> rho^m) and divides by their rational product with a, the norm.
 """
 
 from __future__ import annotations
@@ -22,82 +22,30 @@ from math import gcd, lcm
 
 from .errors import FieldExtensionError
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Monic coefficients (low to high) of the n-th cyclotomic polynomial."""
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Monic integer coefficients (low to high) of the n-th cyclotomic
+    polynomial: x^n - 1 divided by the monic Phi_d of every proper
+    divisor d, so every quotient is integral."""
     if n < 1:
         raise ValueError("cyclotomic order must be positive")
-    # x^n - 1 divided by the product of Phi_d over proper divisors d.
-    poly = [-_ONE] + [_ZERO] * (n - 1) + [_ONE]
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly = _poly_div_exact(poly, list(cyclotomic_polynomial(d)))
+            phi = cyclotomic_polynomial(d)
+            k = len(phi) - 1
+            quo = [0] * (len(poly) - k)
+            for i in range(len(quo) - 1, -1, -1):
+                c = quo[i] = poly[i + k]
+                if c:
+                    for j, pj in enumerate(phi):
+                        poly[i + j] -= c * pj
+            poly = quo
     return tuple(poly)
-
-
-def _poly_div_exact(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
-    """Exact division of polynomials with Fraction coefficients."""
-    num = list(num)
-    out = [_ZERO] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1] / den[-1]
-        out[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    if any(num[: len(den) - 1]):
-        raise ArithmeticError("polynomial division not exact")
-    return out
-
-
-# -- dense Fraction polynomials, low to high; zero normalizes to [] ---------
-
-def _poly_mul(a, b) -> list[Fraction]:
-    """Product, not normalized: len(a) + len(b) - 1 coefficients."""
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_norm(p: list[Fraction]) -> list[Fraction]:
-    """Strip trailing zeros in place."""
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _poly_sub(a, b) -> list[Fraction]:
-    n = max(len(a), len(b))
-    a = list(a) + [_ZERO] * (n - len(a))
-    b = list(b) + [_ZERO] * (n - len(b))
-    return _poly_norm([x - y for x, y in zip(a, b)])
-
-
-def _poly_deriv(p) -> list[Fraction]:
-    return _poly_norm([Fraction(c * i) for i, c in enumerate(p)][1:])
-
-
-def _poly_shift(p, a: Fraction) -> list[Fraction]:
-    """Coefficients of p(a + u) as a polynomial in u (Taylor shift)."""
-    out = []
-    for c in reversed([Fraction(q) for q in p]):
-        new = [_ZERO] * (len(out) + 1)
-        for i, ci in enumerate(out):
-            new[i] += ci * a
-            new[i + 1] += ci
-        new[0] += c
-        out = _poly_norm(new)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -105,7 +53,7 @@ def _reduction_rows(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """x^m mod Phi_n for m = deg .. 2*deg-2, as sparse integer rows of
     (i, coefficient of x^i) pairs.  Phi_n is monic with integer
     coefficients, so every row is integral."""
-    phi = [int(c) for c in cyclotomic_polynomial(n)]
+    phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     # x^deg = -(phi[0] + ... + phi[deg-1] x^{deg-1})
     cur = [-c for c in phi[:deg]]
@@ -158,6 +106,7 @@ class Cyclo:
                      q.denominator)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def root_power(order: int, j: int) -> "Cyclo":
         """rho_order ** j."""
         j %= order
@@ -238,8 +187,20 @@ class Cyclo:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         if self.is_rational():
             return Cyclo.rational(self.order, Fraction(self.den, self.num[0]))
-        phi = list(cyclotomic_polynomial(self.order))
-        return Cyclo(self.order, _mod_inverse(list(self.coeffs), phi))
+        # 1/a = prod_m sigma_m(a) / N(a) over the Galois automorphisms
+        # sigma_m: rho -> rho^m (m in (Z/n)*, m != 1); the norm
+        # N(a) = a * prod_m sigma_m(a) is rational.  The conjugates are
+        # built from the numerators alone: the common factor cancels.
+        n = self.order
+        conj = Cyclo.rational(n, 1)
+        for m in range(2, n):
+            if gcd(m, n) == 1:
+                image = Cyclo.rational(n, 0)
+                for i, c in enumerate(self.num):
+                    if c:
+                        image = image + Cyclo.root_power(n, i * m) * c
+                conj = conj * image
+        return conj * (1 / (self * conj).as_fraction())
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -325,37 +286,6 @@ def _reduced(order: int, num, den: int) -> Cyclo:
     return _make(order, tuple(num), den)
 
 
-def _poly_divmod(p: list[Fraction], q: list[Fraction]):
-    p = list(p)
-    quo = [_ZERO] * max(1, len(p) - len(q) + 1)
-    while len(p) >= len(q):
-        shift = len(p) - len(q)
-        c = p[-1] / q[-1]
-        quo[shift] = c
-        for j, qj in enumerate(q):
-            p[shift + j] -= c * qj
-        _poly_norm(p)
-        if not p:
-            break
-    return _poly_norm(quo), p
-
-
-def _mod_inverse(a: list[Fraction], mod: list[Fraction]) -> list[Fraction]:
-    """Inverse of a modulo an irreducible polynomial, by extended Euclid."""
-    r0, r1 = _poly_norm(list(mod)), _poly_norm(list(a))
-    s0: list[Fraction] = []
-    s1: list[Fraction] = [_ONE]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_norm(_poly_mul(tuple(q or [_ZERO]),
-                                                        tuple(s1 or [_ZERO]))))
-    if len(r0) != 1:
-        raise ZeroDivisionError("element not invertible (modulus not coprime)")
-    lead = r0[0]
-    return [c / lead for c in (s0 or [_ZERO])]
-
-
 class ScalarField:
     """The active coefficient field: Q when order <= 2, else Q(rho_order)."""
 
@@ -394,8 +324,6 @@ class ScalarField:
         j %= r
         if j == 0:
             return self.one()
-        if r == 1:
-            return self.one()
         if r == 2:
             return self.coerce(-1) if j == 1 else self.one()
         if self.is_rational or self.order % r != 0:
@@ -414,6 +342,3 @@ class ScalarField:
     def __repr__(self):
         return f"ScalarField({self.order})"
 
-
-def is_zero(value) -> bool:
-    return not value

@@ -265,6 +265,21 @@ def test_localize_n_max_zero_is_rejected(tmp_path, capsys):
         "message": "n_max must be at least 3"}
 
 
+@pytest.mark.parametrize("den", [["0"], []])
+@pytest.mark.parametrize("command", ["localize", "compute", "verify"])
+def test_zero_denominator_is_rejected(tmp_path, capsys, den, command):
+    spec = json.loads((DATA / "cubic_global.json").read_text())
+    spec["x"]["den"] = den
+    f = tmp_path / "zero_den.json"
+    f.write_text(json.dumps(spec))
+    assert run(command, "--curve", str(f)) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == {
+        "code": "bad-declaration", "exit": 3,
+        "message": "x and y need a nonzero denominator"}
+
+
 def test_compute_global_curve_at_default_chi(tmp_path):
     # the default chi_max 3 derives n_max 32 for a global curve
     out = tmp_path / "res.json"

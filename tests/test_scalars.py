@@ -18,6 +18,21 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(6) == x(1, -1, 1)
 
 
+def test_cyclotomic_polynomials_multiply_to_x_n_minus_one():
+    for n in range(1, 41):
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                phi = cyclotomic_polynomial(d)
+                assert all(type(c) is int for c in phi) and phi[-1] == 1
+                out = [0] * (len(product) + len(phi) - 1)
+                for i, a in enumerate(product):
+                    for j, b in enumerate(phi):
+                        out[i + j] += a * b
+                product = out
+        assert product == [-1] + [0] * (n - 1) + [1], n
+
+
 @pytest.mark.parametrize("r", range(1, 7))
 def test_root_of_unity_identities(r):
     fld = ScalarField(r)
@@ -123,3 +138,19 @@ def test_coerce_keeps_fractions():
     assert ScalarField(1).coerce(3) == 3
     assert type(ScalarField(1).coerce(3)) is Fraction
     assert ScalarField(1).coerce(Cyclo.rational(3, q)) == q
+
+
+# fields of mixed-order curves (lcm of the orders), outside the oracle set
+_MIXED_ORDERS = (12, 15, 20, 30)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cyclo_inverse_outside_oracle_orders(data):
+    n = data.draw(st.sampled_from(_MIXED_ORDERS))
+    deg = len(cyclotomic_polynomial(n)) - 1
+    coeff = st.fractions(min_value=-30, max_value=30, max_denominator=20)
+    x = Cyclo(n, data.draw(st.lists(coeff, min_size=deg, max_size=deg)))
+    if x:
+        inv = x.inverse()
+        assert x * inv == 1 and _canonical(inv)
