@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, gcd, lcm
 
 from .errors import (
     BadDeclarationError,
@@ -215,8 +215,24 @@ def validate_local_curve(points, phi=None, n_max=None,
                 f"phi not symmetric at {ckey}: {prev} vs {v}")
         canon_phi[ckey] = v
 
-    if canon_phi and n_max is None:
-        n_max = max(max(i[1], j[1]) for (i, j) in canon_phi)
+    if n_max is not None and (isinstance(n_max, bool)
+                              or not isinstance(n_max, int)):
+        raise BadDeclarationError(
+            f"n_max must be null or an integer, got {n_max!r}")
+    if n_max is None and canon_phi:
+        # truncated data is known through the largest index it names
+        n_max = max([k for key in canon_phi for _, k in key]
+                    + [max(pt.times) for pt in out_points.values()])
+    if n_max is not None:
+        for i, j in canon_phi:
+            if max(i[1], j[1]) > n_max:
+                raise BadDeclarationError(
+                    f"phi index {(i, j)} above n_max = {n_max}")
+        for label, pt in out_points.items():
+            if max(pt.times) > n_max:
+                raise BadDeclarationError(
+                    f"point {label!r}: time t_{max(pt.times)} above"
+                    f" n_max = {n_max}")
 
     return CurveData(field=fld, points=out_points, phi=canon_phi,
                      n_max=n_max, provenance=provenance)
@@ -255,6 +271,10 @@ def localize_global_curve(gcurve: GlobalCurve, n_max: int) -> CurveData:
     * for a != b and d = a - b,
       phi[(a,k),(b,m)] = sum_{P<=k, Q<=m} (-1)^(P-1) (P+Q-1)!/((P-1)!(Q-1)!)
                          d^-(P+Q) [z^(k-P)]R_a^k [z^(m-Q)]R_b^m.
+
+    The table is held over the integers, as numerators over one
+    denominator per power (see :func:`_power_table`), so every sum above
+    is an integer sum and each output value costs one final reduction.
     """
     if n_max < 3:
         raise BadDeclarationError("n_max must be at least 3")
@@ -286,30 +306,34 @@ def localize_global_curve(gcurve: GlobalCurve, n_max: int) -> CurveData:
         x0 = x_series.coeff(0)
         diff = x_series - LaurentSeries(fld, {0: x0})
         sup = diff.support()
+        if not sup and diff.hi >= max(len(gcurve.x.num),
+                                      len(gcurve.x.den)) - 1:
+            # x - x(a) = (num - x(a) den)/den, whose numerator then
+            # vanishes through its own degree
+            raise BadDeclarationError(
+                f"x is constant: x - x({a}) vanishes identically")
         if not sup or sup[0] != r:
-            got = sup[0] if sup else None
+            got = sup[0] if sup else f"above {diff.hi}"
             raise BadDeclarationError(
                 f"x - x({a}) vanishes to order {got}, declared {r}")
         s = diff.shift(-r).scale(1 / diff.coeff(r))
-        R = s.nth_root(r, top).inverse(top)
-        power = LaurentSeries(fld, {0: 1})
-        powers = [None]            # powers[k][e] = [z^e] R^k, k >= 1
-        for _ in range(n_max):
-            power = power.mul(R, top)
-            powers.append([power.coeff(e) for e in range(top + 1)])
+        powers = _power_table(s.nth_root(-r, top), n_max, top)
 
         w = gcurve.y.shifted_series(a, reach, fld) * x_series.derivative()
         if w.support() and w.support()[0] < 0:
             raise InadmissibleTimesError(
                 f"point {label!r}: the primary one-form has a pole")
+        w_num, w_den = _over_common_denominator(
+            [w.coeff(j) for j in range(n_max)])
         times = {}
         for k in range(1, n_max + 1):
             if k % r == 0:
                 # multiples of r pair with terms analytic in x; they drop
                 # from every kernel denominator and are not times
                 continue
-            times[k] = sum(w.coeff(j) * powers[k][k - 1 - j]
-                           for j in range(k))
+            num, den = powers[k]
+            times[k] = Fraction(sum(w_num[j] * num[k - 1 - j]
+                                    for j in range(k)), w_den * den)
         exact = (exact and s.coeffs == {0: fld.one()}
                  and max(w.coeffs, default=-1) < n_max)
         points.append((label, r, times))
@@ -343,31 +367,75 @@ def localize_global_curve(gcurve: GlobalCurve, n_max: int) -> CurveData:
     return curve
 
 
+def _over_common_denominator(values) -> tuple:
+    """([v * den for v in values], den) with den the lcm of the
+    denominators of the rationals ``values``."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _power_table(R, n_max: int, top: int) -> list:
+    """powers[k] = (N_k, D_k) with [z^e] R^k = N_k[e] / D_k for e <= top,
+    k = 1..n_max.
+
+    With R = N/D over one common denominator, N_k = N_(k-1) N is an integer
+    convolution truncated at ``top``; each power is then reduced by
+    gcd(D_k, *N_k), which keeps the integers of the later products small.
+    """
+    base, den = _over_common_denominator([R.coeff(e) for e in range(top + 1)])
+    terms = [(e, c) for e, c in enumerate(base) if c]
+    powers = [None]
+    num, dk = [1] + [0] * top, 1
+    for _ in range(n_max):
+        prod = [0] * (top + 1)
+        for i, a in enumerate(num):
+            if a:
+                for e, c in terms:
+                    if i + e > top:
+                        break
+                    prod[i + e] += a * c
+        dk *= den
+        g = gcd(dk, *prod)
+        num, dk = [c // g for c in prod], dk // g
+        powers.append((num, dk))
+    return powers
+
+
 def _same_point_block(powers, n_max: int) -> dict:
     """{(k, m): phi} at one point, every (k, m) computed on its own so that
     the caller's symmetry check compares independent sums."""
-    return {(k, m): sum(n * powers[m][m - n] * powers[k][k + n]
-                        for n in range(1, m + 1))
-            for k in range(1, n_max + 1) for m in range(1, n_max + 1)}
-
-
-def _cross_block(pa, pb, d, n_max: int) -> dict:
-    """{(k, m): phi[(a,k),(b,m)]} for points a != b with d = a - b.
-
-    With alpha_k(P) = (-1)^(P-1) [z^(k-P)]R_a^k / (P-1)!,
-    beta_m(Q) = [z^(m-Q)]R_b^m / (Q-1)! and g(N) = (N-1)! d^-N the entry is
-    sum_Q beta_m(Q) S_k(Q) with S_k(Q) = sum_P alpha_k(P) g(P+Q), which is
-    O(n_max^3) work in all.
-    """
-    g = {N: factorial(N - 1) / d ** N for N in range(2, 2 * n_max + 1)}
-    beta = {m: {Q: pb[m][m - Q] / factorial(Q - 1) for Q in range(1, m + 1)}
-            for m in range(1, n_max + 1)}
     out = {}
     for k in range(1, n_max + 1):
-        alpha = {P: (-1) ** (P - 1) * pa[k][k - P] / factorial(P - 1)
-                 for P in range(1, k + 1)}
-        S = {Q: sum(al * g[P + Q] for P, al in alpha.items())
-             for Q in range(1, n_max + 1)}
+        nk, dk = powers[k]
         for m in range(1, n_max + 1):
-            out[(k, m)] = sum(S[Q] * b for Q, b in beta[m].items())
+            nm, dm = powers[m]
+            out[(k, m)] = Fraction(sum(n * nm[m - n] * nk[k + n]
+                                       for n in range(1, m + 1)), dk * dm)
+    return out
+
+
+def _cross_block(pa, pb, d: Fraction, n_max: int) -> dict:
+    """{(k, m): phi[(a,k),(b,m)]} for points a != b with d = a - b = p/q.
+
+    Over the common denominator p^(2 n_max) the (P, Q) weight
+    (-1)^(P-1) (P+Q-1)!/((P-1)!(Q-1)!) d^-(P+Q) is the integer
+    c(P, Q) = (-1)^(P-1) (P+Q-1) C(P+Q-2, P-1) q^(P+Q) p^(2 n_max-P-Q).
+    The numerator of each entry is sum_Q N_m[m-Q] S_k(Q) with
+    S_k(Q) = sum_P N_k[k-P] c(P, Q), which is O(n_max^3) work in all.
+    """
+    p, q, top = d.numerator, d.denominator, 2 * n_max
+    c = {(P, Q): (-1) ** (P - 1) * (P + Q - 1) * comb(P + Q - 2, P - 1)
+         * q ** (P + Q) * p ** (top - P - Q)
+         for P in range(1, n_max + 1) for Q in range(1, n_max + 1)}
+    scale = p ** top
+    out = {}
+    for k in range(1, n_max + 1):
+        nk, dk = pa[k]
+        S = [None] + [sum(nk[k - P] * c[P, Q] for P in range(1, k + 1))
+                      for Q in range(1, n_max + 1)]
+        for m in range(1, n_max + 1):
+            nm, dm = pb[m]
+            out[(k, m)] = Fraction(sum(nm[m - Q] * S[Q]
+                                       for Q in range(1, m + 1)),
+                                   dk * dm * scale)
     return out

@@ -52,6 +52,13 @@ def dump_global_spec(g: GlobalCurve) -> str:
     return canonical_json(doc)
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; floats, bools and strings are parse errors."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def parse_curve_spec(text: str):
     """Parse a curve-spec document; returns CurveData or GlobalCurve."""
     doc = json.loads(text)
@@ -63,11 +70,13 @@ def parse_curve_spec(text: str):
         for p in doc.get("points", []):
             times = {int(k): str_to_fraction(v)
                      for k, v in p.get("times", {}).items()}
-            points.append((str(p["label"]), int(p["order"]), times))
+            points.append((str(p["label"]),
+                           _integer(p["order"], "point order"), times))
         phi = {}
         for entry in doc.get("phi", []):
             (al, ak), (bl, bk), v = entry
-            phi[((str(al), int(ak)), (str(bl), int(bk)))] = str_to_fraction(v)
+            phi[((str(al), _integer(ak, "phi index")),
+                 (str(bl), _integer(bk, "phi index")))] = str_to_fraction(v)
         return validate_local_curve(points, phi=phi,
                                     n_max=doc.get("n_max"))
     if kind == "global":
@@ -76,7 +85,8 @@ def parse_curve_spec(text: str):
             num = tuple(str_to_fraction(c) for c in spec["num"])
             den = tuple(str_to_fraction(c) for c in spec.get("den", ["1"]))
             return RationalFunction(num, den)
-        decls = tuple((str_to_fraction(a), int(r))
+        decls = tuple((str_to_fraction(a),
+                       _integer(r, "declared ramification order"))
                       for a, r in doc["declared_ramification"])
         return GlobalCurve(x=rf("x"), y=rf("y"),
                            declared_ramification=decls)

@@ -251,8 +251,9 @@ class LaurentSeries:
                              weight=-self.weight)
 
     def nth_root(self, n: int, order: int) -> "LaurentSeries":
-        """Principal n-th root of a series with constant term 1 (weight 0),
-        from b_0 = 1 and m b_m = sum_(k=1..m) ((1/n + 1) k - m) a_k b_(m-k)
+        """Principal power a^(1/n) of a series with constant term 1 (weight
+        0), for n > 0 or n < 0, from b_0 = 1 and
+        m b_m = sum_(k=1..m) ((1/n + 1) k - m) a_k b_(m-k)
         (the power recurrence, Knuth, TAOCP 2, 4.7)."""
         fld = self.field
         if self.weight != FUNCTION or self.lo < 0 or \

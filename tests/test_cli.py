@@ -290,3 +290,97 @@ def test_compute_global_curve_at_default_chi(tmp_path):
     assert doc["curve_hash"] == ("c9cac0bb4bfd9fa25482460539cc78d4"
                                  "449676d8b32b91b28ac6d570effb3742")
     assert any(e["g"] == 1 and e["n"] == 2 for e in doc["omega"]["entries"])
+
+
+def _error(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    return json.loads(err[0])["error"]
+
+
+def _local_spec(tmp_path, order=2, times=None, phi=(), n_max=None):
+    spec = {"kind": "local", "version": 1, "phi": list(phi), "n_max": n_max,
+            "points": [{"label": "1", "order": order,
+                        "times": times or {"3": "1"}}]}
+    f = tmp_path / "local.json"
+    f.write_text(json.dumps(spec))
+    return str(f)
+
+
+@pytest.mark.parametrize("order, shown", [(3.7, "3.7"), (True, "True"),
+                                          ("2", "'2'")])
+def test_non_integer_point_order_is_a_parse_error(tmp_path, capsys, order,
+                                                  shown):
+    # 3.7 used to be truncated to 3, and true read as order 1
+    f = _local_spec(tmp_path, order=order, times={"4": "1"})
+    assert run("localize", "--curve", f) == 2
+    assert _error(capsys) == {
+        "code": "parse", "exit": 2,
+        "message": f"point order must be an integer, got {shown}"}
+
+
+def test_non_integer_phi_index_is_a_parse_error(tmp_path, capsys):
+    f = _local_spec(tmp_path, phi=[[["1", 1.0], ["1", 1], "1/2"]])
+    assert run("compute", "--curve", f) == 2
+    assert _error(capsys)["message"] == \
+        "phi index must be an integer, got 1.0"
+
+
+@pytest.mark.parametrize("order", [2.0, False])
+def test_non_integer_declared_order_is_a_parse_error(tmp_path, capsys, order):
+    spec = json.loads((DATA / "cubic_global.json").read_text())
+    spec["declared_ramification"][0][1] = order
+    f = tmp_path / "global.json"
+    f.write_text(json.dumps(spec))
+    assert run("localize", "--curve", str(f)) == 2
+    assert _error(capsys) == {
+        "code": "parse", "exit": 2,
+        "message": f"declared ramification order must be an integer,"
+                   f" got {order!r}"}
+
+
+@pytest.mark.parametrize("n_max", ["x", 2.9, True])
+@pytest.mark.parametrize("command", ["localize", "compute"])
+def test_non_integer_n_max_is_rejected(tmp_path, capsys, n_max, command):
+    # "x" used to end compute in a TypeError and 2.9 was echoed
+    f = _local_spec(tmp_path, n_max=n_max)
+    assert run(command, "--curve", f) == 3
+    assert _error(capsys) == {
+        "code": "bad-declaration", "exit": 3,
+        "message": f"n_max must be null or an integer, got {n_max!r}"}
+
+
+@pytest.mark.parametrize("phi, n_max, message", [
+    ([], 4, "point '1': time t_7 above n_max = 4"),
+    ([[["1", 2], ["1", 5], "1/2"]], 6, "point '1': time t_7 above n_max = 6"),
+    ([[["1", 2], ["1", 9], "1/2"]], 8,
+     "phi index (('1', 2), ('1', 9)) above n_max = 8"),
+])
+def test_index_above_n_max_is_a_declaration_error(tmp_path, capsys, phi,
+                                                  n_max, message):
+    # it used to reach the engine and exit 2 as a window-ceiling "parse"
+    f = _local_spec(tmp_path, times={"3": "1", "7": "1"}, phi=phi,
+                    n_max=n_max)
+    assert run("compute", "--curve", f, "--chi-max", "1") == 3
+    assert _error(capsys) == {"code": "bad-declaration", "exit": 3,
+                              "message": message}
+
+
+def test_default_n_max_covers_the_times(tmp_path, capsys):
+    # with phi through index 5 and a time t_7 the default n_max is 7; it
+    # was 5, below t_7, so that compute exited 2 on the window ceiling
+    f = _local_spec(tmp_path, times={"3": "1", "7": "1"},
+                    phi=[[["1", 2], ["1", 5], "1/2"]])
+    assert run("localize", "--curve", f) == 0
+    assert json.loads(capsys.readouterr().out)["n_max"] == 7
+
+
+def test_constant_x_is_named(tmp_path, capsys):
+    spec = json.loads((DATA / "cubic_global.json").read_text())
+    spec["x"] = {"num": ["2", "2"], "den": ["1", "1"]}
+    f = tmp_path / "constant.json"
+    f.write_text(json.dumps(spec))
+    assert run("localize", "--curve", str(f)) == 3
+    assert _error(capsys) == {
+        "code": "bad-declaration", "exit": 3,
+        "message": "x is constant: x - x(1) vanishes identically"}

@@ -2,9 +2,11 @@
 independent sympy oracle.
 
 The pins are sha256 digests of ``dump_curve_spec(localize_global_curve(..))``
-recorded from the earlier implementation, which reverted the uniformizer
-and expanded the kernel in bivariate series; the current power-table
-formulas must reproduce them byte for byte.
+recorded from earlier implementations: the first nine from one that
+reverted the uniformizer and expanded the kernel in bivariate series, the
+three-point, mixed-order and n_max 32 ones from the power table in
+``Fraction`` arithmetic.  The integer power table must reproduce them byte
+for byte.
 
 The oracle builds the inverse uniformizer u(zeta) with sympy's ring-series
 arithmetic and checks the defining identities of phi and the times.  It
@@ -49,6 +51,23 @@ def _order_three():
                        RationalFunction((1, 1)), ((0, 3),))
 
 
+def _three_points():
+    # x' = z (z - 1/2) (z + 2): simple points 0, 1/2, -2, so the
+    # differences d = a - b are not all integers
+    return GlobalCurve(
+        RationalFunction((0, 0, Fraction(-1, 2), Fraction(1, 2),
+                          Fraction(1, 4))),
+        RationalFunction((1, 1), (1, Fraction(-1, 5))),
+        ((0, 2), (Fraction(1, 2), 2), (-2, 2)))
+
+
+def _mixed():
+    # x' = z^2 (z - 1): a point of order 3 at 0 and a simple point at 1
+    return GlobalCurve(
+        RationalFunction((0, 0, 0, Fraction(-1, 3), Fraction(1, 4))),
+        RationalFunction((1,), (2, 1)), ((0, 3), (1, 2)))
+
+
 PINS = [
     (_cubic, 8, "4f12cc0528531d2dc2355e174e0cd568"
                 "0551271254c77f90a1f64c3a18ba52ef"),
@@ -57,6 +76,9 @@ PINS = [
                  "198b820a8a02a01a9a0b607c4260763f"),
     (_cubic, 24, "006c50f0395602d0f6fdad2f68985a16"
                  "735ae2ed2063e5dcb8d8efc62ebf1cc1"),
+    # the curve hash of test_cli's compute at the default chi_max 3
+    (_cubic, 32, "c9cac0bb4bfd9fa25482460539cc78d4"
+                 "449676d8b32b91b28ac6d570effb3742"),
     (_airy_half, 8, "838f8d2c0b7ef96b35122fc1b0a7efe6"
                     "5b9d3d2e1f49c8b4056a291119f7dbef"),
     (_airy_plain, 8, "332da7daa6a2f67e2191c65039d556c1"
@@ -69,6 +91,12 @@ PINS = [
                       "418fbd90e7b85bc2f846fe2b6e8a6fa0"),
     (_order_three, 10, "12052240a2571fc1d9bff066227fb113"
                        "cd0666a41e5d01e080842db5199e30f1"),
+    (_three_points, 8, "0ce57e2da36f3345ebc5883f7a6b6507"
+                       "ac20e33751c3a9bfe83e13fa2a6286d5"),
+    (_three_points, 16, "30d10cdd6a58af508b87475c08335434"
+                        "774d8f1e3cbdf0cd5a3928e191e163b8"),
+    (_mixed, 10, "9035b78e1bdbd194390d1db1cf1837b6"
+                 "8432bf1139e4d294af890ca75764088e"),
 ]
 
 

@@ -87,6 +87,15 @@ def test_nth_root_power_is_the_series_to_its_window(field, n):
     assert (power - a).is_zero() and power.hi == a.hi
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("field", [F, F3], ids=["Q", "Q(rho_3)"])
+def test_negative_nth_root_is_the_inverse_root(field, n):
+    rho = field.root(3, 1) if field is F3 else Fraction(3, 4)
+    a = LaurentSeries(field, {0: 1, 1: Fraction(-2, 3), 2: rho, 6: 7}, hi=11)
+    b = a.nth_root(-n, 20)
+    assert b.hi == 11 and b.coeffs == a.nth_root(n, 20).inverse(11).coeffs
+
+
 def test_nth_root_needs_constant_term_one():
     for bad in ({0: 2, 1: 1}, {-1: 1, 0: 1}, {1: 1}):
         with pytest.raises(ValueError):
