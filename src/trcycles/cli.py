@@ -5,6 +5,8 @@
                       [--deg-max N] [--perturb T,IDX,DELTA] [--results FILE]
     trcycles localize --curve FILE [--n-max N] [--out FILE]
 
+--n-max (the localization precision) applies to a global curve only.
+
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 parse
 error, 3 admissibility error, 4 precision error.  Failures also emit one
 machine-readable JSON record on stderr.
@@ -19,10 +21,11 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
+# recursion, cycles, tensors and wavefunction are imported inside the
+# functions that run them: each call is a fresh interpreter, so a command
+# compiles only the modules it uses (tests/test_imports.py pins the sets)
 from .curves import CurveData, GlobalCurve, RamPoint, localize_global_curve
-from .cycles import LocalForm, bhat, chat_polar, gamma, intersection
 from .errors import AdmissibilityError, PrecisionError, TrcyclesError
-from .recursion import OmegaTable, compute_Fg, compute_omega_table
 from .serialize import (
     canonical_json,
     curve_hash,
@@ -32,14 +35,6 @@ from .serialize import (
     parse_curve_spec,
     str_to_fraction,
 )
-from .tensors import (
-    compute_airy_tensors,
-    compute_Uk,
-    tensor_recursion,
-    verify_higher_pde,
-    verify_quadratic_pde,
-)
-from .wavefunction import HPoly, HPolyRing, hirota_insertion_check
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -54,10 +49,17 @@ def _error_record(code: str, exit_code: int, message: str) -> int:
     return exit_code
 
 
-def _load_curve(path: str, n_max: int | None, chi_max: int):
+def _read_spec(path: str, n_max: int | None):
+    """The parsed curve file; --n-max is refused for a local curve."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    parsed = parse_curve_spec(text)
+        parsed = parse_curve_spec(fh.read())
+    if n_max is not None and isinstance(parsed, CurveData):
+        raise ValueError("--n-max applies only to a global curve")
+    return parsed
+
+
+def _load_curve(path: str, n_max: int | None, chi_max: int):
+    parsed = _read_spec(path, n_max)
     if isinstance(parsed, GlobalCurve):
         if n_max is None:
             n_max = 6 * ((chi_max + 1) // 2 + 1) + 2 * (chi_max + 4)
@@ -76,18 +78,21 @@ def _write_out(text: str, out: str | None) -> None:
 def _simple_tensors(curve, table, chi_max):
     """The Airy tensors when every point is simple, else None."""
     if all(curve.order(lb) == 2 for lb in curve.labels):
+        from .tensors import compute_airy_tensors
         return compute_airy_tensors(curve, table, chi_max)
     return None
 
 
 def _results_json(curve, table, chi_max, tensors) -> str:
     """The compute output: table, tensors and the genus scalars."""
+    from .recursion import compute_Fg
     fg = {g: compute_Fg(table, curve, g)
           for g in range(2, (chi_max + 1) // 2 + 1) if 2 * g - 1 <= chi_max}
     return dump_results(curve, table, tensors, fg)
 
 
 def cmd_compute(args) -> int:
+    from .recursion import compute_omega_table
     curve = _load_curve(args.curve, args.n_max, args.chi_max)
     table = compute_omega_table(curve, args.chi_max)
     # the tensors are built for either format, so both fail alike
@@ -137,6 +142,7 @@ def cmd_verify(args) -> int:
 
     tensors = _simple_tensors(curve, table, args.chi_max)
     if tensors is not None:
+        from .tensors import tensor_recursion, verify_quadratic_pde
         used = tensors if perturb is None else \
             tensors.copy_with_perturbation(*perturb)
         ttab = tensor_recursion(used, args.chi_max)
@@ -150,6 +156,8 @@ def cmd_verify(args) -> int:
               f"first nonzero: {rep.first_nonzero()}" if not rep.ok
               else f"orders {rep.checked_orders}")
     if curve.is_purely_local:
+        from .tensors import verify_higher_pde
+        from .wavefunction import hirota_insertion_check
         reph = verify_higher_pde(curve, table, args.hbar_max)
         check("higher-pde", reph.ok,
               f"first nonzero: {reph.first_nonzero()}" if not reph.ok
@@ -191,6 +199,8 @@ def _verify_homogeneity(curve, chi_max, check):
     entry is c.  Otherwise the plain table is filled on its own and the
     first entry where the two disagree is reported.
     """
+    from .recursion import OmegaTable, compute_omega_table
+    from .wavefunction import HPoly, HPolyRing
     ring = HPolyRing(curve.field, (None, None))
     graded = replace(
         curve, field=ring,
@@ -279,7 +289,9 @@ def _verify_pole_bound(curve, table, check):
 
 
 def _verify_cycle_algebra(curve, check):
+    from .cycles import LocalForm, bhat, chat_polar, gamma, intersection
     from .series import FORM, LaurentSeries
+    from .tensors import compute_Uk
     fld = curve.field
     ok = True
     label = curve.labels[0]
@@ -304,8 +316,7 @@ def _verify_cycle_algebra(curve, check):
 
 
 def cmd_localize(args) -> int:
-    with open(args.curve, "r", encoding="utf-8") as fh:
-        parsed = parse_curve_spec(fh.read())
+    parsed = _read_spec(args.curve, args.n_max)
     if isinstance(parsed, CurveData):
         _write_out(dump_curve_spec(parsed), args.out)
         return EXIT_OK

@@ -10,9 +10,12 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .curves import CurveData, GlobalCurve, RationalFunction, validate_local_curve
-from .recursion import OmegaTable
+
+if TYPE_CHECKING:
+    from .recursion import OmegaTable
 
 
 def canonical_json(obj) -> str:
@@ -114,6 +117,7 @@ def _omega_document(table: OmegaTable, chash: str) -> dict:
 
 
 def parse_omega_table(text: str, curve: CurveData) -> OmegaTable:
+    from .recursion import OmegaTable
     doc = json.loads(text)
     table = OmegaTable(curve, int(doc.get("chi_max", 0)))
     for e in doc["entries"]:

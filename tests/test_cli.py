@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from test_homogeneity import extra_denominator
-from trcycles import cli, recursion
+from trcycles import recursion
 from trcycles.cli import _parse_perturb, main
 from trcycles.series import FORM, LaurentSeries
 
@@ -155,8 +155,8 @@ def test_verify_fills_one_table_unless_homogeneity_fails(
     if bug is not None:
         bug(monkeypatch)
     calls = []
-    fill = cli.compute_omega_table
-    monkeypatch.setattr(cli, "compute_omega_table",
+    fill = recursion.compute_omega_table
+    monkeypatch.setattr(recursion, "compute_omega_table",
                         lambda *args: calls.append(args) or fill(*args))
     assert run("verify", "--curve", str(DATA / curve), "--chi-max",
                str(chi), "--out", str(tmp_path / "r.json")) == code
@@ -246,7 +246,7 @@ def test_malformed_perturbation_fails_before_the_table(tmp_path, capsys,
                                                        monkeypatch):
     def refuse(*args, **kwargs):
         pytest.fail("the table was built before --perturb was parsed")
-    monkeypatch.setattr(cli, "compute_omega_table", refuse)
+    monkeypatch.setattr(recursion, "compute_omega_table", refuse)
     code = run("verify", "--curve", str(DATA / "airy.json"),
                "--perturb", "D,(1,),1", "--out", str(tmp_path / "r.json"))
     assert code == 2
@@ -296,6 +296,18 @@ def _error(capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     return json.loads(err[0])["error"]
+
+
+@pytest.mark.parametrize("command", ["localize", "compute", "verify"])
+def test_n_max_on_a_local_curve_is_a_parse_error(tmp_path, capsys, command):
+    # --n-max is the localization precision; a local curve has none
+    out = tmp_path / "out.json"
+    assert run(command, "--curve", str(DATA / "two_point.json"),
+               "--n-max", "5", "--out", str(out)) == 2
+    assert _error(capsys) == {
+        "code": "parse", "exit": 2,
+        "message": "--n-max applies only to a global curve"}
+    assert not out.exists()
 
 
 def _local_spec(tmp_path, order=2, times=None, phi=(), n_max=None):

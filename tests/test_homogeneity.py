@@ -8,7 +8,6 @@ import pytest
 
 from oracles import three_lambda_homogeneity
 from trcycles import (
-    cli,
     compute_omega_table,
     localize_global_curve,
     recursion,
@@ -153,7 +152,7 @@ def test_table_read_off_the_graded_fill_is_the_plain_table(monkeypatch,
     curve = make()
     plain = compute_omega_table(curve, chi)
     fills = []
-    monkeypatch.setattr(cli, "compute_omega_table",
+    monkeypatch.setattr(recursion, "compute_omega_table",
                         lambda *args: fills.append(args) or
                         compute_omega_table(*args))
     homogeneous, table = graded_verdict(curve, chi)

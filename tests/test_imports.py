@@ -1,0 +1,102 @@
+"""What ``import trcycles`` and each CLI command load, and the public API.
+
+Each command runs in a fresh interpreter, so an eager import that creeps
+back into the package or the CLI changes the pinned module set.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import trcycles
+
+SRC = Path(__file__).parent.parent / "src"
+DATA = Path(__file__).parent / "data"
+
+# the public names of each submodule, as the package exported them eagerly
+API = {
+    "curves": ["CurveData", "GlobalCurve", "RamPoint", "RationalFunction",
+               "localize_global_curve", "scale_curve",
+               "validate_local_curve"],
+    "cycles": ["LocalCycle", "LocalForm", "bcycle", "bhat", "chat_polar",
+               "eta_pairing", "gamma", "intersection", "pair_cycle_form"],
+    "errors": ["AdmissibilityError", "FieldExtensionError", "NotInRangeError",
+               "PairingError", "PrecisionError", "ResidueObstructionError",
+               "TrcyclesError", "UnsupportedError"],
+    "recursion": ["DiagonalB", "OmegaTable", "PairProduct", "compute_Fg",
+                  "compute_omega_table", "k2_apply", "kk_apply"],
+    "scalars": ["Cyclo", "ScalarField"],
+    "series": ["FORM", "FUNCTION", "LaurentSeries", "series_mul"],
+    "tensors": ["AiryTensors", "ResidualReport", "UOperator",
+                "compute_Uk", "compute_airy_tensors", "tensor_recursion",
+                "verify_higher_pde", "verify_quadratic_pde"],
+    "wavefunction": ["LogZ", "assemble_logZ", "assemble_logZprime",
+                     "hirota_insertion_check"],
+}
+
+LOCALIZE = ["cli", "curves", "errors", "scalars", "serialize", "series"]
+RESIDUE = LOCALIZE + ["cycles", "recursion"]
+EVERY = RESIDUE + ["tensors", "wavefunction"]
+
+
+def loaded(code):
+    """The sorted trcycles modules loaded after running code afresh."""
+    probe = code + ("\nimport json, sys\nprint(json.dumps(sorted("
+                    "m for m in sys.modules if m.startswith('trcycles'))))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(res.stdout.strip().splitlines()[-1])
+
+
+def modules(*names):
+    return sorted(["trcycles"] + [f"trcycles.{m}" for m in names])
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (None, modules()),
+    (["localize", "--curve", "two_point.json"], modules(*LOCALIZE)),
+    (["localize", "--curve", "cubic_global.json", "--n-max", "8"],
+     modules(*LOCALIZE)),
+    (["compute", "--curve", "r3.json", "--chi-max", "2"], modules(*RESIDUE)),
+    (["compute", "--curve", "two_point.json", "--chi-max", "2"],
+     modules(*EVERY)),
+    (["verify", "--curve", "r3.json"], modules(*EVERY)),
+], ids=["import", "localize-local", "localize-global", "compute-r3",
+        "compute-two-point", "verify-r3"])
+def test_modules_each_command_loads(tmp_path, argv, expected):
+    code = "import trcycles"
+    if argv is not None:
+        argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+        argv += ["--out", str(tmp_path / "out")]
+        code += ("\nfrom trcycles.cli import main"
+                 f"\nassert main({argv!r}) == 0")
+    assert loaded(code) == expected
+
+
+def test_submodules_still_import_by_name():
+    assert loaded("from trcycles import cli, recursion\n"
+                  "import trcycles\n"
+                  "assert trcycles.series.__name__ == 'trcycles.series'") \
+        == modules(*RESIDUE)
+
+
+def test_public_api_is_unchanged():
+    names = sorted(list(API) + [n for ns in API.values() for n in ns])
+    assert len(names) == 49 + 8     # the names and their submodules
+    assert sorted(trcycles.__all__) == names
+    assert set(names) <= set(dir(trcycles))
+    for module, exported in API.items():
+        home = getattr(trcycles, module)
+        assert home.__name__ == f"trcycles.{module}"
+        for name in exported:
+            assert getattr(trcycles, name) is getattr(home, name)
+    namespace = {}
+    exec("from trcycles import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == names
+    with pytest.raises(AttributeError):
+        trcycles.no_such_name
