@@ -19,21 +19,22 @@ All arithmetic is exact; windows are asserted at every coefficient
 extraction.
 
 Before a term's product is formed, ``_Engine.reaches`` rejects it when its
-exponent classes mod r cannot meet the column: the product's exponents lie
-in the Minkowski sum of the classes of its factors and denominators, and
-the column reads z^(-1-k0) for k0 = 1 .. reach.  On monomial curves this
-is the r-spin degree condition; it removes most all-zero products at
-r >= 3.  A truncated factor counts as having every class, so the guard
-never hides a precision failure.  The guard sits in the term loop, not in
-``kernel_contract``: the tensor builders and verifiers that share
-``kernel_contract`` are unaffected, and the unpruned test reference, which
-calls it directly, stays an unguarded check of the guard.
+exact supports cannot meet the column: up to z^-2 the product's exponents
+lie in the Minkowski sum of the supports of its factors and of the
+denominator inverses (at the order the product uses), and the column
+reads z^(-1-k0) for k0 = 1 .. reach.  On monomial curves this enforces the
+r-spin degree condition, and on the monomial and two-point test curves no
+all-zero product is left.  A truncated piece counts as full above its
+ceiling, so the guard never hides a precision failure.  The guard sits in
+the term loop, not in ``kernel_contract``: the tensor builders and
+verifiers that share ``kernel_contract`` are unaffected, and the unpruned
+test reference, which calls it directly, stays an unguarded check of the
+guard.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 
@@ -142,7 +143,6 @@ class _Engine:
         self.curve = curve
         self.field = curve.field
         self._denom = {}      # (label, j, order) -> inverse series
-        self._denom_cls = {}  # (label, j) -> exponent classes of the inverse
         self._basis = {}      # (at_label, e) -> unrotated kernel-map series
         self._rot = {}        # (at_label, e, j) -> rotated series
         self._bridge = {}     # (label, jp, jq) -> weight-2 series
@@ -162,28 +162,6 @@ class _Engine:
         """y - sigma_j* y at ``label``, as the 1-form omega01 - sigma_j*."""
         w01 = self.curve.omega01(label)
         return w01 - w01.rotate(self.curve.order(label), j)
-
-    def denom_classes(self, label: str, j: int) -> int:
-        """Exponent classes mod r of 1/(y - sigma_j* y) at any order.
-
-        With y - sigma_j* y = c z^v (1 + g), the inverse is
-        c^-1 z^-v sum (-g)^n, so its classes are -v plus the additive
-        closure of the classes of g's exponents (full when truncated)."""
-        key = (label, j)
-        got = self._denom_cls.get(key)
-        if got is None:
-            r = self.curve.order(label)
-            d = self._difference(label, j)
-            shift = 1 << (-d.lo % r)
-            gens = _class_sum(d.classes(r), shift, r)
-            closure = 1
-            while True:
-                grown = closure | _class_sum(closure, gens, r)
-                if grown == closure:
-                    break
-                closure = grown
-            got = self._denom_cls[key] = _class_sum(closure, shift, r)
-        return got
 
     def basis_form(self, at_label: str, e: tuple) -> LaurentSeries:
         """Expansion at ``at_label`` of the kernel map of Gamma_e."""
@@ -298,28 +276,49 @@ class _Engine:
         return got
 
     # -- the residue core --------------------------------------------------
+    def _column(self, label: str, js, factors, k0_max: int | None):
+        """(reach, order) of ``kernel_contract``'s column: the largest k0
+        the pole order reaches (below 1 when none is, or a factor is
+        zero), and the order of the denominator inverses."""
+        r = self.curve.order(label)
+        lo_f = sum(f.lo for f in factors)
+        reach = r * len(js) - 1 - lo_f
+        if k0_max is not None:
+            reach = min(reach, k0_max)
+        if any(f.is_zero() for f in factors):
+            reach = 0
+        return reach, max(-2 - lo_f + r * (len(js) - 1), -r)
+
     def reaches(self, label: str, js, factors, k0_max: int | None = None
                 ) -> bool:
         """False when ``kernel_contract`` with these arguments can only
-        return an all-zero (or empty) column, decided from exponent classes
-        mod r: the product's exponents lie in the Minkowski sum of the
-        classes of the factors and of the denominators, and the column
-        reads z^(-1-k0) for k0 = 1 .. reach."""
-        r = self.curve.order(label)
-        reach = r * len(js) - 1 - sum(f.lo for f in factors)
-        if k0_max is not None:
-            reach = min(reach, k0_max)
+        return an all-zero (or empty) column, decided from exact supports:
+        the product's exponents up to z^-2 lie in the Minkowski sum of the
+        supports of the factors and of the denominator inverses, and the
+        column reads z^(-1-k0) for k0 = 1 .. reach.  A truncated piece
+        counts as full above its ceiling, so the guard never hides a
+        precision failure."""
+        reach, order = self._column(label, js, factors, k0_max)
         if reach < 1:
             return False
-        mask = 1
-        for f in factors:
-            mask = _class_sum(mask, f.classes(r), r)
-        for j in js:
-            mask = _class_sum(mask, self.denom_classes(label, j), r)
-        wanted = 0
-        for k0 in range(1, min(reach, r) + 1):
-            wanted |= 1 << ((-1 - k0) % r)
-        return bool(mask & wanted)
+        pieces = list(factors) + [self.denom_inv(label, j, order) for j in js]
+        width = -1 - sum(p.lo for p in pieces)
+        if width < 1:
+            return False
+        window = (1 << width) - 1
+        total = 1   # bit i: the product may have a nonzero z^(lo + i)
+        for p in pieces:
+            bits = sum(1 << (e - p.lo) for e in p.coeffs)
+            if p.hi is not None:
+                bits |= -1 << (p.hi + 1 - p.lo)
+            bits &= window
+            grown = 0
+            while bits:
+                low = bits & -bits
+                grown |= total * low
+                bits ^= low
+            total = grown & window
+        return bool(total >> max(width - reach, 0))
 
     def kernel_contract(self, label: str, js, factors,
                         k0_max: int | None = None) -> dict:
@@ -333,21 +332,13 @@ class _Engine:
         Returns {k0: value}; {} when the residue vanishes structurally
         (an empty factor, or no reachable k0).
         """
-        r = self.curve.order(label)
-        k = len(js) + 1
-        weight = sum(f.weight for f in factors) - (k - 1)
+        weight = sum(f.weight for f in factors) - len(js)
         if weight != 1:
             raise ValueError(f"kernel integrand has weight {weight}, not 1")
-        if any(f.is_zero() for f in factors):
-            return {}
-        lo_f = sum(f.lo for f in factors)
-        reach = r * (k - 1) - 1 - lo_f
-        if k0_max is not None:
-            reach = min(reach, k0_max)
+        reach, order = self._column(label, js, factors, k0_max)
         if reach < 1:
             return {}
         ring = factors[0].field
-        order = max(-2 - lo_f + r * (k - 2), -r)
         # denominators last: over HPoly the factor-by-factor products are
         # the costly ones, and this keeps their operands shortest
         pieces = sorted(factors, key=lambda q: len(q.coeffs)) + [
@@ -498,16 +489,6 @@ def _within(blocks, spare):
             break
         for rest in _within(blocks[1:], spare - excess):
             yield ((spec, f),) + rest
-
-
-@lru_cache(maxsize=None)
-def _class_sum(a: int, b: int, r: int) -> int:
-    """Minkowski sum of two sets of classes mod r, as bitmasks."""
-    out = 0
-    for c in range(r):
-        if a >> c & 1:
-            out |= b << c
-    return (out | out >> r) & ((1 << r) - 1)
 
 
 def _deal_count(parts) -> int:

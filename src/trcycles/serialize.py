@@ -62,6 +62,15 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _json(value, kind, what: str):
+    """``value`` when it is a JSON array (``kind`` list) or object (dict);
+    anything else is a parse error."""
+    if not isinstance(value, kind):
+        name = "an array" if kind is list else "an object"
+        raise ValueError(f"{what} must be {name}, got {value!r}")
+    return value
+
+
 def parse_curve_spec(text: str):
     """Parse a curve-spec document; returns CurveData or GlobalCurve."""
     doc = json.loads(text)
@@ -70,29 +79,37 @@ def parse_curve_spec(text: str):
     kind = doc["kind"]
     if kind == "local":
         points = []
-        for p in doc.get("points", []):
-            times = {int(k): str_to_fraction(v)
-                     for k, v in p.get("times", {}).items()}
+        for p in _json(doc.get("points", []), list, "points"):
+            p = _json(p, dict, "a point")
+            times = {int(k): str_to_fraction(v) for k, v in
+                     _json(p.get("times", {}), dict, "times").items()}
             points.append((str(p["label"]),
                            _integer(p["order"], "point order"), times))
         phi = {}
-        for entry in doc.get("phi", []):
-            (al, ak), (bl, bk), v = entry
+        for entry in _json(doc.get("phi", []), list, "phi"):
+            a, b, v = _json(entry, list, "a phi entry")
+            (al, ak), (bl, bk) = (_json(i, list, "a phi index")
+                                  for i in (a, b))
             phi[((str(al), _integer(ak, "phi index")),
                  (str(bl), _integer(bk, "phi index")))] = str_to_fraction(v)
         return validate_local_curve(points, phi=phi,
                                     n_max=doc.get("n_max"))
     if kind == "global":
         def rf(key):
-            spec = doc[key]
-            num = tuple(str_to_fraction(c) for c in spec["num"])
-            den = tuple(str_to_fraction(c) for c in spec.get("den", ["1"]))
+            spec = _json(doc[key], dict, key)
+            num = tuple(str_to_fraction(c)
+                        for c in _json(spec["num"], list, f"{key} num"))
+            den = tuple(str_to_fraction(c) for c in
+                        _json(spec.get("den", ["1"]), list, f"{key} den"))
             return RationalFunction(num, den)
-        decls = tuple((str_to_fraction(a),
-                       _integer(r, "declared ramification order"))
-                      for a, r in doc["declared_ramification"])
+        decls = []
+        for d in _json(doc["declared_ramification"], list,
+                       "declared_ramification"):
+            a, r = _json(d, list, "a declared ramification")
+            decls.append((str_to_fraction(a),
+                          _integer(r, "declared ramification order")))
         return GlobalCurve(x=rf("x"), y=rf("y"),
-                           declared_ramification=decls)
+                           declared_ramification=tuple(decls))
     raise ValueError(f"unknown curve kind {kind!r}")
 
 

@@ -30,7 +30,7 @@ def _min_hi(*values):
 
 
 class LaurentSeries:
-    __slots__ = ("field", "coeffs", "lo", "hi", "weight", "_classes")
+    __slots__ = ("field", "coeffs", "lo", "hi", "weight")
 
     def __init__(self, field, coeffs=None, lo=None, hi=None,
                  weight: int = FUNCTION):
@@ -52,7 +52,6 @@ class LaurentSeries:
         self.lo = lo
         self.hi = hi
         self.weight = weight
-        self._classes = None
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -77,22 +76,6 @@ class LaurentSeries:
 
     def support(self):
         return sorted(self.coeffs)
-
-    def classes(self, r: int) -> int:
-        """Bitmask of the exponent classes mod ``r`` that can carry a
-        nonzero coefficient: bit c is set when some exponent e = c (mod r)
-        does.  A truncated series is unknown above its ceiling, so its mask
-        is full.  Cached on the series (values are never mutated)."""
-        got = self._classes
-        if got is None or got[0] != r:
-            if self.hi is not None:
-                mask = (1 << r) - 1
-            else:
-                mask = 0
-                for e in self.coeffs:
-                    mask |= 1 << (e % r)
-            got = self._classes = (r, mask)
-        return got[1]
 
     def __repr__(self):
         terms = " + ".join(f"({c})z^{e}" for e, c in sorted(self.coeffs.items()))

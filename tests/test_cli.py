@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -34,6 +35,31 @@ def test_compute_deterministic(tmp_path):
         assert run("compute", "--curve", str(DATA / "airy.json"),
                    "--chi-max", "2", "--out", str(out)) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("compute", "two_point.json", "--chi-max", "5"),
+     "ee041242130bd4759869c4cf8f1d5f44cef6c4dabb3500a87cbf488417a2415f"),
+    (("compute", "r3.json", "--chi-max", "3"),
+     "ee9af25d1dc175e9a047bb844daa5b4b7ffacb303efe3ea3882e1061037d5cc0"),
+    (("compute", "cubic_global.json", "--n-max", "14", "--chi-max", "1"),
+     "39f06557ef4cef72fc905782ffb884adbb47978c96429fd136f04e05c49b6018"),
+    (("compute", "r3.json", "--chi-max", "4"),
+     "216fc131671ea6fa48d57edd9dba2545e4ba349e664e5c2833eb6c66e357d2b5"),
+    (("verify", "r3.json", "--chi-max", "3", "--hbar-max", "3"),
+     "62db49f816617f9858e47bb9bd3e72c7e5fd6567cdd8e7610e1336ab06d54648"),
+    (("verify", "two_point.json", "--chi-max", "5", "--hbar-max", "4",
+      "--deg-max", "4"),
+     "889d7f66ca8267fa88a16f151d1ad7f2d4ddc44be1009c806940d3dadf925333"),
+], ids=["compute-two-point-chi5", "compute-r3-chi3", "compute-cubic-n14-chi1",
+        "compute-r3-chi4", "verify-r3-chi3", "verify-two-point-chi5"])
+def test_golden_stdout(capsys, argv, digest):
+    # byte identity of the CLI output; the first three are the perfbench
+    # compute pins
+    command, curve, *rest = argv
+    assert run(command, "--curve", str(DATA / curve), *rest) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_compute_table_format(capsys):
@@ -396,3 +422,48 @@ def test_constant_x_is_named(tmp_path, capsys):
     assert _error(capsys) == {
         "code": "bad-declaration", "exit": 3,
         "message": "x is constant: x - x(1) vanishes identically"}
+
+
+def _spec_with(path, *keys_and_value):
+    """A copy of a data file with one nested value replaced."""
+    spec = json.loads((DATA / path).read_text())
+    *keys, last, value = keys_and_value
+    node = spec
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    return spec
+
+
+@pytest.mark.parametrize("spec, message", [
+    (_spec_with("two_point.json", "phi", [5]),
+     "a phi entry must be an array, got 5"),
+    (_spec_with("two_point.json", "phi", [[5, ["1", 1], "1/2"]]),
+     "a phi index must be an array, got 5"),
+    (_spec_with("two_point.json", "phi", {}), "phi must be an array, got {}"),
+    (_spec_with("two_point.json", "points", 1, 7),
+     "a point must be an object, got 7"),
+    (_spec_with("two_point.json", "points", "0"),
+     "points must be an array, got '0'"),
+    (_spec_with("two_point.json", "points", 0, "times", ["4"]),
+     "times must be an object, got ['4']"),
+    (_spec_with("cubic_global.json", "x", 5), "x must be an object, got 5"),
+    (_spec_with("cubic_global.json", "y", "num", "0001"),
+     "y num must be an array, got '0001'"),
+    (_spec_with("cubic_global.json", "x", "den", "1"),
+     "x den must be an array, got '1'"),
+    (_spec_with("cubic_global.json", "declared_ramification", {}),
+     "declared_ramification must be an array, got {}"),
+    (_spec_with("cubic_global.json", "declared_ramification", 0, "1"),
+     "a declared ramification must be an array, got '1'"),
+], ids=["phi-entry-int", "phi-index-int", "phi-object", "point-int",
+        "points-string", "times-list", "x-int", "num-string", "den-string",
+        "declared-object", "declared-entry-string"])
+def test_malformed_curve_spec_is_a_parse_error(tmp_path, capsys, spec,
+                                               message):
+    # these ended in a TypeError or AttributeError traceback (exit 1), and
+    # a num "0001" was read as the list [0, 0, 0, 1]
+    f = tmp_path / "malformed.json"
+    f.write_text(json.dumps(spec))
+    assert run("compute", "--curve", str(f)) == 2
+    assert _error(capsys) == {"code": "parse", "exit": 2, "message": message}

@@ -197,17 +197,21 @@ def test_precision_boundary_of_global_cubic(chi, boundary):
 
 
 @pytest.mark.parametrize("points, chi, calls", [
-    ([("0", 3, {4: 1})], 3, 449),
-    ([("0", 4, {5: 1})], 2, 312),
-], ids=["r3-chi3", "r4-chi2"])
+    ([("0", 3, {4: 1})], 3, 241),
+    ([("0", 4, {5: 1})], 2, 219),
+    ([("1", 2, {3: 2, 5: Fraction(1, 3)}), ("-1", 2, {3: 2})], 5, 614),
+], ids=["r3-chi3", "r4-chi2", "two-point-chi5"])
 def test_kernel_products_per_table(monkeypatch, points, chi, calls):
-    # one kernel product per term whose exponent classes reach the column
+    # one kernel product per term whose supports reach the column, and
+    # none of them comes out all zero
     count = [0]
     contract = recursion._Engine.kernel_contract
 
     def counted(self, *args, **kwargs):
         count[0] += 1
-        return contract(self, *args, **kwargs)
+        column = contract(self, *args, **kwargs)
+        assert any(column.values()), (args, kwargs)
+        return column
 
     monkeypatch.setattr(recursion._Engine, "kernel_contract", counted)
     compute_omega_table(validate_local_curve(points), chi)
@@ -224,11 +228,12 @@ def test_kernel_products_per_table(monkeypatch, points, chi, calls):
                                              5: Fraction(1, 3)})]), 4),
     (lambda: validate_local_curve([("1", 2, {3: 2, 5: Fraction(1, 3)}),
                                    ("-1", 2, {3: 2})]), 5),
+    (lambda: validate_local_curve([("a", 2, {3: 1}), ("b", 4, {5: 1})]), 2),
     (lambda: _cubic_global(12), 2),
 ], ids=["r3-chi4", "r4-chi3", "r5-chi2", "r3-mixed-chi3", "ab23-chi3",
-        "parity-broken-chi4", "two-point-chi5", "cubic-12-chi2"])
+        "parity-broken-chi4", "two-point-chi5", "ab24-chi2", "cubic-12-chi2"])
 def test_class_guard_matches_unguarded(monkeypatch, make, chi):
-    # the exponent-class guard only skips products that come out zero
+    # the support guard only skips products that come out zero
     curve = make()
     guarded = compute_omega_table(curve, chi).tables
     monkeypatch.setattr(recursion._Engine, "reaches",
@@ -261,9 +266,11 @@ def _guard_case(draw):
             st.tuples(st.integers(-3, 3).filter(bool),
                       st.integers(0, r - 1)),
             min_size=1, max_size=3))
+        # a truncated factor is unknown above its ceiling hi
+        hi = draw(st.none() | st.integers(max(terms), 4))
         factors.append(LaurentSeries(
             fld, {e: fld.root(r, j) * c for e, (c, j) in terms.items()},
-            weight=w))
+            hi=hi, weight=w))
     k0_max = draw(st.none() | st.integers(1, 8))
     return curve, js, factors, k0_max
 
@@ -271,6 +278,8 @@ def _guard_case(draw):
 @settings(max_examples=60, deadline=None)
 @given(_guard_case())
 def test_class_guard_rejects_only_zero_columns(case):
+    # a rejected term's column is all zero, and reading it raises no
+    # PrecisionError: the guard never hides a truncated factor
     curve, js, factors, k0_max = case
     engine = recursion._Engine(curve)
     if not engine.reaches("0", js, factors, k0_max):

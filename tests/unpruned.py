@@ -6,9 +6,10 @@ spectator split, genus split) term for its distinguished index, with no
 selection rule, parity filter or pole bound.  It shares the package's
 residue core (``_Engine``), so it checks the term enumeration of
 ``compute_omega_table``, not the kernel residues themselves.  It calls
-``_Engine.kernel_contract`` directly and never the exponent-class guard
-``_Engine.reaches``, on purpose: the comparison then pins that pruning
-rule too.
+``_Engine.kernel_contract`` directly and never the support guard
+``_Engine.reaches``, on purpose: every term reaches the residue, so the
+comparison pins that pruning rule too, including its treatment of
+truncated factors on global curves.
 """
 
 from itertools import combinations, combinations_with_replacement
