@@ -1,14 +1,18 @@
 """Command-line surface.
 
-    trcycles compute  --curve FILE [--chi-max N] [--out FILE] [--format F]
+    trcycles compute  --curve FILE [--chi-max N] [--n-max N] [--out FILE]
+                      [--format F]
     trcycles verify   --curve FILE [--chi-max N] [--hbar-max N]
-                      [--deg-max N] [--perturb T,IDX,DELTA] [--results FILE]
+                      [--deg-max N] [--n-max N] [--perturb T,IDX,DELTA]
+                      [--results FILE] [--out FILE]
     trcycles localize --curve FILE [--n-max N] [--out FILE]
 
---n-max (the localization precision) applies to a global curve only.
+--n-max (the localization precision) applies to a global curve only.  A
+command accepts only the options listed for it.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 parse
-error, 3 admissibility error, 4 precision error.  Failures also emit one
+error (a malformed file or value, or an option the command does not take),
+3 admissibility error, 4 precision error.  Failures also emit one
 machine-readable JSON record on stderr.
 """
 
@@ -326,34 +330,48 @@ def cmd_localize(args) -> int:
     return EXIT_OK
 
 
+_OPTIONS = {
+    "curve": {"required": True, "help": "curve-spec file"},
+    "chi-max": {"type": int, "default": 3},
+    "hbar-max": {"type": int, "default": 3},
+    "deg-max": {"type": int, "default": 3},
+    "n-max": {"type": int},
+    "out": {},
+    "format": {"choices": ("json", "table"), "default": "json"},
+    "perturb": {"help": "TENSOR,INDEX,DELTA negative control"},
+    "results": {"help": "previously computed results file to re-check"},
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, which ``main`` reports as one JSON
+    parse record (exit 2) like every other parse error."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="trcycles",
         description="Exact correlator recursion and annihilation-operator "
                     "checks for spectral curves in local-cycle coordinates")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fn in (("compute", cmd_compute), ("verify", cmd_verify),
-                     ("localize", cmd_localize)):
+    for name, fn, options in (
+            ("compute", cmd_compute, "curve chi-max n-max out format"),
+            ("verify", cmd_verify, "curve chi-max hbar-max deg-max n-max "
+                                   "perturb results out"),
+            ("localize", cmd_localize, "curve n-max out")):
         p = sub.add_parser(name)
-        p.add_argument("--curve", required=True, help="curve-spec file")
-        p.add_argument("--chi-max", type=int, default=3)
-        p.add_argument("--hbar-max", type=int, default=3)
-        p.add_argument("--deg-max", type=int, default=3)
-        p.add_argument("--n-max", type=int, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "table"),
-                       default="json")
-        p.add_argument("--perturb", default=None,
-                       help="TENSOR,INDEX,DELTA negative control")
-        p.add_argument("--results", default=None,
-                       help="previously computed results file to re-check")
+        for opt in options.split():
+            p.add_argument("--" + opt, **_OPTIONS[opt])
         p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (json.JSONDecodeError, ValueError, KeyError, OSError) as exc:
         return _error_record("parse", EXIT_PARSE, str(exc))

@@ -89,7 +89,6 @@ class CurveData:
     points: dict          # label -> RamPoint
     phi: dict             # canonical ((label,k),(label,j)) -> scalar
     n_max: int | None     # analytic truncation order (None = exact data)
-    provenance: str = "local"
     x_offsets: dict = dc_field(default_factory=dict)   # label -> x(a)
 
     @property
@@ -152,8 +151,7 @@ class CurveData:
         }
 
 
-def validate_local_curve(points, phi=None, n_max=None,
-                         provenance="local") -> CurveData:
+def validate_local_curve(points, phi=None, n_max=None) -> CurveData:
     """Validate raw local-curve data and return canonical CurveData.
 
     ``points``: iterable of (label, order, {k: time}) triples or RamPoints.
@@ -234,8 +232,7 @@ def validate_local_curve(points, phi=None, n_max=None,
                     f"point {label!r}: time t_{max(pt.times)} above"
                     f" n_max = {n_max}")
 
-    return CurveData(field=fld, points=out_points, phi=canon_phi,
-                     n_max=n_max, provenance=provenance)
+    return CurveData(field=fld, points=out_points, phi=canon_phi, n_max=n_max)
 
 
 def scale_curve(curve: CurveData, lam) -> CurveData:
@@ -249,8 +246,7 @@ def scale_curve(curve: CurveData, lam) -> CurveData:
         for label, pt in curve.points.items()
     }
     return CurveData(field=curve.field, points=points, phi=dict(curve.phi),
-                     n_max=curve.n_max, provenance=curve.provenance,
-                     x_offsets=dict(curve.x_offsets))
+                     n_max=curve.n_max, x_offsets=dict(curve.x_offsets))
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +357,7 @@ def localize_global_curve(gcurve: GlobalCurve, n_max: int) -> CurveData:
 
     exact = exact and not any(phi.values())
     curve = validate_local_curve(points, phi=phi,
-                                 n_max=None if exact else n_max,
-                                 provenance="global")
+                                 n_max=None if exact else n_max)
     curve.x_offsets = offsets
     return curve
 

@@ -39,7 +39,7 @@ from itertools import combinations, permutations
 from math import comb
 
 from .curves import CurveData
-from .cycles import LocalForm, bhat, gamma
+from .cycles import LocalCycle, LocalForm, bhat, gamma
 from .errors import PrecisionError, UnsupportedError
 from .series import FORM, LaurentSeries
 
@@ -84,23 +84,13 @@ class OmegaTable:
         contracted = tuple(contracted)
         if len(contracted) != n - 1:
             raise ValueError("need n-1 contracted labels")
-        out = None
         tab = self.tables.get((g, n), {})
-        done = set()
-        for key in tab:
+        cycle = {}
+        for key, v in tab.items():
             rest = _multiset_diff(key, contracted)
-            if rest is None or len(rest) != 1:
-                continue
-            e = rest[0]
-            if e in done:
-                continue
-            done.add(e)
-            v = tab[key]
-            piece = bhat(gamma(self.curve, e[0], e[1]), self.curve).scale(v)
-            out = piece if out is None else out + piece
-        if out is None:
-            out = LocalForm(self.curve, {})
-        return out
+            if rest is not None and len(rest) == 1:
+                cycle[rest[0]] = v
+        return bhat(LocalCycle(self.field, cycle), self.curve)
 
 
 def _multiset_diff(key, part):
@@ -143,7 +133,7 @@ class _Engine:
         self.curve = curve
         self.field = curve.field
         self._denom = {}      # (label, j, order) -> inverse series
-        self._basis = {}      # (at_label, e) -> unrotated kernel-map series
+        self._basis = {}      # e -> kernel map of Gamma_e (a LocalForm)
         self._rot = {}        # (at_label, e, j) -> rotated series
         self._bridge = {}     # (label, jp, jq) -> weight-2 series
         self._leg = {}        # (label, k_spec, j) -> rotated monomial
@@ -165,21 +155,10 @@ class _Engine:
 
     def basis_form(self, at_label: str, e: tuple) -> LaurentSeries:
         """Expansion at ``at_label`` of the kernel map of Gamma_e."""
-        key = (at_label, e)
-        got = self._basis.get(key)
+        got = self._basis.get(e)
         if got is None:
-            fld = self.field
-            d = {}
-            blabel, k = e
-            if k >= 1 and blabel == at_label:
-                d[-k - 1] = fld.coerce(k)
-            if k >= 1:
-                for j, v in self.curve.phi_row(at_label, e).items():
-                    d[j - 1] = d.get(j - 1, fld.zero()) + v
-            hi = None if self.curve.is_purely_local else self.curve.tail_hi()
-            got = LaurentSeries(fld, d, hi=hi, weight=FORM)
-            self._basis[key] = got
-        return got
+            got = self._basis[e] = bhat(gamma(self.curve, *e), self.curve)
+        return got.at(at_label)
 
     def rotated_basis(self, at_label: str, e: tuple, j: int) -> LaurentSeries:
         if j == 0:
@@ -407,24 +386,31 @@ def _point_row(engine: _Engine, table: OmegaTable, label: str, g: int,
     out block maps {S_b: series}.
     Unless ``every_k0``, only readings with (label,k0) <= min(S) are kept.
     """
-    r = engine.curve.order(label)
     row = {}
+    for slot_rot, part in _kernel_terms(engine.curve.order(label)):
+        ell = len(part)
+        k = len(slot_rot)
+        if g - k + ell < 0:
+            continue
+        for gs in _compositions(g - k + ell, ell):
+            for counts in _compositions(n, ell):
+                layout = list(zip(part, gs, counts))
+                if any(gb == 0 and len(slots) + c == 1
+                       for slots, gb, c in layout):
+                    continue
+                _add_terms(engine, table, label, slot_rot, layout,
+                           every_k0, row)
+    return row
+
+
+def _kernel_terms(r: int):
+    """(slot rotations, slot partition) of every kernel term at a point of
+    order r: each order k = 2..r, each Galois subset of k-1 nontrivial
+    rotations (slot 0 is unrotated), each set partition of the k slots."""
     for k in range(2, r + 1):
         for js in combinations(range(1, r), k - 1):
-            slot_rot = (0,) + js
             for part in _set_partitions(list(range(k))):
-                ell = len(part)
-                if g - k + ell < 0:
-                    continue
-                for gs in _compositions(g - k + ell, ell):
-                    for counts in _compositions(n, ell):
-                        layout = list(zip(part, gs, counts))
-                        if any(gb == 0 and len(slots) + c == 1
-                               for slots, gb, c in layout):
-                            continue
-                        _add_terms(engine, table, label, slot_rot, layout,
-                                   every_k0, row)
-    return row
+                yield (0,) + js, part
 
 
 def _add_terms(engine, table, label, slot_rot, layout, every_k0, row):
@@ -574,9 +560,5 @@ def kk_apply(curve: CurveData, k: int, label: str, summands) -> LocalForm:
             for k0, v in engine.kernel_contract(label, slot_rot[1:],
                                                 factors).items():
                 totals[k0] = totals[k0] + v if k0 in totals else v
-    out = None
-    for k0, v in sorted(totals.items()):
-        if v:
-            piece = bhat(gamma(curve, label, k0), curve).scale(v)
-            out = piece if out is None else out + piece
-    return out if out is not None else LocalForm(curve, {})
+    return bhat(LocalCycle(curve.field, {(label, k0): v
+                                         for k0, v in totals.items()}), curve)

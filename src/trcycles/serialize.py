@@ -27,7 +27,10 @@ def scalar_to_str(field, value) -> str:
 
 
 def str_to_fraction(text) -> Fraction:
-    return Fraction(str(text))
+    try:
+        return Fraction(str(text))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def curve_hash(curve: CurveData) -> str:
@@ -39,20 +42,6 @@ def curve_hash(curve: CurveData) -> str:
 
 def dump_curve_spec(curve: CurveData) -> str:
     return canonical_json(curve.canonical_dict())
-
-
-def dump_global_spec(g: GlobalCurve) -> str:
-    doc = {
-        "version": 1,
-        "kind": "global",
-        "x": {"num": [str(Fraction(c)) for c in g.x.num],
-              "den": [str(Fraction(c)) for c in g.x.den]},
-        "y": {"num": [str(Fraction(c)) for c in g.y.num],
-              "den": [str(Fraction(c)) for c in g.y.den]},
-        "declared_ramification": [[str(Fraction(a)), int(r)]
-                                  for a, r in g.declared_ramification],
-    }
-    return canonical_json(doc)
 
 
 def _integer(value, what: str) -> int:

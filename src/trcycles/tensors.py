@@ -7,7 +7,10 @@ residues.  The tensor recursion then rebuilds correlators by pure
 contraction, and the verifiers expand the annihilation identities in
 (hbar, times)-coefficients, which must all vanish.  Every kernel residue,
 scalar or HPoly-valued, is taken by the one routine
-``_Engine.kernel_contract`` that also drives the correlator recursion.
+``_Engine.kernel_contract`` that also drives the correlator recursion,
+and the higher verifier's W and U blocks are the recursion's own
+``_Engine.table_block`` maps, summed over the table levels with their
+hbar and times weights.
 
 Slot conventions for the stored B-tensor follow its defining residue:
 B[i1, i2, i3] contracts the kernel output with i1, feeds the basis form
@@ -19,7 +22,7 @@ therefore pairs with derivatives and the i3 slot with time variables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, combinations_with_replacement, product
+from itertools import product
 
 from .curves import CurveData
 from .errors import UnsupportedError
@@ -27,6 +30,7 @@ from .recursion import (
     OmegaTable,
     _deal_count,
     _Engine,
+    _kernel_terms,
     _multiset_diff,
     _set_partitions,
 )
@@ -319,8 +323,8 @@ def _airy_index_variables(table: OmegaTable):
 
 
 def verify_quadratic_pde(curve: CurveData, at: AiryTensors,
-                         table: OmegaTable, hbar_max: int, deg_max: int,
-                         perturb=None) -> ResidualReport:
+                         table: OmegaTable, hbar_max: int,
+                         deg_max: int) -> ResidualReport:
     """Expand the quadratic annihilation operator on Z(t') and collect all
     (hbar, monomial) residual coefficients up to the cutoffs.
 
@@ -333,8 +337,6 @@ def verify_quadratic_pde(curve: CurveData, at: AiryTensors,
 
     applied to log Z (all sums over the full label set).
     """
-    if perturb is not None:
-        at = at.copy_with_perturbation(*perturb)
     fld = curve.field
     chi_needed = min(hbar_max, table.chi_max)
     caps = (hbar_max, deg_max)
@@ -398,30 +400,6 @@ def verify_quadratic_pde(curve: CurveData, at: AiryTensors,
 # ---------------------------------------------------------------------------
 # Order-by-order verification of the higher annihilation operator.
 
-def _g_tensor(table: OmegaTable, m: int, e_tuple: tuple, caps: tuple,
-              hbar_cap: int) -> HPoly:
-    """Coefficient polynomial of the m-fold insertion of log Z', attached
-    to basis labels e_tuple (sorted): sum over (g,n) of
-    hbar^(2g-2+n)/n! F[g,n+m][e..., i...] t'_{i...}."""
-    out = HPoly((), caps)
-    for (g, nm), tab in table.tables.items():
-        n = nm - m
-        if n < 0 or (g, n) == (0, 0):
-            continue
-        h = 2 * g - 2 + n
-        if h > hbar_cap:
-            continue
-        entries = []
-        for key, value in tab.items():
-            rest = _multiset_diff(key, e_tuple)
-            if rest is not None and len(rest) == n:
-                entries.append((rest, value))
-        poly = times_polynomial(entries)
-        if poly:
-            out = out + HPoly({h: poly})
-    return out
-
-
 def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
                       drop_terms: tuple = ()) -> ResidualReport:
     """Verify, coefficient by coefficient, that the order-r annihilation
@@ -431,8 +409,13 @@ def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
     the sum over kernel orders of all partition-labeled kernel terms) are
     expanded over basis contractions with (hbar, times)-polynomial
     coefficients: each kernel term is one HPoly-valued column of
-    ``_Engine.kernel_contract``.  ``drop_terms`` removes structural term
-    classes, e.g. ``(3, (('U', 2), ('W', 1)))``, for negative controls.
+    ``_Engine.kernel_contract``.  The left side is the derivative of log Z
+    (``assemble_logZ``).  The blocks are the recursion's own
+    ``_Engine.table_block`` maps: an m-fold insertion block sums, over the
+    stored levels (g, m+n), each spectator multiset S weighted by
+    hbar^(2g-2+m+n) t^S/|Aut S|; a disc-free block is the genus-zero
+    map at S = ().  ``drop_terms`` removes structural term classes, e.g.
+    ``(3, (('U', 2), ('W', 1)))``, for negative controls.
 
     Term classes are keyed (k, sorted block descriptors) with descriptors
     ('W', m) for m-fold insertion blocks and ('U', m) for disc-free
@@ -446,18 +429,19 @@ def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
     deg_cap = hbar_cap + 2
     ring = HPolyRing(curve.field, (hbar_cap, deg_cap))
     variables = _airy_index_variables(table)
+    logz = assemble_logZ(table, hbar_cap + 1).terms
     report = ResidualReport(checked_orders=(hbar_cap, deg_cap))
 
     for label in curve.labels:
-        r = curve.order(label)
         point_vars = [v for v in variables if v[0] == label]
         lhs = {}    # k0 -> HPoly
-        for (lb, k0) in point_vars:
-            g1 = _g_tensor(table, 1, ((lb, k0),), ring.caps, hbar_cap)
-            if g1:
-                lhs[k0] = g1
-        # W-block series per (m, rotation multiset): basis expansion plus,
-        # for m = 1, the contracted-leg part of the one-form pairing term
+        for v in point_vars:
+            d = logz.deriv(v).shift(-1)
+            if d:
+                lhs[v[1]] = d
+        # W-block series per (m, rotation multiset): the table blocks of
+        # every level plus, for m = 1, the contracted-leg part of the
+        # one-form pairing term
         wcache = {}
 
         def w_series(m: int, rots: tuple) -> LaurentSeries:
@@ -470,14 +454,15 @@ def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
             def add(ex, poly):
                 coeffs[ex] = coeffs[ex] + poly if ex in coeffs else poly
 
-            for e_tuple in combinations_with_replacement(point_vars, m):
-                g = _g_tensor(table, m, e_tuple, ring.caps, hbar_cap - m)
-                if not g:
+            for (g, mn) in table.tables:
+                h = 2 * g - 2 + mn
+                if mn < m or (g, mn) == (0, m) or h > hbar_cap:
                     continue
-                g = g.shift(m)
-                for ex, c in engine.basis_product(label, e_tuple,
-                                                  rots).coeffs.items():
-                    add(ex, g * c)
+                for spec, f in engine.table_block(table, label, g, mn,
+                                                  rots).items():
+                    for ex, c in f.coeffs.items():
+                        add(ex, HPoly({h: times_polynomial([(spec, c)])},
+                                      ring.caps))
             if m == 1:
                 # the one-form pairing term of the single insertion: its
                 # hbar^-1 meets the block's hbar^1 dressing at order zero
@@ -495,43 +480,38 @@ def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
             rots = tuple(slot_rot[s] for s in block_slots)
             if m == 2:
                 return engine.bridge(label, *rots).over(ring)
-            block = LaurentSeries.zero(curve.field, weight=m)
-            for key, value in table.entries(0, m).items():
-                if all(e[0] == label for e in key):
-                    block = block + engine.basis_product(label, key,
-                                                         rots).scale(value)
+            block = engine.table_block(table, label, 0, m, rots).get(
+                (), LaurentSeries.zero(curve.field))
             return LaurentSeries(
                 ring, {ex: HPoly({m - 2: {(): c}}, ring.caps)
                        for ex, c in block.coeffs.items()}, weight=m)
 
         rhs = {}            # k0 -> HPoly
         structure = {}      # class -> contracted nonzero flag
-        for k in range(2, r + 1):
-            for js in combinations(range(1, r), k - 1):
-                slot_rot = (0,) + js
-                for part in _set_partitions(list(range(k))):
-                    for labeling in _labelings(part):
-                        desc = (k, tuple(sorted(
-                            (("U", len(b)) if lab == "U" else ("W", len(b)))
-                            for b, lab in zip(part, labeling))))
-                        if desc in drop_terms:
-                            continue
-                        blocks = [
-                            u_series(b, slot_rot) if lab == "U"
-                            else w_series(len(b), tuple(slot_rot[x] for x in b))
-                            for b, lab in zip(part, labeling)]
-                        column = engine.kernel_contract(label, js, blocks)
-                        if not column:
-                            continue
-                        nonzero = False
-                        for k0, poly in column.items():
-                            # kernels of the hbar-rescaled curve: hbar^(k-2)
-                            poly = HPoly({h + k - 2: p for h, p in poly.items()
-                                          if h + k - 2 <= hbar_cap}, ring.caps)
-                            if poly:
-                                nonzero = True
-                                rhs[k0] = rhs[k0] + poly if k0 in rhs else poly
-                        structure[desc] = structure.get(desc, False) or nonzero
+        for slot_rot, part in _kernel_terms(curve.order(label)):
+            k = len(slot_rot)
+            for labeling in _labelings(part):
+                desc = (k, tuple(sorted(
+                    (("U", len(b)) if lab == "U" else ("W", len(b)))
+                    for b, lab in zip(part, labeling))))
+                if desc in drop_terms:
+                    continue
+                blocks = [
+                    u_series(b, slot_rot) if lab == "U"
+                    else w_series(len(b), tuple(slot_rot[x] for x in b))
+                    for b, lab in zip(part, labeling)]
+                column = engine.kernel_contract(label, slot_rot[1:], blocks)
+                if not column:
+                    continue
+                nonzero = False
+                for k0, poly in column.items():
+                    # kernels of the hbar-rescaled curve: hbar^(k-2)
+                    poly = HPoly({h + k - 2: p for h, p in poly.items()
+                                  if h + k - 2 <= hbar_cap}, ring.caps)
+                    if poly:
+                        nonzero = True
+                        rhs[k0] = rhs[k0] + poly if k0 in rhs else poly
+                structure[desc] = structure.get(desc, False) or nonzero
         for k0 in sorted(set(lhs) | set(rhs)):
             res = lhs.get(k0, ring.zero()) - rhs.get(k0, ring.zero())
             for h in sorted(res):

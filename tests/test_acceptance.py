@@ -126,8 +126,9 @@ def test_criterion_3_quadratic_pde():
                               ("D", [(i,) for i in at.D]),
                               ("B", list(at.B)), ("C", list(at.C))):
             for key in entries:
-                pert = verify_quadratic_pde(curve, at, table, 4, 4,
-                                            perturb=(name, key, 1))
+                pert = verify_quadratic_pde(
+                    curve, at.copy_with_perturbation(name, key, 1),
+                    table, 4, 4)
                 if cofactor_nonzero(name, key):
                     assert not pert.ok, (name, key)
                     swept += 1

@@ -467,3 +467,58 @@ def test_malformed_curve_spec_is_a_parse_error(tmp_path, capsys, spec,
     f.write_text(json.dumps(spec))
     assert run("compute", "--curve", str(f)) == 2
     assert _error(capsys) == {"code": "parse", "exit": 2, "message": message}
+
+
+@pytest.mark.parametrize("case", ["time", "phi", "num", "den", "coordinate",
+                                  "perturb"])
+def test_zero_denominator_rational_is_a_parse_error(tmp_path, capsys, case):
+    # "1/0" used to escape as a ZeroDivisionError traceback with exit 1
+    command, extra = "compute", ()
+    if case == "time":
+        f = _local_spec(tmp_path, times={"3": "1", "5": "1/0"})
+    elif case == "phi":
+        f = _local_spec(tmp_path, phi=[[["1", 1], ["1", 1], "1/0"]])
+    elif case == "perturb":
+        f = str(DATA / "airy.json")
+        command, extra = "verify", ("--perturb", "D,(1,3),1/0")
+    else:
+        spec = json.loads((DATA / "cubic_global.json").read_text())
+        if case == "coordinate":
+            spec["declared_ramification"][0][0] = "1/0"
+        else:
+            spec["x"][case][0] = "1/0"
+        f = tmp_path / "global.json"
+        f.write_text(json.dumps(spec))
+    assert run(command, "--curve", str(f), *extra) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == {
+        "code": "parse", "exit": 2, "message": "zero denominator in '1/0'"}
+
+
+@pytest.mark.parametrize("argv", [
+    # options another command reads used to be accepted and ignored
+    ("compute", "--perturb", "D,(1,3),+1", "--results", "missing.json"),
+    ("compute", "--hbar-max", "2"),
+    ("localize", "--chi-max", "9"),
+    ("localize", "--format", "table"),
+    # argparse errors used to print usage text but no record
+    ("compute", "--chi-max", "x"),
+    ("verify", "--format", "table"),
+])
+def test_option_errors_are_one_parse_record(capsys, argv):
+    command, *rest = argv
+    assert run(command, "--curve", str(DATA / "airy.json"), *rest) == 2
+    err = _error(capsys)
+    assert (err["code"], err["exit"]) == ("parse", 2)
+    assert err["message"].startswith("trcycles")
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("localize", "--help")
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert "--n-max" in usage and "--chi-max" not in usage

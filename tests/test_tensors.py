@@ -147,11 +147,13 @@ def test_quadratic_pde_perturbations(airy_curve, airy_tensors, airy_table):
         ("C", (("1", 5), ("1", 1), ("1", 1))),
     ]
     for name, idx in cases:
-        rep = verify_quadratic_pde(airy_curve, airy_tensors, airy_table,
-                                   4, 4, perturb=(name, idx, 1))
+        rep = verify_quadratic_pde(
+            airy_curve, airy_tensors.copy_with_perturbation(name, idx, 1),
+            airy_table, 4, 4)
         assert not rep.ok, name
-    rep = verify_quadratic_pde(airy_curve, airy_tensors, airy_table,
-                               4, 4, perturb=("D", (("1", 3),), 1))
+    rep = verify_quadratic_pde(
+        airy_curve, airy_tensors.copy_with_perturbation("D", (("1", 3),), 1),
+        airy_table, 4, 4)
     assert rep.first_nonzero()[1] == 1   # residual located at order one
 
 
@@ -170,12 +172,23 @@ def test_higher_pde_r3(r3_curve, r3_table):
     assert rep.ok, rep.first_nonzero()
 
 
-def test_higher_pde_falsifiable(r3_curve, r3_table):
-    for desc in [(2, (("U", 2),)),
-                 (3, (("W", 3),)),
-                 (3, (("W", 1), ("W", 1), ("W", 1)))]:
-        rep = verify_higher_pde(r3_curve, r3_table, 3, drop_terms=(desc,))
-        assert not rep.ok, desc
+def test_higher_pde_falsifiable(airy_curve, airy_table, r3_curve, r3_table):
+    # each dropped class leaves exactly these residuals (count, first)
+    r3, airy = ("0", r3_curve, r3_table), ("1", airy_curve, airy_table)
+    for (lb, curve, table), desc, count, first in [
+            (r3, (2, (("U", 2),)), 1, (4, 0, (), Fraction(1, 12))),
+            (r3, (3, (("W", 3),)), 2, (11, 3, ((5, 1),), Fraction(-2, 33))),
+            (r3, (3, (("W", 1), ("W", 1), ("W", 1))), 45,
+             (2, 1, ((1, 2), (4, 1)), Fraction(-1, 2))),
+            (airy, (2, (("U", 2),)), 1, (3, 0, (), Fraction(1, 24))),
+            (airy, (2, (("W", 2),)), 12, (5, 1, ((1, 1),), Fraction(1, 10))),
+            (airy, (2, (("W", 1), ("W", 1))), 41,
+             (1, 0, ((1, 2),), Fraction(1, 2)))]:
+        rep = verify_higher_pde(curve, table, 3, drop_terms=(desc,))
+        k0, h, mon, value = first
+        assert len(rep.entries) == count, desc
+        assert rep.first_nonzero() == \
+            ((lb, k0), h, tuple(((lb, k), m) for k, m in mon), value), desc
 
 
 def test_higher_pde_mixed_r3(r3_mixed_curve, r3_mixed_table):
@@ -184,7 +197,8 @@ def test_higher_pde_mixed_r3(r3_mixed_curve, r3_mixed_table):
     # the disc-free triple term is required on generic order-3 curves
     rep2 = verify_higher_pde(r3_mixed_curve, r3_mixed_table, 2,
                              drop_terms=((3, (("U", 3),)),))
-    assert not rep2.ok
+    assert len(rep2.entries) == 8
+    assert rep2.first_nonzero() == (("0", 1), 2, (), Fraction(-1, 3072))
 
 
 def test_bridge_insertion_class_aggregates_to_zero(r3_curve, r3_table):
