@@ -15,6 +15,9 @@ legs for spectator variables.  The sum runs over the terms themselves, not
 over candidate entries: each block is a map from its spectator multiset to
 its series, the Cartesian product of the blocks' maps lists every term that
 can be nonzero, and one kernel product per term yields the whole k0 row.
+A correlator block is contracted with the rotated basis forms one slot at
+a time (``_Engine.table_block``): partial sums over the entries meet each
+distinct remaining index, so no slot ordering is formed twice.
 All arithmetic is exact; windows are asserted at every coefficient
 extraction.
 
@@ -35,7 +38,7 @@ guard.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 
 from .curves import CurveData
@@ -81,27 +84,26 @@ class OmegaTable:
         ``contracted``: n-1 labels (a,k); returns sum_e F[e, contracted]
         bhat(Gamma_e) as a LocalForm.
         """
-        contracted = tuple(contracted)
+        contracted = tuple(sorted(contracted))
         if len(contracted) != n - 1:
             raise ValueError("need n-1 contracted labels")
-        tab = self.tables.get((g, n), {})
-        cycle = {}
-        for key, v in tab.items():
-            rest = _multiset_diff(key, contracted)
-            if rest is not None and len(rest) == 1:
-                cycle[rest[0]] = v
+        cycle = {e: v for key, v in self.tables.get((g, n), {}).items()
+                 for e, rest in _drops(key) if rest == contracted}
         return bhat(LocalCycle(self.field, cycle), self.curve)
 
 
-def _multiset_diff(key, part):
-    """key minus part as sorted tuple, or None if part is not contained."""
-    items = list(key)
-    for p in part:
-        try:
-            items.remove(p)
-        except ValueError:
-            return None
-    return tuple(items)
+def _drops(key):
+    """(e, key minus one e) for each distinct index e of a sorted key."""
+    for i, e in enumerate(key):
+        if i == 0 or e != key[i - 1]:
+            yield e, key[:i] + key[i + 1:]
+
+
+def _levels(chi_max):
+    """(g, n) of every level 2g - 2 + n = 1 .. chi_max, in fill order."""
+    for chi in range(1, chi_max + 1):
+        for g in range((chi + 1) // 2 + 1):
+            yield g, chi + 2 - 2 * g
 
 
 def _set_partitions(items):
@@ -216,41 +218,36 @@ class _Engine:
         self._bridge[key] = got
         return got
 
-    def basis_product(self, label: str, es, rotations) -> LaurentSeries:
-        """Sum over the distinct orderings of the labels ``es`` of the
-        product of their rotated basis forms, paired with the sorted
-        ``rotations`` (the sum is symmetric in the rotations)."""
-        rots = sorted(rotations)
-        out = None
-        for arrangement in set(permutations(es)):
-            piece = None
-            for e, j in zip(arrangement, rots):
-                s = self.rotated_basis(label, e, j)
-                piece = s if piece is None else piece * s
-            out = piece if out is None else out + piece
-        return out
-
     def table_block(self, table: OmegaTable, label: str, gb: int, mb: int,
                     rotations: tuple) -> dict:
         """F[gb,mb] as a kernel block with ``len(rotations)`` slots at
         ``label``: {spectator multiset S: sum over slot labels e of
         F[gb,mb][e..., S] * product of rotated basis forms}, nonzero
-        series only.  Cached per engine (only completed tables are read);
-        the value is symmetric in the rotations, so the key sorts them."""
+        series only.  The entries are contracted one slot at a time: each
+        partial {rest: series} meets every distinct index e of its rest,
+        so every ordering of a slot multiset is met once, and partials
+        are summed before the next slot multiplies them.  Only the
+        finished block drops zeros: a truncated partial that is zero up
+        to its ceiling is unknown above it.  Cached per engine (only
+        completed tables are read); the value is symmetric in the
+        rotations, so the key sorts them."""
         rots = tuple(sorted(rotations))
         key = (label, gb, mb, rots)
         got = self._slice.get(key)
         if got is None:
-            sums = {}
-            for entry, value in table.entries(gb, mb).items():
-                for rest in set(combinations(entry, len(rots))):
-                    if self.curve.is_purely_local and \
-                            any(e[0] != label for e in rest):
-                        continue
-                    spec = _multiset_diff(entry, rest)
-                    piece = self.basis_product(label, rest, rots).scale(value)
-                    sums[spec] = sums[spec] + piece if spec in sums else piece
-            got = self._slice[key] = {spec: f for spec, f in sums.items()
+            partial = table.entries(gb, mb)
+            for slot, j in enumerate(rots):
+                sums = {}
+                for spec, f in partial.items():
+                    for e, rest in _drops(spec):
+                        if self.curve.is_purely_local and e[0] != label:
+                            continue
+                        s = self.rotated_basis(label, e, j)
+                        piece = s.scale(f) if slot == 0 else s * f
+                        sums[rest] = sums[rest] + piece if rest in sums \
+                            else piece
+                partial = sums
+            got = self._slice[key] = {spec: f for spec, f in partial.items()
                                       if not f.is_zero()}
         return got
 
@@ -344,33 +341,29 @@ def compute_omega_table(curve: CurveData, chi_max: int,
     engine = _Engine(curve)
     table = OmegaTable(curve, chi_max)
     zero = curve.field.zero()
-    for chi in range(1, chi_max + 1):
-        for g in range(0, (chi + 1) // 2 + 1):
-            n1 = chi + 2 - 2 * g
-            if n1 < 1:
-                continue
-            readings = {}   # sorted key -> {distinguished index: value}
-            for label in curve.labels:
-                try:
-                    row = _point_row(engine, table, label, g, n1 - 1,
-                                     check_symmetry)
-                except PrecisionError as exc:
-                    raise PrecisionError(
-                        f"insufficient truncation at (g,n)=({g},{n1}), "
-                        f"point {label!r}: {exc}") from exc
-                for (k0, spec), value in row.items():
-                    i0 = (label, k0)
-                    key = tuple(sorted((i0,) + spec))
-                    readings.setdefault(key, {})[i0] = value
-            for key in sorted(readings):
-                got = readings[key]
-                value = got.get(key[0], zero)
-                if check_symmetry and \
-                        any(got.get(i, zero) != value for i in set(key)):
-                    raise AssertionError(
-                        f"symmetry violation at F[{g},{n1}]{key}: {got}")
-                if value:
-                    table.set_entry(g, n1, key, value)
+    for g, n1 in _levels(chi_max):
+        readings = {}   # sorted key -> {distinguished index: value}
+        for label in curve.labels:
+            try:
+                row = _point_row(engine, table, label, g, n1 - 1,
+                                 check_symmetry)
+            except PrecisionError as exc:
+                raise PrecisionError(
+                    f"insufficient truncation at (g,n)=({g},{n1}), "
+                    f"point {label!r}: {exc}") from exc
+            for (k0, spec), value in row.items():
+                i0 = (label, k0)
+                key = tuple(sorted((i0,) + spec))
+                readings.setdefault(key, {})[i0] = value
+        for key in sorted(readings):
+            got = readings[key]
+            value = got.get(key[0], zero)
+            if check_symmetry and \
+                    any(got.get(i, zero) != value for i in set(key)):
+                raise AssertionError(
+                    f"symmetry violation at F[{g},{n1}]{key}: {got}")
+            if value:
+                table.set_entry(g, n1, key, value)
     return table
 
 

@@ -29,9 +29,10 @@ from .errors import UnsupportedError
 from .recursion import (
     OmegaTable,
     _deal_count,
+    _drops,
     _Engine,
     _kernel_terms,
-    _multiset_diff,
+    _levels,
     _set_partitions,
 )
 from .series import LaurentSeries
@@ -103,18 +104,8 @@ def _parity_filter(curve: CurveData) -> bool:
     return True
 
 
-def _target_index_bound(chi_max: int) -> int:
-    best = 2
-    for chi in range(1, chi_max + 1):
-        for g in range(0, (chi + 1) // 2 + 1):
-            n = chi + 2 - 2 * g
-            if n >= 1:
-                best = max(best, 6 * g - 4 + 2 * n)
-    return best
-
-
 def compute_airy_tensors(curve: CurveData, table: OmegaTable,
-                         chi_max: int | None = None) -> AiryTensors:
+                         chi_max: int) -> AiryTensors:
     """Tensors of the quadratic Airy structure of a simple-ramification
     curve: A and D from the correlator table, C and B from kernel
     residues."""
@@ -123,15 +114,13 @@ def compute_airy_tensors(curve: CurveData, table: OmegaTable,
             raise UnsupportedError(
                 "the quadratic tensor form needs simple ramification "
                 "everywhere; use the order-by-order verifier instead")
-    if chi_max is None:
-        chi_max = table.chi_max
     engine = _Engine(curve)
     fld = curve.field
     # the index bound and the parity filter fix which entries the tensors
     # have, not only which columns are skipped: entries outside them can
     # be nonzero (unfiltered, airy chi 3 has 21 C and 36 B entries instead
     # of 6 and 18), and the compute output publishes these tensors
-    kmax = _target_index_bound(chi_max)
+    kmax = max((6 * g - 4 + 2 * n for g, n in _levels(chi_max)), default=2)
     odd_only = _parity_filter(curve)
     ks = [k for k in range(1, kmax + 1) if not odd_only or k % 2 == 1]
 
@@ -205,57 +194,48 @@ def tensor_recursion(at: AiryTensors, chi_max: int) -> OmegaTable:
     for (i0, j, s), v in at.B.items():
         brows.setdefault(j, []).append((i0, s, v))
 
-    for chi in range(1, chi_max + 1):
-        for g in range(0, (chi + 1) // 2 + 1):
-            n1 = chi + 2 - 2 * g
-            if n1 < 1 or (g, n1) in ((0, 3), (1, 1)):
-                continue
-            acc = {}    # key -> 2 F[g,n1][key]
+    for g, n1 in _levels(chi_max):
+        if (g, n1) in ((0, 3), (1, 1)):
+            continue
+        acc = {}    # key -> 2 F[g,n1][key]
 
-            def add(key, v):
-                acc[key] = acc[key] + v if key in acc else v
+        def add(key, v):
+            acc[key] = acc[key] + v if key in acc else v
 
-            def add_c(e, ep, rest, v):
-                for i0, c in crows.get((e, ep), ()):
-                    if rest and i0 > rest[0]:
-                        break
-                    add((i0,) + rest, c * v)
+        def add_c(e, ep, rest, v):
+            for i0, c in crows.get((e, ep), ()):
+                if rest and i0 > rest[0]:
+                    break
+                add((i0,) + rest, c * v)
 
-            for key, v in table.entries(g - 1, n1 + 1).items():
-                for e, part in _drops(key):
-                    for ep, rest in _drops(part):
-                        add_c(e, ep, rest, v)
-            for g1 in range(g + 1):
-                for m1 in range(1, n1 + 1):
-                    g2, m2 = g - g1, n1 + 1 - m1
-                    if 2 * g1 - 2 + m1 <= 0 or 2 * g2 - 2 + m2 <= 0:
-                        continue
-                    right = _slots(table.entries(g2, m2))
-                    for e, lefts in _slots(table.entries(g1, m1)).items():
-                        for ep, rights in right.items():
-                            if (e, ep) not in crows:
-                                continue
-                            for r1, v1 in lefts:
-                                for r2, v2 in rights:
-                                    add_c(e, ep, tuple(sorted(r1 + r2)),
-                                          _deal_count((r1, r2)) * v1 * v2)
-            for key, v in table.entries(g, n1 - 1).items():
-                for j, part in _drops(key):
-                    for i0, s, b in brows.get(j, ()):
-                        rest = tuple(sorted(part + (s,)))
-                        if i0 <= rest[0]:
-                            add((i0,) + rest, 2 * rest.count(s) * b * v)
-            for key, v in acc.items():
-                if v:
-                    table.set_entry(g, n1, key, v / 2)
+        for key, v in table.entries(g - 1, n1 + 1).items():
+            for e, part in _drops(key):
+                for ep, rest in _drops(part):
+                    add_c(e, ep, rest, v)
+        for g1 in range(g + 1):
+            for m1 in range(1, n1 + 1):
+                g2, m2 = g - g1, n1 + 1 - m1
+                if 2 * g1 - 2 + m1 <= 0 or 2 * g2 - 2 + m2 <= 0:
+                    continue
+                right = _slots(table.entries(g2, m2))
+                for e, lefts in _slots(table.entries(g1, m1)).items():
+                    for ep, rights in right.items():
+                        if (e, ep) not in crows:
+                            continue
+                        for r1, v1 in lefts:
+                            for r2, v2 in rights:
+                                add_c(e, ep, tuple(sorted(r1 + r2)),
+                                      _deal_count((r1, r2)) * v1 * v2)
+        for key, v in table.entries(g, n1 - 1).items():
+            for j, part in _drops(key):
+                for i0, s, b in brows.get(j, ()):
+                    rest = tuple(sorted(part + (s,)))
+                    if i0 <= rest[0]:
+                        add((i0,) + rest, 2 * rest.count(s) * b * v)
+        for key, v in acc.items():
+            if v:
+                table.set_entry(g, n1, key, v / 2)
     return table
-
-
-def _drops(key):
-    """(e, key minus one e) for each distinct index e of a sorted key."""
-    for i, e in enumerate(key):
-        if i == 0 or e != key[i - 1]:
-            yield e, key[:i] + key[i + 1:]
 
 
 def _slots(entries):
@@ -358,12 +338,11 @@ def verify_quadratic_pde(curve: CurveData, at: AiryTensors,
             res = res + HPoly({1: {(): -dval}}, caps)
         acc_a = zero
         for key, v in at.A.items():
-            rest = _multiset_diff(key, (i0,))
-            if rest is None:
-                continue
-            npairs = 1 if rest[0] == rest[1] else 2
-            acc_a = acc_a + HPoly(
-                {0: {monomial_from_multiset(rest): v * npairs}}, caps)
+            for e, rest in _drops(key):
+                if e == i0:
+                    npairs = 1 if rest[0] == rest[1] else 2
+                    acc_a = acc_a + HPoly(
+                        {0: {monomial_from_multiset(rest): v * npairs}}, caps)
         if acc_a:
             res = res + acc_a.shift(1) * (fld.coerce(-1) / 4)
         acc_b = zero

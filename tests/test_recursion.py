@@ -1,5 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import engine_entry
-from unpruned import unpruned_table
+from unpruned import _block_series, unpruned_table
 from trcycles import (
     DiagonalB,
     PairProduct,
@@ -17,6 +18,7 @@ from trcycles import (
     kk_apply,
     scale_curve,
     validate_local_curve,
+    verify_higher_pde,
 )
 from trcycles import localize_global_curve, recursion
 from trcycles.errors import PrecisionError, UnsupportedError
@@ -216,6 +218,99 @@ def test_kernel_products_per_table(monkeypatch, points, chi, calls):
     monkeypatch.setattr(recursion._Engine, "kernel_contract", counted)
     compute_omega_table(validate_local_curve(points), chi)
     assert count[0] == calls
+
+
+def test_table_block_matches_arrangement_sum(monkeypatch):
+    # every block the fill and the higher verifier request equals, for
+    # every spectator multiset, the sum over the entries and over every
+    # distinct ordering of their slot labels of one product of rotated
+    # basis forms, in coefficients and in truncation
+    requested = {}
+    block = recursion._Engine.table_block
+
+    def recorded(self, table, label, gb, mb, rotations):
+        got = block(self, table, label, gb, mb, rotations)
+        requested[id(table), label, gb, mb, tuple(sorted(rotations))] = \
+            (table, got)
+        return got
+
+    monkeypatch.setattr(recursion._Engine, "table_block", recorded)
+    cases = [
+        (validate_local_curve([("0", 3, {4: 1})]), 4),
+        (validate_local_curve([("0", 4, {5: 1})]), 3),
+        (validate_local_curve([("a", 2, {3: 1}), ("b", 3, {4: 1})]), 3),
+        (validate_local_curve([("1", 2, {3: 2, 5: Fraction(1, 3)}),
+                               ("-1", 2, {3: 2})]), 5),
+        (_cubic_global(12), 2),
+    ]
+    for curve, chi in cases:
+        requested.clear()
+        table = compute_omega_table(curve, chi)
+        if curve.is_purely_local:
+            verify_higher_pde(curve, table, 3)
+        reference = recursion._Engine(curve)
+        for (_, label, gb, mb, rots), (tab, got) in requested.items():
+            specs = {spec for key in tab.entries(gb, mb)
+                     for spec in combinations(key, mb - len(rots))}
+            assert set(got) <= specs
+            for spec in specs:
+                want = _block_series(reference, tab, label, gb, mb, rots,
+                                     spec)
+                have = got.get(spec)
+                if have is None:
+                    assert want.is_zero(), (label, gb, mb, rots, spec)
+                else:
+                    assert (have.coeffs, have.hi, have.weight) == \
+                        (want.coeffs, want.hi, want.weight), \
+                        (label, gb, mb, rots, spec)
+
+    # and the reference never leans on the blocks it checks
+    def refused(self, *args):
+        raise AssertionError("the reference called table_block")
+
+    r3 = validate_local_curve([("0", 3, {4: 1})])
+    filled = compute_omega_table(r3, 3).tables
+    monkeypatch.setattr(recursion._Engine, "table_block", refused)
+    assert unpruned_table(r3, 3, 12).tables == filled
+
+
+@pytest.mark.parametrize("points, chi, verify, products", [
+    ([("1", 2, {3: 2, 5: Fraction(1, 3)}), ("-1", 2, {3: 2})], 5, False,
+     132),
+    ([("0", 3, {4: 1})], 4, False, 179),
+    ([("0", 4, {5: 1})], 2, True, 127),
+], ids=["two-point-chi5-fill", "r3-chi4-fill", "r4-chi2-verify-hbar3"])
+def test_block_products_per_table(monkeypatch, points, chi, verify,
+                                  products):
+    # series products formed inside table_block: one per distinct slot
+    # index of each partial beyond the first slot (the sum over every
+    # ordering of the slot labels formed 200, 193 and 222)
+    curve = validate_local_curve(points)
+    table = compute_omega_table(curve, chi) if verify else None
+    inside = [0]
+    count = [0]
+    block = recursion._Engine.table_block
+    mul = LaurentSeries.mul
+
+    def counted_block(self, *args):
+        inside[0] += 1
+        try:
+            return block(self, *args)
+        finally:
+            inside[0] -= 1
+
+    def counted_mul(self, *args):
+        count[0] += bool(inside[0])
+        return mul(self, *args)
+
+    monkeypatch.setattr(recursion._Engine, "table_block", counted_block)
+    monkeypatch.setattr(LaurentSeries, "mul", counted_mul)
+    monkeypatch.setattr(LaurentSeries, "__mul__", counted_mul)
+    if verify:
+        verify_higher_pde(curve, table, 3)
+    else:
+        compute_omega_table(curve, chi)
+    assert count[0] == products
 
 
 @pytest.mark.parametrize("make, chi", [

@@ -10,16 +10,22 @@ residue core (``_Engine``), so it checks the term enumeration of
 ``_Engine.reaches``, on purpose: every term reaches the residue, so the
 comparison pins that pruning rule too, including its treatment of
 truncated factors on global curves.
+
+It also holds the arrangement-sum block reference, ``_block_series``: for
+one spectator multiset, each table entry that contains it, and every
+distinct ordering of the remaining slot labels, one product of rotated
+basis forms.  The package contracts its blocks one slot at a time
+(``_Engine.table_block``) and never forms these products, so the two
+meet only in the forms ``_Engine.rotated_basis`` caches.
 """
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 
 from trcycles.recursion import (
     OmegaTable,
     _compositions,
     _deal_count,
     _Engine,
-    _multiset_diff,
     _set_partitions,
 )
 from trcycles.series import LaurentSeries
@@ -124,10 +130,34 @@ def _block_series(engine, table, label, gb, mb, rotations, sb):
             if engine.curve.is_purely_local and \
                     any(e[0] != label for e in rest):
                 continue
-            out = out + engine.basis_product(label, rest,
-                                             rotations).scale(value)
+            out = out + _basis_product(engine, label, rest,
+                                       rotations).scale(value)
         cache[key] = out
     return cache[key]
+
+
+def _basis_product(engine, label, es, rotations):
+    """Sum over the distinct orderings of the labels ``es`` of the product
+    of their rotated basis forms, paired with the sorted ``rotations``."""
+    out = None
+    for arrangement in set(permutations(es)):
+        piece = None
+        for e, j in zip(arrangement, sorted(rotations)):
+            s = engine.rotated_basis(label, e, j)
+            piece = s if piece is None else piece * s
+        out = piece if out is None else out + piece
+    return out
+
+
+def _multiset_diff(key, part):
+    """key minus part as sorted tuple, or None if part is not contained."""
+    items = list(key)
+    for p in part:
+        try:
+            items.remove(p)
+        except ValueError:
+            return None
+    return tuple(items)
 
 
 def _multiset_splits(ms, nparts):
