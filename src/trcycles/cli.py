@@ -22,7 +22,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 # recursion, cycles, tensors and wavefunction are imported inside the
@@ -106,8 +105,9 @@ def cmd_compute(args) -> int:
     return EXIT_OK
 
 
-_PERTURB = re.compile(r"([^,()]*),(.*),([^,()]*)")
-_INDEX_PAIR = re.compile(r"\(\s*([^(),]+?)\s*,\s*([^(),]+?)\s*\)")
+# compiled (and cached) by re on first use, not at import
+_PERTURB = r"([^,()]*),(.*),([^,()]*)"
+_INDEX_PAIR = r"\(\s*([^(),]+?)\s*,\s*([^(),]+?)\s*\)"
 
 
 def _parse_perturb(text: str):
@@ -116,12 +116,12 @@ def _parse_perturb(text: str):
     INDEX is one (label,k) pair or a parenthesized list of them; labels
     are free text without commas or parentheses.  D keeps the first pair.
     """
-    m = _PERTURB.fullmatch(text)
+    m = re.fullmatch(_PERTURB, text)
     if m is None:
         raise ValueError("perturbation must be TENSOR,INDEX,DELTA")
     name, idx_text, delta = (part.strip() for part in m.groups())
-    pairs = [(label, int(k)) for label, k in _INDEX_PAIR.findall(idx_text)]
-    if not pairs or _INDEX_PAIR.sub("", idx_text).strip(" (),"):
+    pairs = [(lb, int(k)) for lb, k in re.findall(_INDEX_PAIR, idx_text)]
+    if not pairs or re.sub(_INDEX_PAIR, "", idx_text).strip(" (),"):
         raise ValueError(f"malformed perturbation index {idx_text!r}")
     return (name, tuple(pairs[:1] if name == "D" else pairs),
             str_to_fraction(delta))
@@ -206,13 +206,14 @@ def _verify_homogeneity(curve, chi_max, check):
     from .recursion import OmegaTable, compute_omega_table
     from .wavefunction import HPoly, HPolyRing
     ring = HPolyRing(curve.field, (None, None))
-    graded = replace(
-        curve, field=ring,
+    graded = CurveData(
+        field=ring,
         points={label: RamPoint(label, pt.order,
                                 {k: HPoly({1: {(): t}})
                                  for k, t in pt.times.items()})
                 for label, pt in curve.points.items()},
-        phi={key: ring.coerce(v) for key, v in curve.phi.items()})
+        phi={key: ring.coerce(v) for key, v in curve.phi.items()},
+        n_max=curve.n_max, x_offsets=curve.x_offsets)
     try:
         gtab = compute_omega_table(graded, chi_max)
     except ArithmeticError as exc:

@@ -19,7 +19,6 @@ sum over the power table [z^e] R_a^k; see :func:`localize_global_curve`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from math import comb, gcd, lcm
 
@@ -34,19 +33,20 @@ from .scalars import ScalarField
 from .series import FORM, LaurentSeries
 
 
-@dataclass(frozen=True)
 class RamPoint:
-    label: str
-    order: int
-    times: dict  # k -> scalar, finite support
+    __slots__ = ("label", "order", "times")     # times: k -> scalar
+
+    def __init__(self, label: str, order: int, times: dict):
+        self.label, self.order, self.times = label, order, times
 
 
-@dataclass(frozen=True)
 class RationalFunction:
     """num/den with exact rational coefficients, low-to-high."""
 
-    num: tuple
-    den: tuple = (Fraction(1),)
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: tuple, den: tuple = (Fraction(1),)):
+        self.num, self.den = num, den
 
     def shifted_series(self, a: Fraction, order: int,
                        fld: ScalarField) -> LaurentSeries:
@@ -67,29 +67,34 @@ def _shifted(poly, a, fld: ScalarField) -> LaurentSeries:
     return out
 
 
-@dataclass(frozen=True)
 class GlobalCurve:
     """Genus-zero curve: x, y rational in the global coordinate z.
 
     The primary one-form is y*dx; the bilinear kernel is the genus-zero
-    one, dz1 dz2 / (z1-z2)**2.  Ramification points are declared with
-    exact rational coordinates and verified during localization.
+    one, dz1 dz2 / (z1-z2)**2.  Ramification points are declared as
+    (Fraction coordinate, int order) pairs and verified during localization.
     """
 
-    x: RationalFunction
-    y: RationalFunction
-    declared_ramification: tuple  # of (Fraction coordinate, int order)
+    __slots__ = ("x", "y", "declared_ramification")
+
+    def __init__(self, x: RationalFunction, y: RationalFunction,
+                 declared_ramification: tuple):
+        self.x, self.y = x, y
+        self.declared_ramification = declared_ramification
 
 
-@dataclass
 class CurveData:
     """A validated local curve plus bookkeeping used by the engines."""
 
-    field: ScalarField
-    points: dict          # label -> RamPoint
-    phi: dict             # canonical ((label,k),(label,j)) -> scalar
-    n_max: int | None     # analytic truncation order (None = exact data)
-    x_offsets: dict = dc_field(default_factory=dict)   # label -> x(a)
+    __slots__ = ("field", "points", "phi", "n_max", "x_offsets")
+
+    def __init__(self, field: ScalarField, points: dict, phi: dict,
+                 n_max: int | None, x_offsets: dict | None = None):
+        self.field = field
+        self.points = points      # label -> RamPoint
+        self.phi = phi            # canonical ((label,k),(label,j)) -> scalar
+        self.n_max = n_max        # analytic truncation order (None = exact)
+        self.x_offsets = {} if x_offsets is None else x_offsets  # label->x(a)
 
     @property
     def labels(self):

@@ -7,15 +7,10 @@ produces byte-identical files.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .curves import CurveData, GlobalCurve, RationalFunction, validate_local_curve
-
-if TYPE_CHECKING:
-    from .recursion import OmegaTable
 
 
 def canonical_json(obj) -> str:
@@ -34,6 +29,7 @@ def str_to_fraction(text) -> Fraction:
 
 
 def curve_hash(curve: CurveData) -> str:
+    import hashlib      # only compute/verify hash, so parsing skips OpenSSL
     doc = canonical_json(curve.canonical_dict())
     return hashlib.sha256(doc.encode()).hexdigest()
 
@@ -49,6 +45,22 @@ def _integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _rational(value, what: str) -> Fraction:
+    """A JSON string or integer, exactly; a float (already rounded by the
+    JSON reader), bool, null, array or object is a parse error."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"{what} must be a string or an integer, "
+                         f"got {value!r}")
+    return str_to_fraction(value)
+
+
+def _need(obj: dict, key: str, what: str):
+    """``obj[key]``; a missing key is a parse error naming it."""
+    if key not in obj:
+        raise ValueError(f"{what} needs {key!r}")
+    return obj[key]
 
 
 def _json(value, kind, what: str):
@@ -70,32 +82,35 @@ def parse_curve_spec(text: str):
         points = []
         for p in _json(doc.get("points", []), list, "points"):
             p = _json(p, dict, "a point")
-            times = {int(k): str_to_fraction(v) for k, v in
+            label = str(_need(p, "label", "a point"))
+            order = _integer(_need(p, "order", "a point"), "point order")
+            times = {int(k): _rational(v, f"point {label!r}: time t_{k}")
+                     for k, v in
                      _json(p.get("times", {}), dict, "times").items()}
-            points.append((str(p["label"]),
-                           _integer(p["order"], "point order"), times))
+            points.append((label, order, times))
         phi = {}
         for entry in _json(doc.get("phi", []), list, "phi"):
             a, b, v = _json(entry, list, "a phi entry")
             (al, ak), (bl, bk) = (_json(i, list, "a phi index")
                                   for i in (a, b))
             phi[((str(al), _integer(ak, "phi index")),
-                 (str(bl), _integer(bk, "phi index")))] = str_to_fraction(v)
+                 (str(bl), _integer(bk, "phi index")))] = \
+                _rational(v, "a phi value")
         return validate_local_curve(points, phi=phi,
                                     n_max=doc.get("n_max"))
     if kind == "global":
         def rf(key):
-            spec = _json(doc[key], dict, key)
-            num = tuple(str_to_fraction(c)
-                        for c in _json(spec["num"], list, f"{key} num"))
-            den = tuple(str_to_fraction(c) for c in
+            spec = _json(_need(doc, key, "a global curve"), dict, key)
+            num = tuple(_rational(c, f"{key} num coefficient") for c in
+                        _json(_need(spec, "num", key), list, f"{key} num"))
+            den = tuple(_rational(c, f"{key} den coefficient") for c in
                         _json(spec.get("den", ["1"]), list, f"{key} den"))
             return RationalFunction(num, den)
         decls = []
-        for d in _json(doc["declared_ramification"], list,
-                       "declared_ramification"):
+        declared = _need(doc, "declared_ramification", "a global curve")
+        for d in _json(declared, list, "declared_ramification"):
             a, r = _json(d, list, "a declared ramification")
-            decls.append((str_to_fraction(a),
+            decls.append((_rational(a, "declared ramification coordinate"),
                           _integer(r, "declared ramification order")))
         return GlobalCurve(x=rf("x"), y=rf("y"),
                            declared_ramification=tuple(decls))

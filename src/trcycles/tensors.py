@@ -21,7 +21,6 @@ therefore pairs with derivatives and the i3 slot with time variables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .curves import CurveData
@@ -45,16 +44,16 @@ from .wavefunction import (
 )
 
 
-@dataclass
 class AiryTensors:
-    """Sparse A, B, C, D over local-cycle labels."""
+    """Sparse A, B, C, D over local-cycle labels, dicts to scalars keyed:
+    A by sorted triples (totally symmetric), D by labels, C by (i0, e, e')
+    in raw slot order, B by (i1, i2, i3) with slots as in the module doc."""
 
-    curve: CurveData
-    chi_max: int
-    A: dict          # sorted triple -> scalar, totally symmetric
-    D: dict          # label -> scalar
-    C: dict          # (i0, e, e') -> scalar (raw slot order)
-    B: dict          # (i1, i2, i3) -> scalar, slots as in the module doc
+    __slots__ = ("curve", "chi_max", "A", "D", "C", "B")
+
+    def __init__(self, curve: CurveData, chi_max: int, A, D, C, B):
+        self.curve, self.chi_max = curve, chi_max
+        self.A, self.D, self.C, self.B = A, D, C, B
 
     def copy_with_perturbation(self, name: str, indices, delta):
         data = {"A": dict(self.A), "D": dict(self.D),
@@ -71,9 +70,7 @@ class AiryTensors:
             key = tuple(tuple(i) for i in indices)
         delta = self.curve.field.coerce(delta)
         tab[key] = tab.get(key, self.curve.field.zero()) + delta
-        return AiryTensors(curve=self.curve, chi_max=self.chi_max,
-                           A=data["A"], D=data["D"], C=data["C"],
-                           B=data["B"])
+        return AiryTensors(self.curve, self.chi_max, **data)
 
     def canonical_entries(self):
         fld = self.curve.field
@@ -250,13 +247,14 @@ def _slots(entries):
 # ---------------------------------------------------------------------------
 # The disc-free derivative coefficients.
 
-@dataclass(frozen=True)
 class UOperator:
     """Partition expansion of the disc-free k-th derivative coefficient:
     shapes are multisets of block sizes >= 2, with their multiplicities."""
 
-    k: int
-    terms: tuple     # of (shape tuple, count)
+    __slots__ = ("k", "terms")
+
+    def __init__(self, k: int, terms: tuple):
+        self.k, self.terms = k, terms   # terms: (shape tuple, count) pairs
 
     def shape_dict(self):
         return {shape: count for shape, count in self.terms}
@@ -278,13 +276,14 @@ def compute_Uk(k: int) -> UOperator:
 # ---------------------------------------------------------------------------
 # Quadratic times-PDE verification.
 
-@dataclass
 class ResidualReport:
     """Nonzero coefficients of an annihilation-operator residual."""
 
-    entries: list = dc_field(default_factory=list)
-    checked_orders: tuple = ()
-    term_structure: dict = dc_field(default_factory=dict)
+    __slots__ = ("entries", "checked_orders", "term_structure")
+
+    def __init__(self, checked_orders: tuple = ()):
+        self.entries, self.term_structure = [], {}
+        self.checked_orders = checked_orders
 
     @property
     def ok(self) -> bool:

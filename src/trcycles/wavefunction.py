@@ -13,7 +13,6 @@ ring of Laurent series in the kernel variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
 from .curves import CurveData
@@ -196,16 +195,18 @@ class HPolyRing:
 
 # -- the wave function -------------------------------------------------------
 
-@dataclass
 class LogZ:
     """hbar-series with times-polynomial coefficients."""
 
-    curve: CurveData
-    chi_max: int
-    terms: HPoly
-    prime: bool = False
-    prefactor_01: HPoly | None = None   # the one-form pairing term
-    prefactor_02: HPoly | None = None   # the bilinear pairing term
+    __slots__ = ("curve", "chi_max", "terms", "prime", "prefactor_01",
+                 "prefactor_02")   # the one-form and bilinear pairing terms
+
+    def __init__(self, curve: CurveData, chi_max: int, terms: HPoly,
+                 prime: bool = False, prefactor_01: HPoly | None = None,
+                 prefactor_02: HPoly | None = None):
+        self.curve, self.chi_max, self.terms = curve, chi_max, terms
+        self.prime = prime
+        self.prefactor_01, self.prefactor_02 = prefactor_01, prefactor_02
 
     def coefficient(self, hbar_order: int, indices):
         return self.terms.get(hbar_order, {}).get(

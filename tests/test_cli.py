@@ -498,6 +498,78 @@ def test_zero_denominator_rational_is_a_parse_error(tmp_path, capsys, case):
         "code": "parse", "exit": 2, "message": "zero denominator in '1/0'"}
 
 
+def _with_rational(tmp_path, slot, value):
+    """A curve file with one rational slot set to a raw JSON value."""
+    if slot == "time":
+        spec = _spec_with("two_point.json", "points", 1, "times", "5", value)
+    elif slot == "phi":
+        spec = _spec_with("two_point.json", "phi", [[["1", 1], ["1", 1],
+                                                     value]])
+    elif slot == "coordinate":
+        spec = _spec_with("cubic_global.json", "declared_ramification", 1, 0,
+                          value)
+    else:
+        spec = _spec_with("cubic_global.json", "x", slot, 0, value)
+    f = tmp_path / "curve.json"
+    f.write_text(json.dumps(spec))
+    return str(f)
+
+
+RATIONAL_SLOTS = {"time": "point '1': time t_5", "phi": "a phi value",
+                  "num": "x num coefficient", "den": "x den coefficient",
+                  "coordinate": "declared ramification coordinate"}
+
+
+@pytest.mark.parametrize("value", [0.12345678901234567890, 1.0, True, None,
+                                   [1], {"1": 1}],
+                         ids=["float", "integral-float", "bool", "null",
+                              "array", "object"])
+@pytest.mark.parametrize("slot", sorted(RATIONAL_SLOTS))
+def test_rational_slot_takes_only_strings_and_integers(tmp_path, capsys,
+                                                       slot, value):
+    # a float time used to be rounded silently (0.123... read as
+    # 1543209862654321/12500000000000000) and a num 1.0 was accepted
+    f = _with_rational(tmp_path, slot, value)
+    assert run("localize", "--curve", f) == 2
+    assert _error(capsys) == {
+        "code": "parse", "exit": 2,
+        "message": f"{RATIONAL_SLOTS[slot]} must be a string or an integer,"
+                   f" got {value!r}"}
+
+
+@pytest.mark.parametrize("slot", sorted(RATIONAL_SLOTS))
+def test_rational_slot_integer_reads_as_its_string(tmp_path, capsys, slot):
+    outputs = []
+    for value in (-1, "-1"):
+        assert run("localize", "--curve",
+                   _with_rational(tmp_path, slot, value)) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("path, keys, message", [
+    ("two_point.json", ("points", 0, "label"), "a point needs 'label'"),
+    ("two_point.json", ("points", 1, "order"), "a point needs 'order'"),
+    ("cubic_global.json", ("x",), "a global curve needs 'x'"),
+    ("cubic_global.json", ("y",), "a global curve needs 'y'"),
+    ("cubic_global.json", ("declared_ramification",),
+     "a global curve needs 'declared_ramification'"),
+    ("cubic_global.json", ("y", "num"), "y needs 'num'"),
+], ids=["label", "order", "x", "y", "declared", "num"])
+def test_missing_key_is_named(tmp_path, capsys, path, keys, message):
+    # the message used to be the bare KeyError text, e.g. "'label'"
+    spec = json.loads((DATA / path).read_text())
+    *parents, last = keys
+    node = spec
+    for key in parents:
+        node = node[key]
+    del node[last]
+    f = tmp_path / "missing.json"
+    f.write_text(json.dumps(spec))
+    assert run("compute", "--curve", str(f)) == 2
+    assert _error(capsys) == {"code": "parse", "exit": 2, "message": message}
+
+
 @pytest.mark.parametrize("argv", [
     # options another command reads used to be accepted and ignored
     ("compute", "--perturb", "D,(1,3),+1", "--results", "missing.json"),

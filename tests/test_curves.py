@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from trcycles import (
+    CurveData,
     GlobalCurve,
     RationalFunction,
     localize_global_curve,
@@ -102,3 +103,19 @@ def test_phi_symmetry_storage():
     assert c.phi_get(("b", 2), ("a", 1)) == Fraction(1, 4)
     assert c.phi_row("a", ("b", 2)) == {1: Fraction(1, 4)}
     assert c.phi_row("b", ("a", 1)) == {2: Fraction(1, 4)}
+
+
+def test_record_classes_keep_their_defaults():
+    # the records are plain __slots__ classes: each CurveData gets its own
+    # x_offsets, and a RationalFunction without den is a polynomial
+    a, b = (validate_local_curve([("1", 2, {3: 1})]) for _ in range(2))
+    a.x_offsets["1"] = Fraction(1)
+    assert b.x_offsets == {}
+    assert CurveData(a.field, {}, {}, None).x_offsets == {}
+    assert RationalFunction((0, 1)).den == (Fraction(1),)
+    g = GlobalCurve(RationalFunction((0, 0, 1)), RationalFunction((0, 1)),
+                    ((0, 2),))
+    assert (g.x.num, g.y.num, g.declared_ramification) == \
+        ((0, 0, 1), (0, 1), ((0, 2),))
+    with pytest.raises(AttributeError):
+        g.z = 1         # __slots__: no stray attributes

@@ -1,7 +1,9 @@
 """What ``import trcycles`` and each CLI command load, and the public API.
 
 Each command runs in a fresh interpreter, so an eager import that creeps
-back into the package or the CLI changes the pinned module set.
+back into the package or the CLI changes the pinned module set.  Of the
+standard library, no command loads ``dataclasses`` or ``inspect``, and only
+compute and verify (which hash the curve) load ``hashlib``.
 """
 
 import json
@@ -43,14 +45,26 @@ RESIDUE = LOCALIZE + ["cycles", "recursion"]
 EVERY = RESIDUE + ["tensors", "wavefunction"]
 
 
-def loaded(code):
-    """The sorted trcycles modules loaded after running code afresh."""
-    probe = code + ("\nimport json, sys\nprint(json.dumps(sorted("
-                    "m for m in sys.modules if m.startswith('trcycles'))))")
+# standard-library modules that no command needs, and those only hashing does
+UNUSED = {"dataclasses", "inspect"}
+HASHING = {"hashlib", "_hashlib"}
+
+
+def added(code):
+    """The sorted modules that running code afresh adds to ``sys.modules``;
+    those the host's ``site`` loaded before it are not counted."""
+    probe = ("import sys\nbefore = set(sys.modules)\n" + code +
+             "\nnew = sorted(set(sys.modules) - before)"
+             "\nimport json\nprint(json.dumps(new))")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     res = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(res.stdout.strip().splitlines()[-1])
+
+
+def loaded(code):
+    """The sorted trcycles modules loaded after running code afresh."""
+    return [m for m in added(code) if m.startswith("trcycles")]
 
 
 def modules(*names):
@@ -75,7 +89,19 @@ def test_modules_each_command_loads(tmp_path, argv, expected):
         argv += ["--out", str(tmp_path / "out")]
         code += ("\nfrom trcycles.cli import main"
                  f"\nassert main({argv!r}) == 0")
-    assert loaded(code) == expected
+    new = added(code)
+    assert [m for m in new if m.startswith("trcycles")] == expected
+    assert not UNUSED & set(new)
+    if argv is None or argv[0] == "localize":
+        assert not HASHING & set(new)
+
+
+@pytest.mark.parametrize("curve", ["r3.json", "cubic_global.json"])
+def test_parsing_a_curve_loads_no_hashing(curve):
+    new = added("from trcycles.serialize import parse_curve_spec\n"
+                f"parse_curve_spec(open({str(DATA / curve)!r}).read())")
+    assert "trcycles.serialize" in new
+    assert not (UNUSED | HASHING) & set(new)
 
 
 def test_submodules_still_import_by_name():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from trcycles import (
+    ResidualReport,
     compute_airy_tensors,
     compute_omega_table,
     compute_Uk,
@@ -245,3 +246,30 @@ def test_engines_and_pde_on_kernel_coupled_curve():
                for key in table.entries(0, 4))
     rep = verify_quadratic_pde(curve, at, table, 2, 2)
     assert rep.ok, rep.first_nonzero()
+
+
+def test_residual_report_lists_are_per_instance(airy_curve, airy_tensors,
+                                                airy_table):
+    failed = verify_quadratic_pde(
+        airy_curve, airy_tensors.copy_with_perturbation("D", (("1", 3),), 1),
+        airy_table, 4, 4)
+    assert failed.entries
+    fresh = ResidualReport()
+    assert fresh.entries == [] and fresh.term_structure == {}
+    assert fresh.ok and fresh.first_nonzero() is None
+    assert fresh.checked_orders == ()
+    assert ResidualReport().entries is not fresh.entries
+    assert ResidualReport().term_structure is not fresh.term_structure
+
+
+def test_perturbed_copy_leaves_the_tensors_unchanged(airy_tensors):
+    before = {name: dict(getattr(airy_tensors, name)) for name in "ABCD"}
+    bumped = airy_tensors.copy_with_perturbation("A", L(1, 1, 1), 1)
+    assert bumped.A[L(1, 1, 1)] == 3
+    assert {name: getattr(airy_tensors, name) for name in "ABCD"} == before
+    assert all(getattr(bumped, name) is not getattr(airy_tensors, name)
+               for name in "ABCD")
+    assert (bumped.curve, bumped.chi_max) == \
+        (airy_tensors.curve, airy_tensors.chi_max)
+    assert (bumped.B, bumped.C, bumped.D) == \
+        (before["B"], before["C"], before["D"])

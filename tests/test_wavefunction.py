@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trcycles import (
+    LogZ,
     assemble_logZ,
     assemble_logZprime,
     compute_omega_table,
@@ -40,6 +41,15 @@ def test_logzprime_prefactors_vanish(airy_curve, airy_table):
     assert lzp.min_hbar_order() >= -1
     base = assemble_logZ(airy_table, 3)
     assert lzp.terms == base.terms
+
+
+def test_logz_defaults(airy_curve, airy_table):
+    lz = assemble_logZ(airy_table, 3)
+    assert (lz.prime, lz.prefactor_01, lz.prefactor_02) == (False, None, None)
+    bare = LogZ(airy_curve, 3, HPoly())
+    assert (bare.curve, bare.chi_max, bare.prime, bare.prefactor_01,
+            bare.prefactor_02) == (airy_curve, 3, False, None, None)
+    assert bare.min_hbar_order() == 0
 
 
 def test_logz_homogeneity_transfer(airy_curve, airy_table):
