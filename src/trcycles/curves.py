@@ -160,6 +160,8 @@ def validate_local_curve(points, phi=None, n_max=None) -> CurveData:
     """Validate raw local-curve data and return canonical CurveData.
 
     ``points``: iterable of (label, order, {k: time}) triples or RamPoints.
+    ``phi``: {((label, k), (label, k')): value}, or an iterable of such
+    (key, value) pairs, in which a key may repeat with one value only.
     """
     pts = {}
     orders = []
@@ -200,7 +202,7 @@ def validate_local_curve(points, phi=None, n_max=None) -> CurveData:
         out_points[label] = RamPoint(label, order, clean)
 
     canon_phi = {}
-    for key, v in (phi or {}).items():
+    for key, v in phi.items() if isinstance(phi, dict) else phi or ():
         (al, ak), (bl, bk) = key
         i, j = (str(al), int(ak)), (str(bl), int(bk))
         if i[1] < 1 or j[1] < 1:
@@ -209,14 +211,13 @@ def validate_local_curve(points, phi=None, n_max=None) -> CurveData:
         if i[0] not in out_points or j[0] not in out_points:
             raise BadDeclarationError(f"phi references unknown point: {key}")
         v = fld.coerce(v)
-        if not v:
-            continue
         ckey = (i, j) if i <= j else (j, i)
         prev = canon_phi.get(ckey)
         if prev is not None and prev != v:
             raise BadDeclarationError(
                 f"phi not symmetric at {ckey}: {prev} vs {v}")
         canon_phi[ckey] = v
+    canon_phi = {key: v for key, v in canon_phi.items() if v}
 
     if n_max is not None and (isinstance(n_max, bool)
                               or not isinstance(n_max, int)):

@@ -376,11 +376,13 @@ def _point_row(engine: _Engine, table: OmegaTable, label: str, g: int,
     spectator counts) with a primary one-form block is dropped before any
     block is built: its other blocks could include F[g,n+1] itself, whose
     slice would be cached while still empty.  The other layouts multiply
-    out block maps {S_b: series}.
+    out block maps {S_b: series}.  A term that stands for its twin too
+    (``_twin``) is summed apart and scaled once per entry.
     Unless ``every_k0``, only readings with (label,k0) <= min(S) are kept.
     """
-    row = {}
-    for slot_rot, part in _kernel_terms(engine.curve.order(label)):
+    r = engine.curve.order(label)
+    rows = {}   # twin index -> {(k0, S): sum of unscaled terms}
+    for slot_rot, part in _kernel_terms(r):
         ell = len(part)
         k = len(slot_rot)
         if g - k + ell < 0:
@@ -392,22 +394,78 @@ def _point_row(engine: _Engine, table: OmegaTable, label: str, g: int,
                        for slots, gb, c in layout):
                     continue
                 _add_terms(engine, table, label, slot_rot, layout,
-                           every_k0, row)
-    return row
+                           every_k0, rows)
+    return _fold_twins(engine.field, r, rows)
 
 
 def _kernel_terms(r: int):
     """(slot rotations, slot partition) of every kernel term at a point of
-    order r: each order k = 2..r, each Galois subset of k-1 nontrivial
-    rotations (slot 0 is unrotated), each set partition of the k slots."""
+    order r that is formed: each order k = 2..r, each Galois subset of k-1
+    nontrivial rotations (slot 0 is unrotated), each set partition of the
+    k slots.  An order-2 term at rotation j > r - j is not listed: it is
+    the twin of a term at rotation r - j, which stands for both.
+
+    The twin of an order-2 term at rotations (0, j) with slot data (A, B)
+    is the term at rotations (0, r - j) with slot data (B, A).  The deck
+    rotation z -> rho^-j z maps one residue onto the other, so
+        twin[k0] = -rho^(j k0) * term[k0]
+    over every coefficient ring: a change of variables, not a field
+    automorphism.  ``_twin`` says how each listed term enters its column.
+    """
     for k in range(2, r + 1):
         for js in combinations(range(1, r), k - 1):
+            if k == 2 and 2 * js[0] > r:
+                continue
             for part in _set_partitions(list(range(k))):
                 yield (0,) + js, part
 
 
-def _add_terms(engine, table, label, slot_rot, layout, every_k0, row):
-    """Add every term of one block layout to ``row``."""
+def _twin(r: int, slot_rot, sides=()):
+    """How a term listed by ``_kernel_terms`` enters its column: j when
+    it stands for its twin too (scale by 1 - rho^(j k0)), 0 when it
+    stands alone (order k >= 3, or its own twin), None when its twin is
+    formed instead.  At j = r - j both twins have rotation j, and only
+    ``sides``, the slot data (A, B) of a two-block term, tell them apart:
+    the one with A < B is formed; a term with A == B, or with one block
+    (no sides), is its own twin."""
+    if len(slot_rot) != 2:
+        return 0
+    j = slot_rot[1]
+    if 2 * j < r:
+        return j
+    if len(sides) < 2 or sides[0] == sides[1]:
+        return 0
+    return j if sides[0] < sides[1] else None
+
+
+def _fold_twins(field, r: int, rows: dict) -> dict:
+    """{(k0, ...): value} from the sums ``rows`` {twin index j: {(k0, ...):
+    value}}: each sum of terms that stand for their twins is scaled by
+    1 - rho^(j k0), once per entry."""
+    out = rows.pop(0, {})
+    scale = {}
+    for j, part in rows.items():
+        for key, v in part.items():
+            f = scale.get((j, key[0]))
+            if f is None:
+                f = scale[j, key[0]] = field.one() - field.root(r, j * key[0])
+            if f:
+                v = v * f
+                got = out.get(key)
+                out[key] = v if got is None else got + v
+    return out
+
+
+def _add_terms(engine, table, label, slot_rot, layout, every_k0, rows):
+    """Add every term of one block layout to ``rows`` {twin index: row}.
+    The slot data that ``_twin`` compares are the blocks' (g, c), then
+    their spectator multisets."""
+    r = engine.curve.order(label)
+    twin = _twin(r, slot_rot)
+    swaps = len(slot_rot) == len(layout) == 2   # the twin swaps the blocks
+    if swaps and _twin(r, slot_rot, [(gb, c) for _, gb, c in layout]) \
+            is None:
+        return
     blocks = [None] * len(layout)
     legs = []
     for b, (slots, gb, c) in enumerate(layout):
@@ -427,7 +485,7 @@ def _add_terms(engine, table, label, slot_rot, layout, every_k0, row):
     # orders leave (a leg z^(k'-1) dz has order k'-1 >= 0)
     floors = [0 if blk is None else min(f.lo for f in blk.values())
               for blk in blocks]
-    spare = engine.curve.order(label) * (len(slot_rot) - 1) - 2 - sum(floors)
+    spare = r * (len(slot_rot) - 1) - 2 - sum(floors)
     if spare < 0:
         return
     for b, rot in legs:
@@ -437,6 +495,11 @@ def _add_terms(engine, table, label, slot_rot, layout, every_k0, row):
                      key=lambda item: item[0])
               for blk, floor in zip(blocks, floors)]
     for combo in _within(blocks, spare):
+        if swaps:
+            twin = _twin(r, slot_rot, [(gb, c, part) for (_, gb, c), (part, _)
+                                       in zip(layout, combo)])
+            if twin is None:
+                continue
         spec = tuple(sorted(x for part, _ in combo for x in part))
         k0_max = None
         if spec and not every_k0:
@@ -449,6 +512,7 @@ def _add_terms(engine, table, label, slot_rot, layout, every_k0, row):
             continue
         column = engine.kernel_contract(label, slot_rot[1:], factors, k0_max)
         weight = _deal_count([part for part, _ in combo])
+        row = rows.setdefault(twin, {})
         for k0, v in column.items():
             if v:
                 v = v * weight

@@ -63,39 +63,78 @@ def _need(obj: dict, key: str, what: str):
     return obj[key]
 
 
-def _json(value, kind, what: str):
-    """``value`` when it is a JSON array (``kind`` list) or object (dict);
-    anything else is a parse error."""
+class _Repeated(dict):
+    """A JSON object that names ``key`` more than once (last value kept)."""
+
+    __slots__ = ("key",)
+
+
+def _object(pairs):
+    """``object_pairs_hook``: the object, marked when a key repeats."""
+    obj = dict(pairs)
+    if len(obj) == len(pairs):
+        return obj
+    obj = _Repeated(pairs)
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            obj.key = key
+            return obj
+        seen.add(key)
+
+
+def _json(value, kind, what: str, named: str | None = None):
+    """``value`` when it is a JSON array (``kind`` list) or object (dict)
+    that names no key twice; anything else is a parse error.  ``named``:
+    the object's name in the repeated-key message (default ``what``)."""
     if not isinstance(value, kind):
         name = "an array" if kind is list else "an object"
         raise ValueError(f"{what} must be {name}, got {value!r}")
+    if type(value) is _Repeated:
+        raise ValueError(f"{named or what} repeats the key {value.key!r}")
     return value
+
+
+def _time_index(key: str, label: str) -> int:
+    """A time key, only as a canonical decimal integer ("3", not "03",
+    "3_0" or " 3", which ``int`` would fold into other indices)."""
+    try:
+        k = int(key)
+    except ValueError:
+        k = None
+    if k is None or str(k) != key:
+        raise ValueError(f"point {label!r}: time key {key!r} is not a "
+                         f"decimal integer")
+    return k
 
 
 def parse_curve_spec(text: str):
     """Parse a curve-spec document; returns CurveData or GlobalCurve."""
-    doc = json.loads(text)
+    doc = json.loads(text, object_pairs_hook=_object)
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("curve spec must be an object with a 'kind' field")
-    kind = doc["kind"]
+    kind = _json(doc, dict, "the curve spec")["kind"]
     if kind == "local":
         points = []
         for p in _json(doc.get("points", []), list, "points"):
             p = _json(p, dict, "a point")
             label = str(_need(p, "label", "a point"))
             order = _integer(_need(p, "order", "a point"), "point order")
-            times = {int(k): _rational(v, f"point {label!r}: time t_{k}")
-                     for k, v in
-                     _json(p.get("times", {}), dict, "times").items()}
+            times = {_time_index(k, label):
+                     _rational(v, f"point {label!r}: time t_{k}")
+                     for k, v in _json(p.get("times", {}), dict, "times",
+                                       f"point {label!r}: times").items()}
             points.append((label, order, times))
-        phi = {}
+        # a list of (key, value) pairs, so that a repeated entry meets
+        # the symmetry check and is not overwritten
+        phi = []
         for entry in _json(doc.get("phi", []), list, "phi"):
             a, b, v = _json(entry, list, "a phi entry")
             (al, ak), (bl, bk) = (_json(i, list, "a phi index")
                                   for i in (a, b))
-            phi[((str(al), _integer(ak, "phi index")),
-                 (str(bl), _integer(bk, "phi index")))] = \
-                _rational(v, "a phi value")
+            phi.append((((str(al), _integer(ak, "phi index")),
+                         (str(bl), _integer(bk, "phi index"))),
+                        _rational(v, "a phi value")))
         return validate_local_curve(points, phi=phi,
                                     n_max=doc.get("n_max"))
     if kind == "global":

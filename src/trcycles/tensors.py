@@ -30,9 +30,11 @@ from .recursion import (
     _deal_count,
     _drops,
     _Engine,
+    _fold_twins,
     _kernel_terms,
     _levels,
     _set_partitions,
+    _twin,
 )
 from .series import LaurentSeries
 from .wavefunction import (
@@ -112,7 +114,6 @@ def compute_airy_tensors(curve: CurveData, table: OmegaTable,
                 "the quadratic tensor form needs simple ramification "
                 "everywhere; use the order-by-order verifier instead")
     engine = _Engine(curve)
-    fld = curve.field
     # the index bound and the parity filter fix which entries the tensors
     # have, not only which columns are skipped: entries outside them can
     # be nonzero (unfiltered, airy chi 3 has 21 C and 36 B entries instead
@@ -128,38 +129,37 @@ def compute_airy_tensors(curve: CurveData, table: OmegaTable,
     # bilinear kernel has an analytic part, their tails couple the points
     slots = [(lb, k) for lb in curve.labels for k in ks]
 
+    # C and B are order-2 residues at a simple point, where the twin
+    # relation (see ``recursion._kernel_terms``) reads
+    # twin[k0] = (-1)^(k0+1) term[k0]
     C = {}
     B = {}
     for label in curve.labels:
-        for e in slots:
+        for a, e in enumerate(slots):
             base = engine.rotated_basis(label, e, 0)
             if base.is_zero():
                 continue
-            for ep in slots:
-                # C[i0, e, e'] = 2 * contraction of K2(basis_e, basis_e')
+            for ep in slots[a:]:
+                # C[i0, e, e'] = 2 * contraction of K2(basis_e, basis_e'),
+                # and C[i0, e', e] is its twin
                 column = engine.kernel_contract(
                     label, (1,), [base, engine.rotated_basis(label, ep, 1)])
                 for k0 in ks:
                     if column.get(k0):
-                        C[((label, k0), e, ep)] = 2 * column[k0]
-            rot_base = engine.rotated_basis(label, e, 1)
+                        v = C[((label, k0), e, ep)] = 2 * column[k0]
+                        if ep != e:
+                            C[((label, k0), ep, e)] = v if k0 % 2 else -v
             for ep_k in ks:
                 # B[i1, i2, i3]: the basis form of i2 against the
                 # contracted bilinear-kernel leg of i3 (which only lives
                 # at the kernel point), summed over the two slot
-                # assignments.  On odd contractions the two assignments
-                # agree and this is twice the single residue; on
-                # parity-broken curves the even entries need the genuine
-                # sum.
+                # assignments.  They are twins, so the sum is twice this
+                # residue at odd k0 and 0 at even k0, on every curve
                 first = engine.kernel_contract(
                     label, (1,), [base, engine.leg(label, ep_k, 1)])
-                second = engine.kernel_contract(
-                    label, (1,), [engine.leg(label, ep_k, 0), rot_base])
                 for k0 in ks:
-                    valb = first.get(k0, fld.zero()) + \
-                        second.get(k0, fld.zero())
-                    if valb:
-                        B[((label, k0), e, (label, ep_k))] = valb
+                    if k0 % 2 and first.get(k0):
+                        B[((label, k0), e, (label, ep_k))] = 2 * first[k0]
     return AiryTensors(curve=curve, chi_max=chi_max, A=A, D=D, C=C, B=B)
 
 
@@ -329,6 +329,14 @@ def verify_quadratic_pde(curve: CurveData, at: AiryTensors,
     targets = set(variables)
     targets.update(i0 for (i0, _, _) in at.C)
     targets.update(i0 for (i0, _, _) in at.B)
+    crows, brows = {}, {}   # i0 -> [(e, e', C)], [(j, s, B)]
+    for (i0, e, ep), v in at.C.items():
+        crows.setdefault(i0, []).append((e, ep, v))
+    for (i0, j, s), v in at.B.items():
+        brows.setdefault(i0, []).append((j, s, v))
+    # the products each C and B entry scales, formed once: d/dt'_e' P_e +
+    # P_e P_e' per unordered (e, e'), t'_s P_j per (j, s)
+    both, tpj = {}, {}
 
     for i0 in sorted(targets):
         res = P.get(i0, zero)
@@ -345,23 +353,26 @@ def verify_quadratic_pde(curve: CurveData, at: AiryTensors,
         if acc_a:
             res = res + acc_a.shift(1) * (fld.coerce(-1) / 4)
         acc_b = zero
-        for (bi0, j, s), v in at.B.items():
-            if bi0 != i0:
-                continue
+        for j, s, v in brows.get(i0, ()):
             pj = P.get(j)
             if not pj:
                 continue
-            acc_b = acc_b + HPoly({0: {((s, 1),): v}}, caps) * pj
+            got = tpj.get((j, s))
+            if got is None:
+                got = tpj[j, s] = HPoly({0: {((s, 1),): fld.one()}},
+                                        caps) * pj
+            acc_b = acc_b + got * v
         if acc_b:
             res = res - acc_b.shift(1)
         acc_c = zero
-        for (ci0, e, ep), v in at.C.items():
-            if ci0 != i0:
-                continue
-            pe = P.get(e, zero)
-            both = pe.deriv(ep) + pe * P.get(ep, zero)
-            if both:
-                acc_c = acc_c + both * v
+        for e, ep, v in crows.get(i0, ()):
+            pair = (e, ep) if e <= ep else (ep, e)
+            got = both.get(pair)
+            if got is None:
+                pe = P.get(e, zero)
+                got = both[pair] = pe.deriv(ep) + pe * P.get(ep, zero)
+            if got:
+                acc_c = acc_c + got * v
         if acc_c:
             res = res + acc_c.shift(1) * (fld.coerce(-1) / 2)
         for h in sorted(res):
@@ -464,10 +475,14 @@ def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
                 ring, {ex: HPoly({m - 2: {(): c}}, ring.caps)
                        for ex, c in block.coeffs.items()}, weight=m)
 
-        rhs = {}            # k0 -> HPoly
+        r = curve.order(label)
+        rows = {}           # twin index -> {(k0,): HPoly}
         structure = {}      # class -> contracted nonzero flag
-        for slot_rot, part in _kernel_terms(curve.order(label)):
+        for slot_rot, part in _kernel_terms(r):
             k = len(slot_rot)
+            # every term here is fixed by its block sizes, labels and
+            # rotations, so at j = r - j each one is its own twin
+            row = rows.setdefault(_twin(r, slot_rot), {})
             for labeling in _labelings(part):
                 desc = (k, tuple(sorted(
                     (("U", len(b)) if lab == "U" else ("W", len(b)))
@@ -481,6 +496,8 @@ def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
                 column = engine.kernel_contract(label, slot_rot[1:], blocks)
                 if not column:
                     continue
+                # the flag is read before the twin factor, which can
+                # vanish: 1 - rho^(j k0) = 0 when r | j k0
                 nonzero = False
                 for k0, poly in column.items():
                     # kernels of the hbar-rescaled curve: hbar^(k-2)
@@ -488,8 +505,11 @@ def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
                                   if h + k - 2 <= hbar_cap}, ring.caps)
                     if poly:
                         nonzero = True
-                        rhs[k0] = rhs[k0] + poly if k0 in rhs else poly
+                        got = row.get((k0,))
+                        row[k0,] = poly if got is None else got + poly
                 structure[desc] = structure.get(desc, False) or nonzero
+        rhs = {k0: v for (k0,), v in
+               _fold_twins(curve.field, r, rows).items()}
         for k0 in sorted(set(lhs) | set(rhs)):
             res = lhs.get(k0, ring.zero()) - rhs.get(k0, ring.zero())
             for h in sorted(res):

@@ -231,6 +231,26 @@ def test_precision_exit_code(tmp_path, capsys):
     assert json.loads(err.strip())["error"]["exit"] == 4
 
 
+@pytest.mark.parametrize("command, n_max, chi, message", [
+    ("compute", "8", "2", "coefficient of z^-2 outside valid window [-8, -3]"),
+    ("compute", "10", "3", "insufficient truncation at (g,n)=(2,1), point "
+     "'1': coefficient of z^-2 outside valid window [-10, -3]"),
+    ("compute", "22", "3",
+     "coefficient of z^-2 outside valid window [-22, -3]"),
+    ("verify", "4", "3", "insufficient truncation at (g,n)=(1,1), point "
+     "'1': coefficient of z^-2 outside valid window [-4, -3]"),
+], ids=["compute-n8-chi2", "compute-n10-chi3", "compute-n22-chi3",
+        "verify-n4-chi3"])
+def test_precision_error_record(tmp_path, capsys, command, n_max, chi,
+                                message):
+    # the whole record, so a change in which product fails first shows
+    assert run(command, "--curve", str(DATA / "cubic_global.json"),
+               "--n-max", n_max, "--chi-max", chi,
+               "--out", str(tmp_path / "out.json")) == 4
+    assert _error(capsys) == {"code": "precision", "exit": 4,
+                              "message": message}
+
+
 def test_verify_order_four_curve(tmp_path):
     spec = {"kind": "local", "version": 1, "phi": [], "n_max": None,
             "points": [{"label": "0", "order": 4, "times": {"5": "1"}}]}
@@ -402,6 +422,63 @@ def test_index_above_n_max_is_a_declaration_error(tmp_path, capsys, phi,
     assert run("compute", "--curve", f, "--chi-max", "1") == 3
     assert _error(capsys) == {"code": "bad-declaration", "exit": 3,
                               "message": message}
+
+
+@pytest.mark.parametrize("text, message", [
+    ('"times": {"3": "1", "3": "5"}', "point '1': times repeats the key '3'"),
+    ('"times": {"3": "1", "03": "5"}',
+     "point '1': time key '03' is not a decimal integer"),
+    ('"times": {"3": "1", "3_0": "5"}',
+     "point '1': time key '3_0' is not a decimal integer"),
+    ('"times": {"3": "1", "x3": "5"}',
+     "point '1': time key 'x3' is not a decimal integer"),
+    ('"times": {"3": "1"}, "label": "2"', "a point repeats the key 'label'"),
+], ids=["repeated", "leading-zero", "underscore", "not-a-number",
+        "repeated-label"])
+def test_time_keys_name_one_index_each(tmp_path, capsys, text, message):
+    # the first three used to read t_3 = 5 and exit 0, and "x3" was
+    # reported as int()'s bare message
+    f = tmp_path / "curve.json"
+    f.write_text('{"kind": "local", "points": [{"label": "1", "order": 2, '
+                 + text + '}]}')
+    assert run("localize", "--curve", str(f)) == 2
+    assert _error(capsys) == {"code": "parse", "exit": 2, "message": message}
+
+
+def test_repeated_top_level_key_is_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "curve.json"
+    f.write_text('{"kind": "local", "kind": "global", "points": []}')
+    assert run("localize", "--curve", str(f)) == 2
+    assert _error(capsys) == {"code": "parse", "exit": 2,
+                              "message": "the curve spec repeats the key "
+                                         "'kind'"}
+
+
+@pytest.mark.parametrize("second", [[["1", 1], ["1", 2], "2"],
+                                    [["1", 2], ["1", 1], "2"],
+                                    [["1", 1], ["1", 2], "0"]],
+                         ids=["same-orientation", "swapped", "zero"])
+def test_phi_repeated_with_another_value(tmp_path, capsys, second):
+    # the same orientation used to overwrite the first value (exit 0)
+    f = _local_spec(tmp_path, phi=[[["1", 1], ["1", 2], "1"], second])
+    assert run("localize", "--curve", f) == 3
+    assert _error(capsys) == {
+        "code": "bad-declaration", "exit": 3,
+        "message": f"phi not symmetric at (('1', 1), ('1', 2)): 1 vs "
+                   f"{second[2]}"}
+
+
+@pytest.mark.parametrize("second", [[["1", 1], ["1", 2], "1"],
+                                    [["1", 2], ["1", 1], "2/2"]],
+                         ids=["same-orientation", "swapped"])
+def test_phi_repeated_with_the_same_value(tmp_path, capsys, second):
+    outputs = []
+    for phi in ([[["1", 1], ["1", 2], "1"]],
+                [[["1", 1], ["1", 2], "1"], second]):
+        assert run("localize", "--curve", _local_spec(tmp_path, phi=phi)) \
+            == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_default_n_max_covers_the_times(tmp_path, capsys):

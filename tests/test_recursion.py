@@ -22,6 +22,7 @@ from trcycles import (
 )
 from trcycles import localize_global_curve, recursion
 from trcycles.errors import PrecisionError, UnsupportedError
+from trcycles.scalars import Cyclo
 from trcycles.serialize import parse_curve_spec
 from trcycles.series import FORM, LaurentSeries
 
@@ -185,6 +186,18 @@ def test_parity_filter_and_pole_bound_match_unpruned():
             compute_omega_table(curve, chi).tables
 
 
+def test_twin_pairing_matches_unpruned():
+    # the reference forms both twins of every order-2 pair; the fill forms
+    # one and scales it, over Q(rho_5) and over non-rational times alike
+    rho3 = Cyclo.root_power(3, 1)
+    for points, chi, kmax in [
+            ([("0", 5, {6: 1, 7: Fraction(1, 2)})], 1, 8),
+            ([("0", 3, {4: rho3, 5: Fraction(1, 2)})], 2, 9)]:
+        curve = validate_local_curve(points)
+        assert unpruned_table(curve, chi, kmax).tables == \
+            compute_omega_table(curve, chi).tables
+
+
 def test_unpruned_reference_refuses_to_clip(airy_curve):
     # F[1,3] reaches index 7, and F[2,1] needs 9, beyond kmax 8
     with pytest.raises(AssertionError, match="reaches kmax"):
@@ -199,13 +212,14 @@ def test_precision_boundary_of_global_cubic(chi, boundary):
 
 
 @pytest.mark.parametrize("points, chi, calls", [
-    ([("0", 3, {4: 1})], 3, 241),
-    ([("0", 4, {5: 1})], 2, 219),
-    ([("1", 2, {3: 2, 5: Fraction(1, 3)}), ("-1", 2, {3: 2})], 5, 614),
+    ([("0", 3, {4: 1})], 3, 196),
+    ([("0", 4, {5: 1})], 2, 184),
+    ([("1", 2, {3: 2, 5: Fraction(1, 3)}), ("-1", 2, {3: 2})], 5, 330),
 ], ids=["r3-chi3", "r4-chi2", "two-point-chi5"])
 def test_kernel_products_per_table(monkeypatch, points, chi, calls):
     # one kernel product per term whose supports reach the column, and
-    # none of them comes out all zero
+    # none of them comes out all zero; one product stands for both twins
+    # of an order-2 pair
     count = [0]
     contract = recursion._Engine.kernel_contract
 
@@ -277,14 +291,16 @@ def test_table_block_matches_arrangement_sum(monkeypatch):
 @pytest.mark.parametrize("points, chi, verify, products", [
     ([("1", 2, {3: 2, 5: Fraction(1, 3)}), ("-1", 2, {3: 2})], 5, False,
      132),
-    ([("0", 3, {4: 1})], 4, False, 179),
+    ([("0", 3, {4: 1})], 4, False, 128),
     ([("0", 4, {5: 1})], 2, True, 127),
 ], ids=["two-point-chi5-fill", "r3-chi4-fill", "r4-chi2-verify-hbar3"])
 def test_block_products_per_table(monkeypatch, points, chi, verify,
                                   products):
     # series products formed inside table_block: one per distinct slot
     # index of each partial beyond the first slot (the sum over every
-    # ordering of the slot labels formed 200, 193 and 222)
+    # ordering of the slot labels formed 200, 193 and 222); on r3 the
+    # blocks at rotation 2 would serve only order-2 twins, which are not
+    # formed
     curve = validate_local_curve(points)
     table = compute_omega_table(curve, chi) if verify else None
     inside = [0]
@@ -380,3 +396,55 @@ def test_class_guard_rejects_only_zero_columns(case):
     if not engine.reaches("0", js, factors, k0_max):
         column = engine.kernel_contract("0", js, factors, k0_max)
         assert not any(column.values())
+
+
+@st.composite
+def _twin_case(draw):
+    r = draw(st.integers(2, 5))
+    curve = _guard_curve(r, draw(st.booleans()))
+    fld = curve.field
+    j = draw(st.integers(1, r - 1))
+
+    def form(weight):
+        terms = draw(st.dictionaries(
+            st.integers(-7, 3),
+            st.tuples(st.integers(-3, 3).filter(bool),
+                      st.integers(0, r - 1)),
+            min_size=1, max_size=3))
+        # a truncated factor is unknown above its ceiling hi
+        hi = draw(st.none() | st.integers(max(terms), 4))
+        return LaurentSeries(
+            fld, {e: fld.root(r, i) * c for e, (c, i) in terms.items()},
+            hi=hi, weight=weight)
+
+    if draw(st.booleans()):
+        # two blocks: A on slot 0 and B on slot 1, then swapped
+        a, b = form(1), form(1)
+        term, twin = [a, b.rotate(r, j)], [b, a.rotate(r, r - j)]
+    else:
+        # one block S(z1, z2) read at (z, rho^j z); at (z, rho^-j z) it is
+        # the same 2-form pulled back by z -> rho^-j z
+        s = form(2)
+        term, twin = [s], [s.rotate(r, r - j)]
+    k0_max = draw(st.none() | st.integers(1, 8))
+    return curve, r, j, term, twin, k0_max
+
+
+@settings(max_examples=80, deadline=None)
+@given(_twin_case())
+def test_twin_relation(case):
+    # twin[k0] = -rho^(j k0) term[k0], and a truncated factor fails both
+    # residues or neither
+    curve, r, j, term, twin, k0_max = case
+    engine = recursion._Engine(curve)
+    columns = []
+    for js, factors in (((j,), term), ((r - j,), twin)):
+        try:
+            columns.append(engine.kernel_contract("0", js, factors, k0_max))
+        except PrecisionError:
+            columns.append(None)
+    got, want = columns
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert want == {k0: -curve.field.root(r, j * k0) * v
+                        for k0, v in got.items()}

@@ -12,8 +12,10 @@ from trcycles import (
     verify_higher_pde,
     verify_quadratic_pde,
 )
+from trcycles import recursion
 from trcycles.errors import UnsupportedError
 from trcycles.tensors import _parity_filter
+from trcycles.wavefunction import HPoly
 
 
 def L(*ks):
@@ -273,3 +275,50 @@ def test_perturbed_copy_leaves_the_tensors_unchanged(airy_tensors):
         (airy_tensors.curve, airy_tensors.chi_max)
     assert (bumped.B, bumped.C, bumped.D) == \
         (before["B"], before["C"], before["D"])
+
+
+def _cubic_local(n_max):
+    from trcycles import GlobalCurve, RationalFunction, localize_global_curve
+    g = GlobalCurve(x=RationalFunction((0, -1, 0, Fraction(1, 3))),
+                    y=RationalFunction((0, 1)),
+                    declared_ramification=((1, 2), (-1, 2)))
+    return localize_global_curve(g, n_max)
+
+
+@pytest.mark.parametrize("make, chi, calls", [
+    (lambda: validate_local_curve([("1", 2, {3: 2, 5: Fraction(1, 3)}),
+                                   ("-1", 2, {3: 2})]), 5, 264),
+    (lambda: _cubic_local(14), 1, 136),
+], ids=["two-point-chi5", "cubic-14-chi1"])
+def test_airy_kernel_products(monkeypatch, make, chi, calls):
+    # one residue per unordered (e, e') for C and one per (e, leg) for B:
+    # C[i0, e', e] and the leg-first B residue are twins of these
+    curve = make()
+    table = compute_omega_table(curve, chi)
+    count = [0]
+    contract = recursion._Engine.kernel_contract
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        return contract(self, *args, **kwargs)
+
+    monkeypatch.setattr(recursion._Engine, "kernel_contract", counted)
+    compute_airy_tensors(curve, table, chi)
+    assert count[0] == calls
+
+
+def test_quadratic_pde_products(monkeypatch, two_point_curve):
+    # HPoly x HPoly products: one d/dt'_e' P_e + P_e P_e' per unordered
+    # (e, e') and one t'_s P_j per (j, s), shared by every row i0
+    table = compute_omega_table(two_point_curve, 5)
+    at = compute_airy_tensors(two_point_curve, table, 5)
+    count = [0]
+    mul = HPoly.__mul__
+
+    def counted(self, other):
+        count[0] += isinstance(other, HPoly)
+        return mul(self, other)
+
+    monkeypatch.setattr(HPoly, "__mul__", counted)
+    assert verify_quadratic_pde(two_point_curve, at, table, 4, 4).ok
+    assert count[0] == 102
