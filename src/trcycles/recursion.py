@@ -18,6 +18,16 @@ can be nonzero, and one kernel product per term yields the whole k0 row.
 A correlator block is contracted with the rotated basis forms one slot at
 a time (``_Engine.table_block``): partial sums over the entries meet each
 distinct remaining index, so no slot ordering is formed twice.
+
+Nor is an order-2 term formed with its twin.  The twin of the term with
+slot rotations (0, j) and blocks A, B on slots 0, 1 has rotations
+(0, r - j) and B, A; the deck rotation z -> rho^-j z maps one residue onto
+the other, so twin[k0] = -rho^(j k0) * term[k0].  This is a change of
+variables, so it holds over every coefficient ring and for any times.
+One term of each pair is formed and its column scaled by 1 - rho^(j k0)
+(``_kernel_terms``, ``_twin``).  At a simple point the factor is 0 at even
+k0, and a term that is its own twin vanishes there too: table indices at
+simple points are odd on every curve.
 All arithmetic is exact; windows are asserted at every coefficient
 extraction.
 
@@ -402,16 +412,9 @@ def _kernel_terms(r: int):
     """(slot rotations, slot partition) of every kernel term at a point of
     order r that is formed: each order k = 2..r, each Galois subset of k-1
     nontrivial rotations (slot 0 is unrotated), each set partition of the
-    k slots.  An order-2 term at rotation j > r - j is not listed: it is
-    the twin of a term at rotation r - j, which stands for both.
-
-    The twin of an order-2 term at rotations (0, j) with slot data (A, B)
-    is the term at rotations (0, r - j) with slot data (B, A).  The deck
-    rotation z -> rho^-j z maps one residue onto the other, so
-        twin[k0] = -rho^(j k0) * term[k0]
-    over every coefficient ring: a change of variables, not a field
-    automorphism.  ``_twin`` says how each listed term enters its column.
-    """
+    k slots.  The order-2 terms at rotation j > r - j are left out: each
+    is the twin of a term at rotation r - j (blocks in swapped slots), and
+    twin[k0] = -rho^(j k0) * term[k0], so that term stands for both."""
     for k in range(2, r + 1):
         for js in combinations(range(1, r), k - 1):
             if k == 2 and 2 * js[0] > r:
@@ -439,20 +442,16 @@ def _twin(r: int, slot_rot, sides=()):
 
 
 def _fold_twins(field, r: int, rows: dict) -> dict:
-    """{(k0, ...): value} from the sums ``rows`` {twin index j: {(k0, ...):
-    value}}: each sum of terms that stand for their twins is scaled by
-    1 - rho^(j k0), once per entry."""
+    """{(k0, ...): value} from ``rows`` {j: {(k0, ...): value}}, the sums
+    of the terms with each ``_twin`` index j, each scaled by
+    1 - rho^(j k0) once per entry (row 0 as it is)."""
     out = rows.pop(0, {})
-    scale = {}
     for j, part in rows.items():
         for key, v in part.items():
-            f = scale.get((j, key[0]))
-            if f is None:
-                f = scale[j, key[0]] = field.one() - field.root(r, j * key[0])
+            f = field.one() - field.root(r, j * key[0])
             if f:
-                v = v * f
                 got = out.get(key)
-                out[key] = v if got is None else got + v
+                out[key] = v * f if got is None else got + v * f
     return out
 
 

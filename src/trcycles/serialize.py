@@ -72,15 +72,11 @@ class _Repeated(dict):
 def _object(pairs):
     """``object_pairs_hook``: the object, marked when a key repeats."""
     obj = dict(pairs)
-    if len(obj) == len(pairs):
-        return obj
-    obj = _Repeated(pairs)
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            obj.key = key
-            return obj
-        seen.add(key)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        obj = _Repeated(pairs)
+        obj.key = next(key for i, key in enumerate(keys) if key in keys[:i])
+    return obj
 
 
 def _json(value, kind, what: str, named: str | None = None):

@@ -326,14 +326,12 @@ def verify_quadratic_pde(curve: CurveData, at: AiryTensors,
     P = {v: logz.deriv(v) for v in variables}
     report = ResidualReport(checked_orders=(hbar_max, deg_max))
 
-    targets = set(variables)
-    targets.update(i0 for (i0, _, _) in at.C)
-    targets.update(i0 for (i0, _, _) in at.B)
     crows, brows = {}, {}   # i0 -> [(e, e', C)], [(j, s, B)]
     for (i0, e, ep), v in at.C.items():
         crows.setdefault(i0, []).append((e, ep, v))
     for (i0, j, s), v in at.B.items():
         brows.setdefault(i0, []).append((j, s, v))
+    targets = set(variables) | set(crows) | set(brows)
     # the products each C and B entry scales, formed once: d/dt'_e' P_e +
     # P_e P_e' per unordered (e, e'), t'_s P_j per (j, s)
     both, tpj = {}, {}
