@@ -180,6 +180,10 @@ def validate_local_curve(points, phi=None, n_max=None) -> CurveData:
                 " point")
         orders.append(order)
         pts[label] = (order, {int(k): v for k, v in times.items()})
+        if len(pts[label][1]) < len(times):
+            raise BadDeclarationError(
+                f"point {label!r}: time keys {list(times)} name an index "
+                f"twice")
 
     if not pts:
         raise BadDeclarationError("curve needs at least one point")

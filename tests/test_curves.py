@@ -105,6 +105,25 @@ def test_phi_symmetry_storage():
     assert c.phi_row("b", ("a", 1)) == {2: Fraction(1, 4)}
 
 
+def test_time_keys_folding_into_one_index_are_rejected():
+    # {"3": 1, "03": 5} used to read as t_3 = 5
+    with pytest.raises(BadDeclarationError, match="name an index twice"):
+        validate_local_curve([("1", 2, {"3": 1, "03": 5})])
+    with pytest.raises(BadDeclarationError, match="name an index twice"):
+        validate_local_curve([("1", 2, {3: 1, "3": 1})])
+
+
+def test_repeated_phi_pair_must_agree():
+    # a list of (key, value) pairs may repeat a key, with one value only
+    key = (("a", 1), ("b", 2))
+    pts = [("a", 2, {3: 1}), ("b", 2, {3: 1})]
+    c = validate_local_curve(pts, phi=[(key, Fraction(1, 4)),
+                                       (key, Fraction(2, 8))])
+    assert c.phi == {key: Fraction(1, 4)}
+    with pytest.raises(BadDeclarationError, match="not symmetric"):
+        validate_local_curve(pts, phi=[(key, Fraction(1, 4)), (key, 1)])
+
+
 def test_record_classes_keep_their_defaults():
     # the records are plain __slots__ classes: each CurveData gets its own
     # x_offsets, and a RationalFunction without den is a polynomial
