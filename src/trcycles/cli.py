@@ -78,20 +78,22 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _simple_tensors(curve, table, chi_max):
+def _simple_tensors(table):
     """The Airy tensors when every point is simple, else None."""
+    curve = table.curve
     if all(curve.order(lb) == 2 for lb in curve.labels):
         from .tensors import compute_airy_tensors
-        return compute_airy_tensors(curve, table, chi_max)
+        return compute_airy_tensors(table, table.chi_max)
     return None
 
 
-def _results_json(curve, table, chi_max, tensors) -> str:
+def _results_json(table, tensors) -> str:
     """The compute output: table, tensors and the genus scalars."""
     from .recursion import compute_Fg
-    fg = {g: compute_Fg(table, curve, g)
+    chi_max = table.chi_max
+    fg = {g: compute_Fg(table, g)
           for g in range(2, (chi_max + 1) // 2 + 1) if 2 * g - 1 <= chi_max}
-    return dump_results(curve, table, tensors, fg)
+    return dump_results(table, tensors, fg)
 
 
 def cmd_compute(args) -> int:
@@ -99,9 +101,9 @@ def cmd_compute(args) -> int:
     curve = _load_curve(args.curve, args.n_max, args.chi_max)
     table = compute_omega_table(curve, args.chi_max)
     # the tensors are built for either format, so both fail alike
-    tensors = _simple_tensors(curve, table, args.chi_max)
+    tensors = _simple_tensors(table)
     _write_out(format_table(table) if args.format == "table" else
-               _results_json(curve, table, args.chi_max, tensors), args.out)
+               _results_json(table, tensors), args.out)
     return EXIT_OK
 
 
@@ -139,12 +141,12 @@ def cmd_verify(args) -> int:
 
     # invariance checks on the correlator table
     table = _verify_homogeneity(curve, args.chi_max, check)
-    _verify_dilaton(curve, table, args.chi_max, check)
-    _verify_zero_residue(curve, table, check)
-    _verify_pole_bound(curve, table, check)
+    _verify_dilaton(table, check)
+    _verify_zero_residue(table, check)
+    _verify_pole_bound(table, check)
     _verify_cycle_algebra(curve, check)
 
-    tensors = _simple_tensors(curve, table, args.chi_max)
+    tensors = _simple_tensors(table)
     if tensors is not None:
         from .tensors import tensor_recursion, verify_quadratic_pde
         used = tensors if perturb is None else \
@@ -154,15 +156,14 @@ def cmd_verify(args) -> int:
                    for gn in set(table.tables) | set(ttab.tables))
         check("engine-equivalence", same,
               "residue recursion vs tensor recursion")
-        rep = verify_quadratic_pde(curve, used, table,
-                                   args.hbar_max, args.deg_max)
+        rep = verify_quadratic_pde(used, table, args.hbar_max, args.deg_max)
         check("quadratic-pde", rep.ok,
               f"first nonzero: {rep.first_nonzero()}" if not rep.ok
               else f"orders {rep.checked_orders}")
     if curve.is_purely_local:
         from .tensors import verify_higher_pde
         from .wavefunction import hirota_insertion_check
-        reph = verify_higher_pde(curve, table, args.hbar_max)
+        reph = verify_higher_pde(table, args.hbar_max)
         check("higher-pde", reph.ok,
               f"first nonzero: {reph.first_nonzero()}" if not reph.ok
               else f"orders {reph.checked_orders}")
@@ -170,8 +171,7 @@ def cmd_verify(args) -> int:
             hir = True
             for (g, n) in [(0, 2), (1, 1)]:
                 if (g, n + 1) in table.tables:
-                    hir = hir and hirota_insertion_check(
-                        table, curve, g, n)["ok"]
+                    hir = hir and hirota_insertion_check(table, g, n)["ok"]
             check("insertion-operator", hir)
     if perturb is not None and tensors is None:
         check("perturbation", False, "perturbation needs a simple curve")
@@ -179,7 +179,7 @@ def cmd_verify(args) -> int:
     if args.results:
         with open(args.results, "r", encoding="utf-8") as fh:
             stored = json.load(fh)
-        own = json.loads(_results_json(curve, table, args.chi_max, tensors))
+        own = json.loads(_results_json(table, tensors))
         check("results-roundtrip", stored == own,
               "stored results equal recomputation")
 
@@ -243,21 +243,21 @@ def _first_inhomogeneous(table, gtab) -> str:
     return ""
 
 
-def _verify_dilaton(curve, table, chi_max, check):
+def _verify_dilaton(table, check):
     # factor 2g-2+n under the implemented cycle-pairing orientation (the
     # defining intersection formula fixes the dual of the primary form up
     # to the same global sign recorded for the pairing table)
     ok = True
     detail = ""
     for (g, n), tab in sorted(table.tables.items()):
-        if 2 - 2 * g - n >= 0 or 2 * g - 2 + n + 1 > chi_max:
+        if 2 - 2 * g - n >= 0 or 2 * g - 2 + n + 1 > table.chi_max:
             continue
         if (g, n + 1) not in table.tables:
             continue
         for key, v in tab.items():
-            total = curve.field.zero()
-            for label in curve.labels:
-                for k, t in curve.times(label).items():
+            total = table.field.zero()
+            for label in table.curve.labels:
+                for k, t in table.curve.times(label).items():
                     total = total + t * table.get(g, n + 1,
                                                   ((label, k),) + key)
             if total != (2 * g - 2 + n) * v:
@@ -266,17 +266,18 @@ def _verify_dilaton(curve, table, chi_max, check):
     check("dilaton", ok, detail)
 
 
-def _verify_zero_residue(curve, table, check):
+def _verify_zero_residue(table, check):
     ok = True
     for (g, n) in table.tables:
         if n == 1:
             w = table.local_form(g, 1, ())
-            if any(w.at(label).residue() for label in curve.labels):
+            if any(w.at(label).residue() for label in table.curve.labels):
                 ok = False
     check("zero-residue", ok)
 
 
-def _verify_pole_bound(curve, table, check):
+def _verify_pole_bound(table, check):
+    curve = table.curve
     ok = True
     detail = ""
     measured = {}

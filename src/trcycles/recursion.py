@@ -31,6 +31,10 @@ simple points are odd on every curve.
 All arithmetic is exact; windows are asserted at every coefficient
 extraction.
 
+Each table owns one engine (``OmegaTable.engine``): the fill, the Airy
+tensors and the higher verifier share its factors and blocks, and
+``set_entry`` drops the blocks of the level it changes.
+
 Before a term's product is formed, ``_Engine.reaches`` rejects it when its
 exact supports cannot meet the column: up to z^-2 the product's exponents
 lie in the Minkowski sum of the supports of its factors and of the
@@ -65,11 +69,21 @@ class OmegaTable:
         self.field = curve.field
         self.chi_max = chi_max
         self.tables = {}   # (g, n) -> {sorted tuple of (label,k): scalar}
+        self._engine = None
+
+    @property
+    def engine(self) -> _Engine:
+        """The residue engine of this table, created on first use."""
+        if self._engine is None:
+            self._engine = _Engine(self)
+        return self._engine
 
     def set_entry(self, g: int, n: int, indices, value) -> None:
         key = tuple(sorted(indices))
         if len(key) != n:
             raise ValueError("index tuple length must equal n")
+        if self._engine is not None:
+            self._engine._slice.pop((g, n), None)
         tab = self.tables.setdefault((g, n), {})
         if value:
             tab[key] = value
@@ -139,17 +153,19 @@ def _compositions(total, parts):
 
 
 class _Engine:
-    """Shared caches for kernel residue evaluation on one curve."""
+    """Kernel residue evaluation for one table, with its caches: the
+    factors depend only on the curve, the blocks on the table too."""
 
-    def __init__(self, curve: CurveData):
-        self.curve = curve
-        self.field = curve.field
+    def __init__(self, table: OmegaTable):
+        self.table = table
+        self.curve = table.curve
+        self.field = table.field
         self._denom = {}      # (label, j, order) -> inverse series
         self._basis = {}      # e -> kernel map of Gamma_e (a LocalForm)
         self._rot = {}        # (at_label, e, j) -> rotated series
         self._bridge = {}     # (label, jp, jq) -> weight-2 series
         self._leg = {}        # (label, k_spec, j) -> rotated monomial
-        self._slice = {}      # (label, gb, mb, rotations) -> block map
+        self._slice = {}      # (gb, mb) -> {(label, rotations): block map}
 
     # -- factor builders -------------------------------------------------
     def denom_inv(self, label: str, j: int, order: int) -> LaurentSeries:
@@ -228,24 +244,25 @@ class _Engine:
         self._bridge[key] = got
         return got
 
-    def table_block(self, table: OmegaTable, label: str, gb: int, mb: int,
+    def table_block(self, label: str, gb: int, mb: int,
                     rotations: tuple) -> dict:
-        """F[gb,mb] as a kernel block with ``len(rotations)`` slots at
-        ``label``: {spectator multiset S: sum over slot labels e of
-        F[gb,mb][e..., S] * product of rotated basis forms}, nonzero
+        """F[gb,mb] of the table as a kernel block with ``len(rotations)``
+        slots at ``label``: {spectator multiset S: sum over slot labels e
+        of F[gb,mb][e..., S] * product of rotated basis forms}, nonzero
         series only.  The entries are contracted one slot at a time: each
         partial {rest: series} meets every distinct index e of its rest,
         so every ordering of a slot multiset is met once, and partials
         are summed before the next slot multiplies them.  Only the
         finished block drops zeros: a truncated partial that is zero up
-        to its ceiling is unknown above it.  Cached per engine (only
-        completed tables are read); the value is symmetric in the
-        rotations, so the key sorts them."""
+        to its ceiling is unknown above it.  Cached per level until
+        ``OmegaTable.set_entry`` changes it (the fill reads only completed
+        levels); the value is symmetric in the rotations, so the key
+        sorts them."""
         rots = tuple(sorted(rotations))
-        key = (label, gb, mb, rots)
-        got = self._slice.get(key)
+        level = self._slice.setdefault((gb, mb), {})
+        got = level.get((label, rots))
         if got is None:
-            partial = table.entries(gb, mb)
+            partial = self.table.entries(gb, mb)
             for slot, j in enumerate(rots):
                 sums = {}
                 for spec, f in partial.items():
@@ -257,8 +274,8 @@ class _Engine:
                         sums[rest] = sums[rest] + piece if rest in sums \
                             else piece
                 partial = sums
-            got = self._slice[key] = {spec: f for spec, f in partial.items()
-                                      if not f.is_zero()}
+            got = level[label, rots] = {spec: f for spec, f in partial.items()
+                                        if not f.is_zero()}
         return got
 
     # -- the residue core --------------------------------------------------
@@ -338,49 +355,35 @@ class _Engine:
                 for k0 in range(1, reach + 1)}
 
 
-def compute_omega_table(curve: CurveData, chi_max: int,
-                        check_symmetry: bool = False) -> OmegaTable:
+def compute_omega_table(curve: CurveData, chi_max: int) -> OmegaTable:
     """Fill F[g,n] for all 2g-2+n <= chi_max by the residue recursion.
 
-    Each entry is read with its smallest index as the distinguished one.
-    With ``check_symmetry`` every index of an entry is read as the
-    distinguished one, and the readings must agree.
+    Each entry is read once, with its smallest index as the distinguished
+    one; each level is written in sorted key order.
     """
     if chi_max < 1:
         raise ValueError("chi_max must be >= 1")
-    engine = _Engine(curve)
     table = OmegaTable(curve, chi_max)
-    zero = curve.field.zero()
+    engine = table.engine
     for g, n1 in _levels(chi_max):
-        readings = {}   # sorted key -> {distinguished index: value}
+        level = {}
         for label in curve.labels:
             try:
-                row = _point_row(engine, table, label, g, n1 - 1,
-                                 check_symmetry)
+                row = _point_row(engine, label, g, n1 - 1)
             except PrecisionError as exc:
                 raise PrecisionError(
                     f"insufficient truncation at (g,n)=({g},{n1}), "
                     f"point {label!r}: {exc}") from exc
-            for (k0, spec), value in row.items():
-                i0 = (label, k0)
-                key = tuple(sorted((i0,) + spec))
-                readings.setdefault(key, {})[i0] = value
-        for key in sorted(readings):
-            got = readings[key]
-            value = got.get(key[0], zero)
-            if check_symmetry and \
-                    any(got.get(i, zero) != value for i in set(key)):
-                raise AssertionError(
-                    f"symmetry violation at F[{g},{n1}]{key}: {got}")
-            if value:
-                table.set_entry(g, n1, key, value)
+            level.update({((label, k0),) + spec: value
+                          for (k0, spec), value in row.items() if value})
+        for key in sorted(level):
+            table.set_entry(g, n1, key, level[key])
     return table
 
 
-def _point_row(engine: _Engine, table: OmegaTable, label: str, g: int,
-               n: int, every_k0: bool) -> dict:
+def _point_row(engine: _Engine, label: str, g: int, n: int) -> dict:
     """{(k0, S): F[g,n+1][(label,k0), S]} summed over the kernel terms at
-    ``label`` that can be nonzero, with |S| = n.
+    ``label`` that can be nonzero, with |S| = n and (label,k0) <= min(S).
 
     A layout (order k, Galois subset, slot partition, block genera and
     spectator counts) with a primary one-form block is dropped before any
@@ -388,7 +391,6 @@ def _point_row(engine: _Engine, table: OmegaTable, label: str, g: int,
     slice would be cached while still empty.  The other layouts multiply
     out block maps {S_b: series}.  A term that stands for its twin too
     (``_twin``) is summed apart and scaled once per entry.
-    Unless ``every_k0``, only readings with (label,k0) <= min(S) are kept.
     """
     r = engine.curve.order(label)
     rows = {}   # twin index -> {(k0, S): sum of unscaled terms}
@@ -403,8 +405,7 @@ def _point_row(engine: _Engine, table: OmegaTable, label: str, g: int,
                 if any(gb == 0 and len(slots) + c == 1
                        for slots, gb, c in layout):
                     continue
-                _add_terms(engine, table, label, slot_rot, layout,
-                           every_k0, rows)
+                _add_terms(engine, label, slot_rot, layout, rows)
     return _fold_twins(engine.field, r, rows)
 
 
@@ -455,7 +456,7 @@ def _fold_twins(field, r: int, rows: dict) -> dict:
     return out
 
 
-def _add_terms(engine, table, label, slot_rot, layout, every_k0, rows):
+def _add_terms(engine, label, slot_rot, layout, rows):
     """Add every term of one block layout to ``rows`` {twin index: row}.
     The slot data that ``_twin`` compares are the blocks' (g, c), then
     their spectator multisets."""
@@ -475,8 +476,7 @@ def _add_terms(engine, table, label, slot_rot, layout, every_k0, rows):
             else:
                 legs.append((b, rots[0]))
         else:
-            blocks[b] = engine.table_block(table, label, gb,
-                                           len(slots) + c, rots)
+            blocks[b] = engine.table_block(label, gb, len(slots) + c, rots)
             if not blocks[b]:
                 return
     # the residue reaches k0 = 1 only while the factor orders sum to at
@@ -501,7 +501,7 @@ def _add_terms(engine, table, label, slot_rot, layout, every_k0, rows):
                 continue
         spec = tuple(sorted(x for part, _ in combo for x in part))
         k0_max = None
-        if spec and not every_k0:
+        if spec:
             if spec[0][0] < label:
                 continue
             if spec[0][0] == label:
@@ -547,12 +547,13 @@ def _deal_count(parts) -> int:
     return out
 
 
-def compute_Fg(table: OmegaTable, curve: CurveData, g: int):
+def compute_Fg(table: OmegaTable, g: int):
     """The genus-g scalar invariant, from the one-variable correlator."""
     if g < 2:
         raise UnsupportedError(
             "scalar invariants are implemented for genus >= 2 only")
-    total = curve.field.zero()
+    curve = table.curve
+    total = table.field.zero()
     for label in curve.labels:
         for k, t in curve.times(label).items():
             total = total + t * table.get(g, 1, ((label, k),))
@@ -592,7 +593,7 @@ def kk_apply(curve: CurveData, k: int, label: str, summands) -> LocalForm:
     the sum runs over unordered subsets of distinct nontrivial elements.
     Returns zero when k exceeds the point order (empty subset sum).
     """
-    engine = _Engine(curve)
+    engine = OmegaTable(curve).engine
     r = curve.order(label)
     if k < 2:
         raise ValueError("kernel order must be >= 2")

@@ -154,11 +154,11 @@ def parse_curve_spec(text: str):
 
 # -- correlator tables ---------------------------------------------------------
 
-def dump_omega_table(table: OmegaTable, chash: str) -> str:
+def dump_omega_table(table, chash: str) -> str:
     return canonical_json(_omega_document(table, chash))
 
 
-def _omega_document(table: OmegaTable, chash: str) -> dict:
+def _omega_document(table, chash: str) -> dict:
     fld = table.field
     entries = []
     for (g, n) in table.gn_list():
@@ -172,7 +172,7 @@ def _omega_document(table: OmegaTable, chash: str) -> dict:
             "chi_max": table.chi_max, "entries": entries}
 
 
-def parse_omega_table(text: str, curve: CurveData) -> OmegaTable:
+def parse_omega_table(text: str, curve: CurveData):
     from .recursion import OmegaTable
     doc = json.loads(text)
     table = OmegaTable(curve, int(doc.get("chi_max", 0)))
@@ -183,10 +183,10 @@ def parse_omega_table(text: str, curve: CurveData) -> OmegaTable:
     return table
 
 
-def dump_results(curve: CurveData, table: OmegaTable, tensors=None,
-                 fg: dict | None = None) -> str:
-    fld = curve.field
-    chash = curve_hash(curve)
+def dump_results(table, tensors=None, fg: dict | None = None) -> str:
+    """The compute output: the table, its curve hash, tensors and scalars."""
+    fld = table.field
+    chash = curve_hash(table.curve)
     doc = {"version": 1, "curve_hash": chash,
            "omega": _omega_document(table, chash)}
     if tensors is not None:
@@ -196,7 +196,7 @@ def dump_results(curve: CurveData, table: OmegaTable, tensors=None,
     return canonical_json(doc)
 
 
-def format_table(table: OmegaTable) -> str:
+def format_table(table) -> str:
     """Human-readable aligned table of the correlator tensors."""
     fld = table.field
     rows = []

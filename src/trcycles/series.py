@@ -153,15 +153,6 @@ class LaurentSeries:
         return LaurentSeries(ring, self.coeffs, lo=self.lo, hi=self.hi,
                              weight=self.weight)
 
-    def truncate(self, hi: int | None) -> "LaurentSeries":
-        """Restrict the window from above (no-op for hi=None)."""
-        if hi is None:
-            return self
-        new_hi = hi if self.hi is None else min(hi, self.hi)
-        out = {e: c for e, c in self.coeffs.items() if e <= new_hi}
-        return LaurentSeries(self.field, out, lo=self.lo, hi=new_hi,
-                             weight=self.weight)
-
     # -- calculus ---------------------------------------------------------
     def residue(self):
         """Coefficient of z**-1 dz.  Requires a 1-form."""

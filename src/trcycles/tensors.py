@@ -5,12 +5,14 @@ Two independent routes to the same tensors meet here: A and D are read
 from the correlator table, C and the B-tensor come from fresh kernel
 residues.  The tensor recursion then rebuilds correlators by pure
 contraction, and the verifiers expand the annihilation identities in
-(hbar, times)-coefficients, which must all vanish.  Every kernel residue,
-scalar or HPoly-valued, is taken by the one routine
+(hbar, times)-coefficients, which must all vanish.  Each consumer takes
+the table alone and reads the curve from it.  Every kernel residue,
+scalar or HPoly-valued, is taken by the table's own engine
+(``OmegaTable.engine``), through the one routine
 ``_Engine.kernel_contract`` that also drives the correlator recursion,
 and the higher verifier's W and U blocks are the recursion's own
 ``_Engine.table_block`` maps, summed over the table levels with their
-hbar and times weights.
+hbar and times weights: those the fill built are not built again.
 
 Slot conventions for the stored B-tensor follow its defining residue:
 B[i1, i2, i3] contracts the kernel output with i1, feeds the basis form
@@ -29,7 +31,6 @@ from .recursion import (
     OmegaTable,
     _deal_count,
     _drops,
-    _Engine,
     _fold_twins,
     _kernel_terms,
     _levels,
@@ -103,17 +104,17 @@ def _parity_filter(curve: CurveData) -> bool:
     return True
 
 
-def compute_airy_tensors(curve: CurveData, table: OmegaTable,
-                         chi_max: int) -> AiryTensors:
-    """Tensors of the quadratic Airy structure of a simple-ramification
-    curve: A and D from the correlator table, C and B from kernel
-    residues."""
+def compute_airy_tensors(table: OmegaTable, chi_max: int) -> AiryTensors:
+    """Tensors of the quadratic Airy structure of the table's curve, which
+    must have simple ramification: A and D from the correlator table, C
+    and B from kernel residues on the table's engine."""
+    curve = table.curve
     for label in curve.labels:
         if curve.order(label) != 2:
             raise UnsupportedError(
                 "the quadratic tensor form needs simple ramification "
                 "everywhere; use the order-by-order verifier instead")
-    engine = _Engine(curve)
+    engine = table.engine
     # the index bound and the parity filter fix which entries the tensors
     # have, not only which columns are skipped: entries outside them can
     # be nonzero (unfiltered, airy chi 3 has 21 C and 36 B entries instead
@@ -135,11 +136,13 @@ def compute_airy_tensors(curve: CurveData, table: OmegaTable,
     C = {}
     B = {}
     for label in curve.labels:
-        for a, e in enumerate(slots):
+        # a slot whose basis form vanishes at the kernel point gives no
+        # residue (on a purely local curve, those of the other points)
+        live = [e for e in slots
+                if not engine.rotated_basis(label, e, 0).is_zero()]
+        for a, e in enumerate(live):
             base = engine.rotated_basis(label, e, 0)
-            if base.is_zero():
-                continue
-            for ep in slots[a:]:
+            for ep in live[a:]:
                 # C[i0, e, e'] = 2 * contraction of K2(basis_e, basis_e'),
                 # and C[i0, e', e] is its twin
                 column = engine.kernel_contract(
@@ -301,8 +304,7 @@ def _airy_index_variables(table: OmegaTable):
     return sorted(out)
 
 
-def verify_quadratic_pde(curve: CurveData, at: AiryTensors,
-                         table: OmegaTable, hbar_max: int,
+def verify_quadratic_pde(at: AiryTensors, table: OmegaTable, hbar_max: int,
                          deg_max: int) -> ResidualReport:
     """Expand the quadratic annihilation operator on Z(t') and collect all
     (hbar, monomial) residual coefficients up to the cutoffs.
@@ -316,7 +318,7 @@ def verify_quadratic_pde(curve: CurveData, at: AiryTensors,
 
     applied to log Z (all sums over the full label set).
     """
-    fld = curve.field
+    fld = table.field
     chi_needed = min(hbar_max, table.chi_max)
     caps = (hbar_max, deg_max)
     logz = HPoly(assemble_logZ(table, chi_needed).terms, caps)
@@ -387,7 +389,7 @@ def verify_quadratic_pde(curve: CurveData, at: AiryTensors,
 # ---------------------------------------------------------------------------
 # Order-by-order verification of the higher annihilation operator.
 
-def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
+def verify_higher_pde(table: OmegaTable, hbar_max: int,
                       drop_terms: tuple = ()) -> ResidualReport:
     """Verify, coefficient by coefficient, that the order-r annihilation
     operator kills the wave function.
@@ -408,10 +410,11 @@ def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
     ('W', m) for m-fold insertion blocks and ('U', m) for disc-free
     derivative blocks.
     """
+    curve = table.curve
     if not curve.is_purely_local:
         raise UnsupportedError(
             "order-by-order verification needs a purely local curve")
-    engine = _Engine(curve)
+    engine = table.engine
     hbar_cap = min(hbar_max, table.chi_max - 1)
     deg_cap = hbar_cap + 2
     ring = HPolyRing(curve.field, (hbar_cap, deg_cap))
@@ -445,7 +448,7 @@ def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
                 h = 2 * g - 2 + mn
                 if mn < m or (g, mn) == (0, m) or h > hbar_cap:
                     continue
-                for spec, f in engine.table_block(table, label, g, mn,
+                for spec, f in engine.table_block(label, g, mn,
                                                   rots).items():
                     for ex, c in f.coeffs.items():
                         add(ex, HPoly({h: times_polynomial([(spec, c)])},
@@ -467,7 +470,7 @@ def verify_higher_pde(curve: CurveData, table: OmegaTable, hbar_max: int,
             rots = tuple(slot_rot[s] for s in block_slots)
             if m == 2:
                 return engine.bridge(label, *rots).over(ring)
-            block = engine.table_block(table, label, 0, m, rots).get(
+            block = engine.table_block(label, 0, m, rots).get(
                 (), LaurentSeries.zero(curve.field))
             return LaurentSeries(
                 ring, {ex: HPoly({m - 2: {(): c}}, ring.caps)

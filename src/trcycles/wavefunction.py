@@ -243,14 +243,13 @@ def assemble_logZ(table: OmegaTable, chi_max: int) -> LogZ:
     return LogZ(curve=curve, chi_max=chi_max, terms=terms)
 
 
-def assemble_logZprime(table: OmegaTable, curve: CurveData,
-                       chi_max: int) -> LogZ:
+def assemble_logZprime(table: OmegaTable, chi_max: int) -> LogZ:
     """log Z' = the hbar^-1 one-form pairing + the half bilinear pairing
     + log Z(t').  Both prefactor pairings are computed honestly; on every
     admissible curve they vanish (the primary form is analytic at each
     point and the kernel map annihilates the negative-index cycles)."""
     base = assemble_logZ(table, chi_max)
-    fld = curve.field
+    curve, fld = table.curve, table.field
     pre01 = HPoly()
     pre02 = HPoly()
     variables = sorted({idx for (g, n), tab in table.tables.items()
@@ -277,11 +276,11 @@ def assemble_logZprime(table: OmegaTable, curve: CurveData,
 
 # -- insertion operator check ------------------------------------------------
 
-def hirota_insertion_check(table: OmegaTable, curve: CurveData, g: int,
-                           n: int, spectators=None,
+def hirota_insertion_check(table: OmegaTable, g: int, n: int,
+                           spectators=None,
                            with_dx_weight: bool = True) -> dict:
     """Check that the one-point extraction kernel reproduces the (g, n+1)
-    correlator in its first slot.
+    correlator of the table in its first slot.
 
     With z a formal exterior point on the disc of a single ramification
     point and the local model x = x(a) + zeta^r, the residue at p -> z of
@@ -294,6 +293,7 @@ def hirota_insertion_check(table: OmegaTable, curve: CurveData, g: int,
     identity exercises the polar expansions and the covering map; it
     fails when the dx(z) weight is dropped (``with_dx_weight=False``).
     """
+    curve = table.curve
     if len(curve.labels) != 1 or not curve.is_purely_local:
         raise UnsupportedError(
             "the insertion check is implemented for purely local "

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import engine_entry
-from unpruned import _block_series, unpruned_table
+from unpruned import _block_series, check_every_reading, unpruned_table
 from trcycles import (
     DiagonalB,
+    OmegaTable,
     PairProduct,
     compute_Fg,
     compute_omega_table,
@@ -75,12 +76,12 @@ def test_two_point_block_structure(two_point_table):
             assert len({lb for lb, _ in key}) == 1
 
 
-def test_fg(airy_table, airy_curve, two_point_table, two_point_curve):
-    assert compute_Fg(airy_table, airy_curve, 2) == 0
-    f2 = compute_Fg(two_point_table, two_point_curve, 2)
+def test_fg(airy_table, two_point_table):
+    assert compute_Fg(airy_table, 2) == 0
+    f2 = compute_Fg(two_point_table, 2)
     assert f2 != 0
     with pytest.raises(UnsupportedError):
-        compute_Fg(airy_table, airy_curve, 1)
+        compute_Fg(airy_table, 1)
 
 
 def test_r3_seeds(r3_table):
@@ -101,7 +102,14 @@ def test_r3_rationality(r3_table):
 
 
 def test_r3_symmetry_check(r3_curve):
-    compute_omega_table(r3_curve, 2, check_symmetry=True)
+    # the fill reads each entry at its smallest index; the unpruned
+    # reference reads it at every distinct index
+    ab23 = validate_local_curve([("a", 2, {3: 1}), ("b", 3, {4: 1})])
+    for curve, entries, readings in [(r3_curve, 7, 12), (ab23, 12, 19)]:
+        table = compute_omega_table(curve, 2)
+        assert sorted(table.tables) == [(0, 3), (0, 4), (1, 1), (1, 2)]
+        assert sum(map(len, table.tables.values())) == entries
+        assert check_every_reading(table) == readings
 
 
 def test_k2_apply_omega03(airy_curve):
@@ -242,10 +250,10 @@ def test_table_block_matches_arrangement_sum(monkeypatch):
     requested = {}
     block = recursion._Engine.table_block
 
-    def recorded(self, table, label, gb, mb, rotations):
-        got = block(self, table, label, gb, mb, rotations)
-        requested[id(table), label, gb, mb, tuple(sorted(rotations))] = \
-            (table, got)
+    def recorded(self, label, gb, mb, rotations):
+        got = block(self, label, gb, mb, rotations)
+        requested[id(self.table), label, gb, mb, tuple(sorted(rotations))] = \
+            (self.table, got)
         return got
 
     monkeypatch.setattr(recursion._Engine, "table_block", recorded)
@@ -261,8 +269,8 @@ def test_table_block_matches_arrangement_sum(monkeypatch):
         requested.clear()
         table = compute_omega_table(curve, chi)
         if curve.is_purely_local:
-            verify_higher_pde(curve, table, 3)
-        reference = recursion._Engine(curve)
+            verify_higher_pde(table, 3)
+        reference = OmegaTable(curve).engine
         for (_, label, gb, mb, rots), (tab, got) in requested.items():
             specs = {spec for key in tab.entries(gb, mb)
                      for spec in combinations(key, mb - len(rots))}
@@ -292,15 +300,19 @@ def test_table_block_matches_arrangement_sum(monkeypatch):
     ([("1", 2, {3: 2, 5: Fraction(1, 3)}), ("-1", 2, {3: 2})], 5, False,
      132),
     ([("0", 3, {4: 1})], 4, False, 128),
-    ([("0", 4, {5: 1})], 2, True, 127),
-], ids=["two-point-chi5-fill", "r3-chi4-fill", "r4-chi2-verify-hbar3"])
+    ([("0", 4, {5: 1})], 2, True, 115),
+    ([("1", 2, {3: 2, 5: Fraction(1, 3)}), ("-1", 2, {3: 2})], 5, True, 0),
+], ids=["two-point-chi5-fill", "r3-chi4-fill", "r4-chi2-verify-hbar3",
+        "two-point-chi5-verify-hbar3"])
 def test_block_products_per_table(monkeypatch, points, chi, verify,
                                   products):
     # series products formed inside table_block: one per distinct slot
     # index of each partial beyond the first slot (the sum over every
-    # ordering of the slot labels formed 200, 193 and 222); on r3 the
-    # blocks at rotation 2 would serve only order-2 twins, which are not
-    # formed
+    # ordering of the slot labels formed 200, 193 and 222 on the first
+    # three); on r3 the blocks at rotation 2 would serve only order-2
+    # twins, which are not formed.  The verifier runs on the fill's table
+    # and engine, so it builds only the blocks the fill did not: on r4
+    # 115 products (127 on an engine of its own), on two-point none
     curve = validate_local_curve(points)
     table = compute_omega_table(curve, chi) if verify else None
     inside = [0]
@@ -323,7 +335,7 @@ def test_block_products_per_table(monkeypatch, points, chi, verify,
     monkeypatch.setattr(LaurentSeries, "mul", counted_mul)
     monkeypatch.setattr(LaurentSeries, "__mul__", counted_mul)
     if verify:
-        verify_higher_pde(curve, table, 3)
+        verify_higher_pde(table, 3)
     else:
         compute_omega_table(curve, chi)
     assert count[0] == products
@@ -392,7 +404,7 @@ def test_class_guard_rejects_only_zero_columns(case):
     # a rejected term's column is all zero, and reading it raises no
     # PrecisionError: the guard never hides a truncated factor
     curve, js, factors, k0_max = case
-    engine = recursion._Engine(curve)
+    engine = OmegaTable(curve).engine
     if not engine.reaches("0", js, factors, k0_max):
         column = engine.kernel_contract("0", js, factors, k0_max)
         assert not any(column.values())
@@ -436,7 +448,7 @@ def test_twin_relation(case):
     # twin[k0] = -rho^(j k0) term[k0], and a truncated factor fails both
     # residues or neither
     curve, r, j, term, twin, k0_max = case
-    engine = recursion._Engine(curve)
+    engine = OmegaTable(curve).engine
     columns = []
     for js, factors in (((j,), term), ((r - j,), twin)):
         try:

@@ -52,7 +52,7 @@ def test_omega_table_roundtrip(airy_curve, airy_table):
 
 
 def test_results_document(airy_curve, airy_table):
-    doc = dump_results(airy_curve, airy_table)
+    doc = dump_results(airy_table)
     parsed = json.loads(doc)
     assert parsed["curve_hash"] == curve_hash(airy_curve)
     entries = parsed["omega"]["entries"]
@@ -60,7 +60,7 @@ def test_results_document(airy_curve, airy_table):
              if e["g"] == 1 and e["n"] == 1]
     assert found and found[0]["value"] == "1/24"
     # determinism: byte-identical on recomputation
-    assert dump_results(airy_curve, airy_table) == doc
+    assert dump_results(airy_table) == doc
 
 
 def test_format_table(airy_table):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from trcycles import (
+    OmegaTable,
     ResidualReport,
     compute_airy_tensors,
     compute_omega_table,
@@ -24,7 +25,7 @@ def L(*ks):
 
 @pytest.fixture(scope="module")
 def airy_tensors(airy_curve, airy_table):
-    return compute_airy_tensors(airy_curve, airy_table, 4)
+    return compute_airy_tensors(airy_table, 4)
 
 
 def test_tensor_values(airy_tensors):
@@ -59,8 +60,8 @@ def test_engine_equivalence_airy(airy_table, airy_tensors):
         assert airy_table.entries(*gn) == ttab.entries(*gn), gn
 
 
-def test_engine_equivalence_two_point(two_point_curve, two_point_table):
-    at = compute_airy_tensors(two_point_curve, two_point_table, 4)
+def test_engine_equivalence_two_point(two_point_table):
+    at = compute_airy_tensors(two_point_table, 4)
     ttab = tensor_recursion(at, 4)
     for gn in set(two_point_table.tables) | set(ttab.tables):
         assert two_point_table.entries(*gn) == ttab.entries(*gn), gn
@@ -68,7 +69,7 @@ def test_engine_equivalence_two_point(two_point_curve, two_point_table):
 
 def _assert_engines_agree(curve, chi):
     table = compute_omega_table(curve, chi)
-    ttab = tensor_recursion(compute_airy_tensors(curve, table, chi), chi)
+    ttab = tensor_recursion(compute_airy_tensors(table, chi), chi)
     for gn in set(table.tables) | set(ttab.tables):
         assert table.entries(*gn) == ttab.entries(*gn), gn
 
@@ -101,7 +102,7 @@ def test_engine_equivalence_parity_broken(points):
 def test_tensor_recursion_contraction_is_falsifiable(two_point_curve, name,
                                                      idx, moved):
     table = compute_omega_table(two_point_curve, 3)
-    at = compute_airy_tensors(two_point_curve, table, 3)
+    at = compute_airy_tensors(table, 3)
     base = tensor_recursion(at, 3)
     bumped = tensor_recursion(at.copy_with_perturbation(name, idx, 1), 3)
     assert {gn for gn in set(base.tables) | set(bumped.tables)
@@ -111,14 +112,14 @@ def test_tensor_recursion_contraction_is_falsifiable(two_point_curve, name,
 def test_tensor_recursion_rejects_chi_beyond_its_tensors(two_point_curve):
     # C and B only reach the index bound of the chi they were built for
     table = compute_omega_table(two_point_curve, 3)
-    at = compute_airy_tensors(two_point_curve, table, 3)
+    at = compute_airy_tensors(table, 3)
     with pytest.raises(ValueError):
         tensor_recursion(at, 4)
 
 
-def test_tensor_form_needs_simple_points(r3_curve, r3_table):
+def test_tensor_form_needs_simple_points(r3_table):
     with pytest.raises(UnsupportedError):
-        compute_airy_tensors(r3_curve, r3_table, 3)
+        compute_airy_tensors(r3_table, 3)
 
 
 def test_uk_partition_counts():
@@ -131,18 +132,18 @@ def test_uk_partition_counts():
         {(6,): 1, (2, 4): 15, (3, 3): 10, (2, 2, 2): 15}
 
 
-def test_quadratic_pde_zero_residual(airy_curve, airy_tensors, airy_table):
-    rep = verify_quadratic_pde(airy_curve, airy_tensors, airy_table, 4, 4)
+def test_quadratic_pde_zero_residual(airy_tensors, airy_table):
+    rep = verify_quadratic_pde(airy_tensors, airy_table, 4, 4)
     assert rep.ok, rep.first_nonzero()
 
 
-def test_quadratic_pde_two_point(two_point_curve, two_point_table):
-    at = compute_airy_tensors(two_point_curve, two_point_table, 4)
-    rep = verify_quadratic_pde(two_point_curve, at, two_point_table, 4, 4)
+def test_quadratic_pde_two_point(two_point_table):
+    at = compute_airy_tensors(two_point_table, 4)
+    rep = verify_quadratic_pde(at, two_point_table, 4, 4)
     assert rep.ok, rep.first_nonzero()
 
 
-def test_quadratic_pde_perturbations(airy_curve, airy_tensors, airy_table):
+def test_quadratic_pde_perturbations(airy_tensors, airy_table):
     cases = [
         ("D", (("1", 3),)),
         ("A", (("1", 1), ("1", 1), ("1", 1))),
@@ -151,17 +152,17 @@ def test_quadratic_pde_perturbations(airy_curve, airy_tensors, airy_table):
     ]
     for name, idx in cases:
         rep = verify_quadratic_pde(
-            airy_curve, airy_tensors.copy_with_perturbation(name, idx, 1),
-            airy_table, 4, 4)
+            airy_tensors.copy_with_perturbation(name, idx, 1), airy_table,
+            4, 4)
         assert not rep.ok, name
     rep = verify_quadratic_pde(
-        airy_curve, airy_tensors.copy_with_perturbation("D", (("1", 3),), 1),
-        airy_table, 4, 4)
+        airy_tensors.copy_with_perturbation("D", (("1", 3),), 1), airy_table,
+        4, 4)
     assert rep.first_nonzero()[1] == 1   # residual located at order one
 
 
-def test_higher_pde_airy_reduces(airy_curve, airy_table):
-    rep = verify_higher_pde(airy_curve, airy_table, 3)
+def test_higher_pde_airy_reduces(airy_table):
+    rep = verify_higher_pde(airy_table, 3)
     assert rep.ok
     assert set(rep.term_structure) == {
         (2, (("U", 2),)),
@@ -170,15 +171,15 @@ def test_higher_pde_airy_reduces(airy_curve, airy_table):
     }
 
 
-def test_higher_pde_r3(r3_curve, r3_table):
-    rep = verify_higher_pde(r3_curve, r3_table, 3)
+def test_higher_pde_r3(r3_table):
+    rep = verify_higher_pde(r3_table, 3)
     assert rep.ok, rep.first_nonzero()
 
 
-def test_higher_pde_falsifiable(airy_curve, airy_table, r3_curve, r3_table):
+def test_higher_pde_falsifiable(airy_table, r3_table):
     # each dropped class leaves exactly these residuals (count, first)
-    r3, airy = ("0", r3_curve, r3_table), ("1", airy_curve, airy_table)
-    for (lb, curve, table), desc, count, first in [
+    r3, airy = ("0", r3_table), ("1", airy_table)
+    for (lb, table), desc, count, first in [
             (r3, (2, (("U", 2),)), 1, (4, 0, (), Fraction(1, 12))),
             (r3, (3, (("W", 3),)), 2, (11, 3, ((5, 1),), Fraction(-2, 33))),
             (r3, (3, (("W", 1), ("W", 1), ("W", 1))), 45,
@@ -187,46 +188,63 @@ def test_higher_pde_falsifiable(airy_curve, airy_table, r3_curve, r3_table):
             (airy, (2, (("W", 2),)), 12, (5, 1, ((1, 1),), Fraction(1, 10))),
             (airy, (2, (("W", 1), ("W", 1))), 41,
              (1, 0, ((1, 2),), Fraction(1, 2)))]:
-        rep = verify_higher_pde(curve, table, 3, drop_terms=(desc,))
+        rep = verify_higher_pde(table, 3, drop_terms=(desc,))
         k0, h, mon, value = first
         assert len(rep.entries) == count, desc
         assert rep.first_nonzero() == \
             ((lb, k0), h, tuple(((lb, k), m) for k, m in mon), value), desc
 
 
-def test_higher_pde_mixed_r3(r3_mixed_curve, r3_mixed_table):
-    rep = verify_higher_pde(r3_mixed_curve, r3_mixed_table, 2)
+def test_higher_pde_mixed_r3(r3_mixed_table):
+    rep = verify_higher_pde(r3_mixed_table, 2)
     assert rep.ok, rep.first_nonzero()
     # the disc-free triple term is required on generic order-3 curves
-    rep2 = verify_higher_pde(r3_mixed_curve, r3_mixed_table, 2,
+    rep2 = verify_higher_pde(r3_mixed_table, 2,
                              drop_terms=((3, (("U", 3),)),))
     assert len(rep2.entries) == 8
     assert rep2.first_nonzero() == (("0", 1), 2, (), Fraction(-1, 3072))
 
 
-def test_bridge_insertion_class_aggregates_to_zero(r3_curve, r3_table):
+def test_bridge_insertion_class_aggregates_to_zero(r3_table):
     """On order-3 curves the three Galois pairings of the bilinear-kernel
     bridge share one constant (-1/3), and correlator supports avoid
     indices divisible by 3, so the bridge (x) insertion class sums to
     zero; removing it is invisible.  Falsifiability of the verifier is
     covered by the other classes above."""
-    rep = verify_higher_pde(r3_curve, r3_table, 3,
+    rep = verify_higher_pde(r3_table, 3,
                             drop_terms=((3, (("U", 2), ("W", 1))),))
     assert rep.ok
     # ... but the class is structurally present in the expansion
-    full = verify_higher_pde(r3_curve, r3_table, 3)
+    full = verify_higher_pde(r3_table, 3)
     assert (3, (("U", 2), ("W", 1))) in full.term_structure
+
+
+def test_set_entry_reaches_the_cached_blocks(r3_curve):
+    # the fill and a first verification cache blocks of F[0,3] on the
+    # table's engine; after one entry changes, the verifier reports what
+    # it reports on a fresh copy, whose engine builds every block anew
+    table = compute_omega_table(r3_curve, 3)
+    assert verify_higher_pde(table, 3).ok
+    assert table.engine._slice[0, 3]
+    key = min(table.entries(0, 3))
+    table.set_entry(0, 3, key, 2 * table.get(0, 3, key))
+    fresh = OmegaTable(r3_curve, table.chi_max)
+    fresh.tables = {gn: dict(tab) for gn, tab in table.tables.items()}
+    got, want = verify_higher_pde(table, 3), verify_higher_pde(fresh, 3)
+    assert not want.ok
+    assert (got.entries, got.term_structure, got.checked_orders) == \
+        (want.entries, want.term_structure, want.checked_orders)
 
 
 def test_fg_cross_engine():
     from trcycles import compute_Fg, validate_local_curve
     curve = validate_local_curve([("1", 2, {3: 1, 5: Fraction(1, 3)})])
     table = compute_omega_table(curve, 4)
-    at = compute_airy_tensors(curve, table, 4)
+    at = compute_airy_tensors(table, 4)
     ttab = tensor_recursion(at, 4)
-    f2 = compute_Fg(table, curve, 2)
+    f2 = compute_Fg(table, 2)
     assert f2 != 0
-    assert compute_Fg(ttab, curve, 2) == f2
+    assert compute_Fg(ttab, 2) == f2
 
 
 def test_engines_and_pde_on_kernel_coupled_curve():
@@ -239,22 +257,21 @@ def test_engines_and_pde_on_kernel_coupled_curve():
                     declared_ramification=((1, 2), (-1, 2)))
     curve = localize_global_curve(g, 24)
     table = compute_omega_table(curve, 2)
-    at = compute_airy_tensors(curve, table, 2)
+    at = compute_airy_tensors(table, 2)
     ttab = tensor_recursion(at, 2)
     for gn in set(table.tables) | set(ttab.tables):
         assert table.entries(*gn) == ttab.entries(*gn), gn
     # cross-point correlator entries genuinely appear
     assert any(len({lb for lb, _ in key}) > 1
                for key in table.entries(0, 4))
-    rep = verify_quadratic_pde(curve, at, table, 2, 2)
+    rep = verify_quadratic_pde(at, table, 2, 2)
     assert rep.ok, rep.first_nonzero()
 
 
-def test_residual_report_lists_are_per_instance(airy_curve, airy_tensors,
-                                                airy_table):
+def test_residual_report_lists_are_per_instance(airy_tensors, airy_table):
     failed = verify_quadratic_pde(
-        airy_curve, airy_tensors.copy_with_perturbation("D", (("1", 3),), 1),
-        airy_table, 4, 4)
+        airy_tensors.copy_with_perturbation("D", (("1", 3),), 1), airy_table,
+        4, 4)
     assert failed.entries
     fresh = ResidualReport()
     assert fresh.entries == [] and fresh.term_structure == {}
@@ -287,12 +304,14 @@ def _cubic_local(n_max):
 
 @pytest.mark.parametrize("make, chi, calls", [
     (lambda: validate_local_curve([("1", 2, {3: 2, 5: Fraction(1, 3)}),
-                                   ("-1", 2, {3: 2})]), 5, 264),
+                                   ("-1", 2, {3: 2})]), 5, 200),
     (lambda: _cubic_local(14), 1, 136),
 ], ids=["two-point-chi5", "cubic-14-chi1"])
 def test_airy_kernel_products(monkeypatch, make, chi, calls):
     # one residue per unordered (e, e') for C and one per (e, leg) for B:
-    # C[i0, e', e] and the leg-first B residue are twins of these
+    # C[i0, e', e] and the leg-first B residue are twins of these; a slot
+    # whose basis form vanishes at the kernel point (on the two-point
+    # curve, one of the other point) takes none
     curve = make()
     table = compute_omega_table(curve, chi)
     count = [0]
@@ -303,7 +322,7 @@ def test_airy_kernel_products(monkeypatch, make, chi, calls):
         return contract(self, *args, **kwargs)
 
     monkeypatch.setattr(recursion._Engine, "kernel_contract", counted)
-    compute_airy_tensors(curve, table, chi)
+    compute_airy_tensors(table, chi)
     assert count[0] == calls
 
 
@@ -311,7 +330,7 @@ def test_quadratic_pde_products(monkeypatch, two_point_curve):
     # HPoly x HPoly products: one d/dt'_e' P_e + P_e P_e' per unordered
     # (e, e') and one t'_s P_j per (j, s), shared by every row i0
     table = compute_omega_table(two_point_curve, 5)
-    at = compute_airy_tensors(two_point_curve, table, 5)
+    at = compute_airy_tensors(table, 5)
     count = [0]
     mul = HPoly.__mul__
 
@@ -320,5 +339,5 @@ def test_quadratic_pde_products(monkeypatch, two_point_curve):
         return mul(self, other)
 
     monkeypatch.setattr(HPoly, "__mul__", counted)
-    assert verify_quadratic_pde(two_point_curve, at, table, 4, 4).ok
+    assert verify_quadratic_pde(at, table, 4, 4).ok
     assert count[0] == 102

@@ -34,8 +34,8 @@ def test_logz_symmetric_degrees(airy_table):
             assert (h - n) % 2 == 0
 
 
-def test_logzprime_prefactors_vanish(airy_curve, airy_table):
-    lzp = assemble_logZprime(airy_table, airy_curve, 3)
+def test_logzprime_prefactors_vanish(airy_table):
+    lzp = assemble_logZprime(airy_table, 3)
     assert not lzp.prefactor_01
     assert not lzp.prefactor_02
     assert lzp.min_hbar_order() >= -1
@@ -63,35 +63,35 @@ def test_logz_homogeneity_transfer(airy_curve, airy_table):
             assert lzs.terms[h][mon] == lam ** (-h) * c
 
 
-def test_hirota_checks(airy_curve, airy_table):
+def test_hirota_checks(airy_table):
     for (g, n) in [(0, 2), (0, 3), (1, 1)]:
-        rep = hirota_insertion_check(airy_table, airy_curve, g, n)
+        rep = hirota_insertion_check(airy_table, g, n)
         assert rep["ok"], (g, n, rep)
 
 
-def test_hirota_all_slices(airy_curve, airy_table):
+def test_hirota_all_slices(airy_table):
     tab = airy_table.entries(1, 2)
     for key in tab:
-        rep = hirota_insertion_check(airy_table, airy_curve, 1, 1,
+        rep = hirota_insertion_check(airy_table, 1, 1,
                                      spectators=key[1:])
         assert rep["ok"], key
 
 
-def test_hirota_weight_negative_control(airy_curve, airy_table):
-    rep = hirota_insertion_check(airy_table, airy_curve, 1, 1,
+def test_hirota_weight_negative_control(airy_table):
+    rep = hirota_insertion_check(airy_table, 1, 1,
                                  with_dx_weight=False)
     assert not rep["ok"]
 
 
-def test_hirota_r3(r3_curve, r3_table):
+def test_hirota_r3(r3_table):
     for (g, n) in [(0, 2), (1, 1)]:
-        rep = hirota_insertion_check(r3_table, r3_curve, g, n)
+        rep = hirota_insertion_check(r3_table, g, n)
         assert rep["ok"], (g, n, rep)
 
 
-def test_hirota_needs_single_point(two_point_curve, two_point_table):
+def test_hirota_needs_single_point(two_point_table):
     with pytest.raises(UnsupportedError):
-        hirota_insertion_check(two_point_table, two_point_curve, 0, 2)
+        hirota_insertion_check(two_point_table, 0, 2)
 
 
 def test_logz_canonical_dict(airy_table):

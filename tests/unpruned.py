@@ -4,8 +4,8 @@ Every candidate key with indices up to a fixed ``kmax`` is evaluated, each
 one by summing every (kernel order, Galois subset, slot partition,
 spectator split, genus split) term for its distinguished index, with no
 selection rule, parity filter or pole bound.  It shares the package's
-residue core (``_Engine``), so it checks the term enumeration of
-``compute_omega_table``, not the kernel residues themselves.  It calls
+residue core (the table's ``_Engine``), so it checks the term enumeration
+of ``compute_omega_table``, not the kernel residues themselves.  It calls
 ``_Engine.kernel_contract`` directly and never the support guard
 ``_Engine.reaches``, on purpose: every term reaches the residue, so the
 comparison pins that pruning rule too, including its treatment of
@@ -25,7 +25,7 @@ from trcycles.recursion import (
     OmegaTable,
     _compositions,
     _deal_count,
-    _Engine,
+    _drops,
     _set_partitions,
 )
 from trcycles.series import LaurentSeries
@@ -39,7 +39,6 @@ def unpruned_table(curve, chi_max: int, kmax: int) -> OmegaTable:
     points, no multiples of r at order r), so such an entry may have a
     neighbour beyond ``kmax`` that was silently clipped.
     """
-    engine = _Engine(curve)
     table = OmegaTable(curve, chi_max)
     cands = [(label, k) for label in curve.labels
              for k in range(1, kmax + 1)]
@@ -49,7 +48,7 @@ def unpruned_table(curve, chi_max: int, kmax: int) -> OmegaTable:
             if n1 < 1:
                 continue
             for key in combinations_with_replacement(cands, n1):
-                value = entry_value(engine, table, g, key[0], key[1:])
+                value = entry_value(table, g, key[0], key[1:])
                 if value:
                     assert max(k for _, k in key) <= kmax - 2, \
                         f"F[{g},{n1}]{key} reaches kmax={kmax}"
@@ -57,8 +56,10 @@ def unpruned_table(curve, chi_max: int, kmax: int) -> OmegaTable:
     return table
 
 
-def entry_value(engine, table, g: int, i0: tuple, spectators: tuple):
-    """F[g, n+1] entry with distinguished contraction i0 = (a, k0)."""
+def entry_value(table, g: int, i0: tuple, spectators: tuple):
+    """F[g, n+1] entry with distinguished contraction i0 = (a, k0), from
+    the completed levels of ``table`` below it."""
+    engine = table.engine
     label, k0 = i0
     r = engine.curve.order(label)
     total = engine.field.zero()
@@ -81,6 +82,19 @@ def entry_value(engine, table, g: int, i0: tuple, spectators: tuple):
                         if term:
                             total = total + term * weight
     return total
+
+
+def check_every_reading(table) -> int:
+    """Assert that each stored entry of ``table``, read by ``entry_value``
+    with each of its distinct indices as the distinguished one, equals
+    the stored value; returns the number of readings."""
+    readings = 0
+    for (g, n), tab in table.tables.items():
+        for key, value in tab.items():
+            for e, rest in _drops(key):
+                assert entry_value(table, g, e, rest) == value, (g, n, key, e)
+                readings += 1
+    return readings
 
 
 def _term_value(engine, table, label, k0, slot_rot, part, parts, gs):
