@@ -17,15 +17,13 @@ _EXPORTS = {
     "errors": ("AdmissibilityError", "FieldExtensionError", "NotInRangeError",
                "PairingError", "PrecisionError", "ResidueObstructionError",
                "TrcyclesError", "UnsupportedError"),
-    "recursion": ("DiagonalB", "OmegaTable", "PairProduct", "compute_Fg",
-                  "compute_omega_table", "k2_apply", "kk_apply"),
+    "recursion": ("OmegaTable", "compute_Fg", "compute_omega_table"),
     "scalars": ("Cyclo", "ScalarField"),
     "series": ("FORM", "FUNCTION", "LaurentSeries", "series_mul"),
     "tensors": ("AiryTensors", "ResidualReport", "UOperator",
                 "compute_airy_tensors", "compute_Uk", "tensor_recursion",
                 "verify_higher_pde", "verify_quadratic_pde"),
-    "wavefunction": ("LogZ", "assemble_logZ", "assemble_logZprime",
-                     "hirota_insertion_check"),
+    "wavefunction": ("LogZ", "assemble_logZ", "hirota_insertion_check"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}

@@ -83,7 +83,7 @@ def _simple_tensors(table):
     curve = table.curve
     if all(curve.order(lb) == 2 for lb in curve.labels):
         from .tensors import compute_airy_tensors
-        return compute_airy_tensors(table, table.chi_max)
+        return compute_airy_tensors(table)
     return None
 
 
@@ -151,12 +151,12 @@ def cmd_verify(args) -> int:
         from .tensors import tensor_recursion, verify_quadratic_pde
         used = tensors if perturb is None else \
             tensors.copy_with_perturbation(*perturb)
-        ttab = tensor_recursion(used, args.chi_max)
+        ttab = tensor_recursion(used)
         same = all(table.entries(*gn) == ttab.entries(*gn)
                    for gn in set(table.tables) | set(ttab.tables))
         check("engine-equivalence", same,
               "residue recursion vs tensor recursion")
-        rep = verify_quadratic_pde(used, table, args.hbar_max, args.deg_max)
+        rep = verify_quadratic_pde(used, args.hbar_max, args.deg_max)
         check("quadratic-pde", rep.ok,
               f"first nonzero: {rep.first_nonzero()}" if not rep.ok
               else f"orders {rep.checked_orders}")
@@ -177,9 +177,9 @@ def cmd_verify(args) -> int:
         check("perturbation", False, "perturbation needs a simple curve")
 
     if args.results:
-        with open(args.results, "r", encoding="utf-8") as fh:
-            stored = json.load(fh)
-        own = json.loads(_results_json(table, tensors))
+        with open(args.results, "rb") as fh:
+            stored = fh.read()
+        own = _results_json(table, tensors).encode("utf-8")
         check("results-roundtrip", stored == own,
               "stored results equal recomputation")
 

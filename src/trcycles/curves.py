@@ -110,10 +110,6 @@ class CurveData:
     def is_purely_local(self) -> bool:
         return not self.phi
 
-    def phi_get(self, i: tuple, j: tuple):
-        key = (i, j) if i <= j else (j, i)
-        return self.phi.get(key, self.field.zero())
-
     def phi_row(self, at_label: str, other: tuple) -> dict:
         """{k: phi[(at_label,k), other]} over the stored support."""
         out = {}

@@ -559,63 +559,3 @@ def compute_Fg(table: OmegaTable, g: int):
             total = total + t * table.get(g, 1, ((label, k),))
     return total / (2 - 2 * g)
 
-
-# ---------------------------------------------------------------------------
-# Public kernel application on explicit local data.
-
-class PairProduct:
-    """W summand f(z) (x) g(z'), the second slot to be Galois-pulled."""
-
-    def __init__(self, first: LaurentSeries, *rest: LaurentSeries):
-        self.factors = (first,) + rest
-
-
-class DiagonalB:
-    """W summand omega02(z, sigma z) with both slots on the kernel point."""
-
-
-def k2_apply(curve: CurveData, label: str, summands) -> LocalForm:
-    """Order-2 kernel applied to bivariate local data at one point.
-
-    ``summands``: iterables of PairProduct (two slots) or DiagonalB.
-    Returns the output 1-form in the spectator variable as a LocalForm.
-    """
-    if curve.order(label) != 2:
-        raise UnsupportedError(
-            "k2_apply needs a simple point; use kk_apply for higher orders")
-    return kk_apply(curve, 2, label, summands)
-
-
-def kk_apply(curve: CurveData, k: int, label: str, summands) -> LocalForm:
-    """Order-k kernel applied to k-variate local data at one point.
-
-    Slots beyond the first are pulled back by the Galois subset elements;
-    the sum runs over unordered subsets of distinct nontrivial elements.
-    Returns zero when k exceeds the point order (empty subset sum).
-    """
-    engine = OmegaTable(curve).engine
-    r = curve.order(label)
-    if k < 2:
-        raise ValueError("kernel order must be >= 2")
-    if k > r:
-        return LocalForm(curve, {})
-    totals = {}
-    for js in combinations(range(1, r), k - 1):
-        slot_rot = (0,) + js
-        for s in summands:
-            if isinstance(s, DiagonalB):
-                if k != 2:
-                    raise ValueError("DiagonalB is a two-slot summand")
-                factors = [engine.bridge(label, 0, slot_rot[1])]
-            elif isinstance(s, PairProduct):
-                if len(s.factors) != k:
-                    raise ValueError("summand arity != kernel order")
-                factors = [f.rotate(r, j)
-                           for f, j in zip(s.factors, slot_rot)]
-            else:
-                raise TypeError(f"unknown summand {s!r}")
-            for k0, v in engine.kernel_contract(label, slot_rot[1:],
-                                                factors).items():
-                totals[k0] = totals[k0] + v if k0 in totals else v
-    return bhat(LocalCycle(curve.field, {(label, k0): v
-                                         for k0, v in totals.items()}), curve)

@@ -6,7 +6,9 @@ from the correlator table, C and the B-tensor come from fresh kernel
 residues.  The tensor recursion then rebuilds correlators by pure
 contraction, and the verifiers expand the annihilation identities in
 (hbar, times)-coefficients, which must all vanish.  Each consumer takes
-the table alone and reads the curve from it.  Every kernel residue,
+one object: ``compute_airy_tensors`` and the higher verifier a table,
+the tensor recursion and the quadratic verifier the tensors, which keep
+the table they were read from.  Every kernel residue,
 scalar or HPoly-valued, is taken by the table's own engine
 (``OmegaTable.engine``), through the one routine
 ``_Engine.kernel_contract`` that also drives the correlator recursion,
@@ -50,12 +52,14 @@ from .wavefunction import (
 class AiryTensors:
     """Sparse A, B, C, D over local-cycle labels, dicts to scalars keyed:
     A by sorted triples (totally symmetric), D by labels, C by (i0, e, e')
-    in raw slot order, B by (i1, i2, i3) with slots as in the module doc."""
+    in raw slot order, B by (i1, i2, i3) with slots as in the module doc.
+    ``table`` is the correlator table they were read from; its curve and
+    level bound are theirs."""
 
-    __slots__ = ("curve", "chi_max", "A", "D", "C", "B")
+    __slots__ = ("table", "A", "D", "C", "B")
 
-    def __init__(self, curve: CurveData, chi_max: int, A, D, C, B):
-        self.curve, self.chi_max = curve, chi_max
+    def __init__(self, table: OmegaTable, A, D, C, B):
+        self.table = table
         self.A, self.D, self.C, self.B = A, D, C, B
 
     def copy_with_perturbation(self, name: str, indices, delta):
@@ -71,12 +75,12 @@ class AiryTensors:
                 else tuple(indices)
         else:
             key = tuple(tuple(i) for i in indices)
-        delta = self.curve.field.coerce(delta)
-        tab[key] = tab.get(key, self.curve.field.zero()) + delta
-        return AiryTensors(self.curve, self.chi_max, **data)
+        fld = self.table.field
+        tab[key] = tab.get(key, fld.zero()) + fld.coerce(delta)
+        return AiryTensors(self.table, **data)
 
     def canonical_entries(self):
-        fld = self.curve.field
+        fld = self.table.field
         out = {"A": [], "B": [], "C": [], "D": []}
         for key in sorted(self.A):
             out["A"].append({"indices": [list(i) for i in key],
@@ -104,7 +108,7 @@ def _parity_filter(curve: CurveData) -> bool:
     return True
 
 
-def compute_airy_tensors(table: OmegaTable, chi_max: int) -> AiryTensors:
+def compute_airy_tensors(table: OmegaTable) -> AiryTensors:
     """Tensors of the quadratic Airy structure of the table's curve, which
     must have simple ramification: A and D from the correlator table, C
     and B from kernel residues on the table's engine."""
@@ -119,7 +123,8 @@ def compute_airy_tensors(table: OmegaTable, chi_max: int) -> AiryTensors:
     # have, not only which columns are skipped: entries outside them can
     # be nonzero (unfiltered, airy chi 3 has 21 C and 36 B entries instead
     # of 6 and 18), and the compute output publishes these tensors
-    kmax = max((6 * g - 4 + 2 * n for g, n in _levels(chi_max)), default=2)
+    kmax = max((6 * g - 4 + 2 * n for g, n in _levels(table.chi_max)),
+               default=2)
     odd_only = _parity_filter(curve)
     ks = [k for k in range(1, kmax + 1) if not odd_only or k % 2 == 1]
 
@@ -163,11 +168,12 @@ def compute_airy_tensors(table: OmegaTable, chi_max: int) -> AiryTensors:
                 for k0 in ks:
                     if k0 % 2 and first.get(k0):
                         B[((label, k0), e, (label, ep_k))] = 2 * first[k0]
-    return AiryTensors(curve=curve, chi_max=chi_max, A=A, D=D, C=C, B=B)
+    return AiryTensors(table, A, D, C, B)
 
 
-def tensor_recursion(at: AiryTensors, chi_max: int) -> OmegaTable:
-    """Rebuild the correlator tensors by pure contraction.
+def tensor_recursion(at: AiryTensors) -> OmegaTable:
+    """Rebuild the correlator tensors by pure contraction, up to the level
+    bound of the table the tensors were read from.
 
     Seeds: F[0,3] = A/2 and F[1,1] = D; then
     2 F[g,n+1][i0,S] = sum C[i0,e,e'] (F[g-1,n+2][e,e',S]
@@ -178,10 +184,8 @@ def tensor_recursion(at: AiryTensors, chi_max: int) -> OmegaTable:
     j, and each term lands on the key (i0,) + rest it feeds, kept only
     when i0 <= min(rest) (the same reading as the residue recursion).
     """
-    if chi_max > at.chi_max:
-        raise ValueError(f"tensors built up to chi_max {at.chi_max} "
-                         f"cannot serve chi_max {chi_max}")
-    table = OmegaTable(at.curve, chi_max)
+    chi_max = at.table.chi_max
+    table = OmegaTable(at.table.curve, chi_max)
     for key, v in at.A.items():
         table.set_entry(0, 3, key, v / 2)
     for lab, v in at.D.items():
@@ -304,10 +308,11 @@ def _airy_index_variables(table: OmegaTable):
     return sorted(out)
 
 
-def verify_quadratic_pde(at: AiryTensors, table: OmegaTable, hbar_max: int,
+def verify_quadratic_pde(at: AiryTensors, hbar_max: int,
                          deg_max: int) -> ResidualReport:
     """Expand the quadratic annihilation operator on Z(t') and collect all
-    (hbar, monomial) residual coefficients up to the cutoffs.
+    (hbar, monomial) residual coefficients up to the cutoffs; log Z is
+    read from the table the tensors were read from.
 
     The operator, derived from the tensor recursion (the only reading
     with identically vanishing residual):
@@ -318,6 +323,7 @@ def verify_quadratic_pde(at: AiryTensors, table: OmegaTable, hbar_max: int,
 
     applied to log Z (all sums over the full label set).
     """
+    table = at.table
     fld = table.field
     chi_needed = min(hbar_max, table.chi_max)
     caps = (hbar_max, deg_max)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from math import factorial
 
 from .curves import CurveData
-from .cycles import LocalCycle, bhat, pair_cycle_form
 from .errors import UnsupportedError
 from .recursion import OmegaTable
 
@@ -198,22 +197,14 @@ class HPolyRing:
 class LogZ:
     """hbar-series with times-polynomial coefficients."""
 
-    __slots__ = ("curve", "chi_max", "terms", "prime", "prefactor_01",
-                 "prefactor_02")   # the one-form and bilinear pairing terms
+    __slots__ = ("curve", "chi_max", "terms")
 
-    def __init__(self, curve: CurveData, chi_max: int, terms: HPoly,
-                 prime: bool = False, prefactor_01: HPoly | None = None,
-                 prefactor_02: HPoly | None = None):
+    def __init__(self, curve: CurveData, chi_max: int, terms: HPoly):
         self.curve, self.chi_max, self.terms = curve, chi_max, terms
-        self.prime = prime
-        self.prefactor_01, self.prefactor_02 = prefactor_01, prefactor_02
 
     def coefficient(self, hbar_order: int, indices):
         return self.terms.get(hbar_order, {}).get(
             monomial_from_multiset(indices), 0)
-
-    def min_hbar_order(self):
-        return min(self.terms) if self.terms else 0
 
     def canonical_dict(self) -> dict:
         fld = self.curve.field
@@ -225,8 +216,7 @@ class LogZ:
                     "monomial": [[[lb, k], m] for (lb, k), m in mon],
                     "value": str(fld.as_fraction(c)),
                 })
-        return {"chi_max": self.chi_max, "prime": self.prime,
-                "terms": out, "version": 1}
+        return {"chi_max": self.chi_max, "terms": out, "version": 1}
 
 
 def assemble_logZ(table: OmegaTable, chi_max: int) -> LogZ:
@@ -241,37 +231,6 @@ def assemble_logZ(table: OmegaTable, chi_max: int) -> LogZ:
         if poly:
             terms = terms + HPoly({chi: poly})
     return LogZ(curve=curve, chi_max=chi_max, terms=terms)
-
-
-def assemble_logZprime(table: OmegaTable, chi_max: int) -> LogZ:
-    """log Z' = the hbar^-1 one-form pairing + the half bilinear pairing
-    + log Z(t').  Both prefactor pairings are computed honestly; on every
-    admissible curve they vanish (the primary form is analytic at each
-    point and the kernel map annihilates the negative-index cycles)."""
-    base = assemble_logZ(table, chi_max)
-    curve, fld = table.curve, table.field
-    pre01 = HPoly()
-    pre02 = HPoly()
-    variables = sorted({idx for (g, n), tab in table.tables.items()
-                        for key in tab for idx in key})
-    for (label, k) in variables:
-        gm = LocalCycle(fld, {(label, -k): fld.one() / k})
-        val = curve.omega01(label).coeff(-k - 1)
-        if val:
-            pre01 = pre01 + HPoly({-1: {(((label, k), 1),): val / k}})
-        bform = bhat(gm, curve)
-        for (label2, k2) in variables:
-            gm2 = LocalCycle(fld, {(label2, -k2): fld.one() / k2})
-            v2 = pair_cycle_form(gm2, bform)
-            if v2:
-                mon = monomial_from_multiset(((label, k), (label2, k2)))
-                pre02 = pre02 + HPoly({0: {mon: v2 / 2}})
-    terms = base.terms + pre01 + pre02
-    out = LogZ(curve=curve, chi_max=chi_max, terms=terms, prime=True,
-               prefactor_01=pre01, prefactor_02=pre02)
-    if out.terms and min(out.terms) < -1:
-        raise AssertionError("hbar * log Z' must be a power series in hbar")
-    return out
 
 
 # -- insertion operator check ------------------------------------------------

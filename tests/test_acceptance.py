@@ -77,8 +77,8 @@ def test_criterion_2_engine_equivalence():
     }
     for name, curve in curves.items():
         table = compute_omega_table(curve, 4)
-        at = compute_airy_tensors(table, 4)
-        ttab = tensor_recursion(at, 4)
+        at = compute_airy_tensors(table)
+        ttab = tensor_recursion(at)
         for gn in sorted(set(table.tables) | set(ttab.tables)):
             assert table.entries(*gn) == ttab.entries(*gn), (name, gn)
     elapsed = time.time() - t0
@@ -99,8 +99,8 @@ def test_criterion_3_quadratic_pde():
     from trcycles.wavefunction import HPoly
     for curve in curves:
         table = compute_omega_table(curve, 4)
-        at = compute_airy_tensors(table, 4)
-        rep = verify_quadratic_pde(at, table, 4, 4)
+        at = compute_airy_tensors(table)
+        rep = verify_quadratic_pde(at, 4, 4)
         assert rep.ok, rep.first_nonzero()
         logz = assemble_logZ(table, 4).terms
 
@@ -126,7 +126,7 @@ def test_criterion_3_quadratic_pde():
                               ("B", list(at.B)), ("C", list(at.C))):
             for key in entries:
                 pert = verify_quadratic_pde(
-                    at.copy_with_perturbation(name, key, 1), table, 4, 4)
+                    at.copy_with_perturbation(name, key, 1), 4, 4)
                 if cofactor_nonzero(name, key):
                     assert not pert.ok, (name, key)
                     swept += 1

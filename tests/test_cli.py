@@ -191,15 +191,37 @@ def test_verify_fills_one_table_unless_homogeneity_fails(
 
 def test_verify_results_roundtrip(tmp_path):
     res = tmp_path / "res.json"
-    rep = tmp_path / "rep.json"
     assert run("compute", "--curve", str(DATA / "airy.json"),
                "--chi-max", "3", "--out", str(res)) == 0
-    code = run("verify", "--curve", str(DATA / "airy.json"),
-               "--chi-max", "3", "--hbar-max", "3", "--deg-max", "3",
-               "--results", str(res), "--out", str(rep)) == 0
-    report = json.loads(rep.read_text())
-    rr = [c for c in report["checks"] if c["name"] == "results-roundtrip"]
-    assert rr and rr[0]["status"] == "pass"
+
+    def recheck(data: bytes):
+        stored = tmp_path / "stored.json"
+        stored.write_bytes(data)
+        rep = tmp_path / "rep.json"
+        code = run("verify", "--curve", str(DATA / "airy.json"),
+                   "--chi-max", "3", "--hbar-max", "3", "--deg-max", "3",
+                   "--results", str(stored), "--out", str(rep))
+        report = json.loads(rep.read_text())
+        rr = [c["status"] for c in report["checks"]
+              if c["name"] == "results-roundtrip"]
+        return code, rr
+
+    data = res.read_bytes()
+    assert recheck(data) == (0, ["pass"])
+    # the check compares bytes: one changed value, the same document
+    # indented otherwise, and a file that is not JSON or not UTF-8 all
+    # fail it
+    doc = json.loads(data)
+    entry = doc["omega"]["entries"][0]
+    entry["value"] = str(Fraction(entry["value"]) + 1)
+    changed = (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
+    assert changed != data
+    assert recheck(changed) == (1, ["fail"])
+    reindented = json.dumps(json.loads(data), sort_keys=True, indent=2)
+    assert json.loads(reindented) == json.loads(data)
+    assert recheck((reindented + "\n").encode()) == (1, ["fail"])
+    assert recheck(data[:-2]) == (1, ["fail"])
+    assert recheck(b"\xff" + data) == (1, ["fail"])
 
 
 def test_localize_command(tmp_path):

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -10,13 +10,9 @@ from hypothesis import strategies as st
 from oracles import engine_entry
 from unpruned import _block_series, check_every_reading, unpruned_table
 from trcycles import (
-    DiagonalB,
     OmegaTable,
-    PairProduct,
     compute_Fg,
     compute_omega_table,
-    k2_apply,
-    kk_apply,
     scale_curve,
     validate_local_curve,
     verify_higher_pde,
@@ -25,7 +21,7 @@ from trcycles import localize_global_curve, recursion
 from trcycles.errors import PrecisionError, UnsupportedError
 from trcycles.scalars import Cyclo
 from trcycles.serialize import parse_curve_spec
-from trcycles.series import FORM, LaurentSeries
+from trcycles.series import LaurentSeries
 
 
 def L(*ks):
@@ -112,32 +108,23 @@ def test_r3_symmetry_check(r3_curve):
         assert check_every_reading(table) == readings
 
 
-def test_k2_apply_omega03(airy_curve):
-    fld = airy_curve.field
-    # both spectators contracted with the k=1 extraction cycles:
-    # omega02 legs become z^0 dz, and the output must be the (0,3) slice
-    leg = LaurentSeries(fld, {0: 1}, weight=FORM)
-    out = k2_apply(airy_curve, "1",
-                   [PairProduct(leg, leg), PairProduct(leg, leg)])
-    got = out.at("1")
-    # the (0,3) slice: F[1,1,1]=1 against the mapped basis form z^-2 dz
-    assert got.coeffs == {-2: Fraction(1)}
+def test_k2_apply_omega03(airy_table):
+    # the order-2 kernel K2 on two omega02 legs whose spectators are
+    # contracted with the k=1 extraction cycles (legs z^0 dz), summed over
+    # the two slot assignments: the F[0,3] entry, without reading the table
+    engine = airy_table.engine
+    column = engine.kernel_contract(
+        "1", (1,), [engine.leg("1", 1, 0), engine.leg("1", 1, 1)])
+    assert {k0: 2 * v for k0, v in column.items() if v} == {1: 1}
+    assert airy_table.entries(0, 3) == {(("1", 1),) * 3: 1}
 
 
-def test_k2_apply_omega11(airy_curve):
-    out = k2_apply(airy_curve, "1", [DiagonalB()])
-    assert out.at("1").coeffs == {-4: Fraction(1, 8)}
-
-
-def test_kk_apply_empty_above_order(airy_curve, r3_curve):
-    fld = airy_curve.field
-    leg = LaurentSeries(fld, {0: 1}, weight=FORM)
-    assert kk_apply(airy_curve, 3, "1",
-                    [PairProduct(leg, leg, leg)]).is_zero()
-    leg3 = LaurentSeries(r3_curve.field, {0: 1}, weight=FORM)
-    out = kk_apply(r3_curve, 3, "0",
-                   [PairProduct(leg3, leg3, leg3)])
-    assert isinstance(out.at("0"), LaurentSeries)
+def test_k2_apply_omega11(airy_table):
+    # K2 on the bridge omega02(z, sigma z): the F[1,1] entry
+    engine = airy_table.engine
+    column = engine.kernel_contract("1", (1,), [engine.bridge("1", 0, 1)])
+    assert {k0: v for k0, v in column.items() if v} == {3: Fraction(1, 24)}
+    assert airy_table.entries(1, 1) == {(("1", 3),): Fraction(1, 24)}
 
 
 def test_zero_residue_of_one_point_tables(airy_table, r3_table):
@@ -169,6 +156,27 @@ def test_rspin_three_point_primaries(r, support):
     curve = validate_local_curve([("0", r, {r + 1: 1})])
     f03 = compute_omega_table(curve, 1).entries(0, 3)
     assert f03 == {tuple(("0", k) for k in ks): 1 for ks in support}
+
+
+@pytest.mark.parametrize("r, keys", [(3, 5), (4, 15), (5, 35)])
+def test_rspin_four_point_primaries_and_genus_one(r, keys):
+    # r-spin oracle at chi 2, from the r-spin theory alone: with a = k - 1,
+    # -F[0,4] over the primaries (k <= r - 1) is r times the genus-0
+    # four-point number (1/r) min_i min(a_i, r-1-a_i) where
+    # sum a_i = 2r - 2, and 0 elsewhere (Jarvis-Kimura-Vaintrob,
+    # arXiv:math/9905034); F[1,1] at the leading time is (r-1)/24
+    curve = validate_local_curve([("0", r, {r + 1: 1})])
+    table = compute_omega_table(curve, 2)
+    fld = table.field
+    primaries = list(combinations_with_replacement(range(r - 1), 4))
+    assert len(primaries) == keys
+    for a in primaries:
+        want = -min(min(ai, r - 1 - ai) for ai in a) \
+            if sum(a) == 2 * r - 2 else 0
+        key = tuple(("0", ai + 1) for ai in a)
+        assert table.get(0, 4, key) == fld.coerce(want), key
+    assert table.get(1, 1, (("0", r + 1),)) == \
+        fld.coerce(Fraction(r - 1, 24))
 
 
 def _cubic_global(n_max):

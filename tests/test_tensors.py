@@ -25,7 +25,7 @@ def L(*ks):
 
 @pytest.fixture(scope="module")
 def airy_tensors(airy_curve, airy_table):
-    return compute_airy_tensors(airy_table, 4)
+    return compute_airy_tensors(airy_table)
 
 
 def test_tensor_values(airy_tensors):
@@ -47,29 +47,34 @@ def test_c_symmetry_on_support(airy_tensors):
 
 
 def test_direct_kernel_reproduces_d(airy_curve, airy_tensors):
-    # the one-holed torus form from the kernel with identified arguments
-    from trcycles import DiagonalB, k2_apply, bcycle, pair_cycle_form
-    out = k2_apply(airy_curve, "1", [DiagonalB()])
+    # the one-holed torus form from the kernel with identified arguments:
+    # the bridge residue, mapped to a form and paired with the B-cycles
+    from trcycles import LocalCycle, bcycle, bhat, pair_cycle_form
+    engine = airy_tensors.table.engine
+    column = engine.kernel_contract("1", (1,), [engine.bridge("1", 0, 1)])
+    out = bhat(LocalCycle(airy_curve.field, {("1", k0): v
+                                             for k0, v in column.items()}),
+               airy_curve)
     for (label, k), dval in airy_tensors.D.items():
         assert pair_cycle_form(bcycle(airy_curve, label, k), out) == dval
 
 
 def test_engine_equivalence_airy(airy_table, airy_tensors):
-    ttab = tensor_recursion(airy_tensors, 4)
+    ttab = tensor_recursion(airy_tensors)
     for gn in set(airy_table.tables) | set(ttab.tables):
         assert airy_table.entries(*gn) == ttab.entries(*gn), gn
 
 
 def test_engine_equivalence_two_point(two_point_table):
-    at = compute_airy_tensors(two_point_table, 4)
-    ttab = tensor_recursion(at, 4)
+    at = compute_airy_tensors(two_point_table)
+    ttab = tensor_recursion(at)
     for gn in set(two_point_table.tables) | set(ttab.tables):
         assert two_point_table.entries(*gn) == ttab.entries(*gn), gn
 
 
 def _assert_engines_agree(curve, chi):
     table = compute_omega_table(curve, chi)
-    ttab = tensor_recursion(compute_airy_tensors(table, chi), chi)
+    ttab = tensor_recursion(compute_airy_tensors(table))
     for gn in set(table.tables) | set(ttab.tables):
         assert table.entries(*gn) == ttab.entries(*gn), gn
 
@@ -102,24 +107,16 @@ def test_engine_equivalence_parity_broken(points):
 def test_tensor_recursion_contraction_is_falsifiable(two_point_curve, name,
                                                      idx, moved):
     table = compute_omega_table(two_point_curve, 3)
-    at = compute_airy_tensors(table, 3)
-    base = tensor_recursion(at, 3)
-    bumped = tensor_recursion(at.copy_with_perturbation(name, idx, 1), 3)
+    at = compute_airy_tensors(table)
+    base = tensor_recursion(at)
+    bumped = tensor_recursion(at.copy_with_perturbation(name, idx, 1))
     assert {gn for gn in set(base.tables) | set(bumped.tables)
             if base.entries(*gn) != bumped.entries(*gn)} == moved
 
 
-def test_tensor_recursion_rejects_chi_beyond_its_tensors(two_point_curve):
-    # C and B only reach the index bound of the chi they were built for
-    table = compute_omega_table(two_point_curve, 3)
-    at = compute_airy_tensors(table, 3)
-    with pytest.raises(ValueError):
-        tensor_recursion(at, 4)
-
-
 def test_tensor_form_needs_simple_points(r3_table):
     with pytest.raises(UnsupportedError):
-        compute_airy_tensors(r3_table, 3)
+        compute_airy_tensors(r3_table)
 
 
 def test_uk_partition_counts():
@@ -132,18 +129,18 @@ def test_uk_partition_counts():
         {(6,): 1, (2, 4): 15, (3, 3): 10, (2, 2, 2): 15}
 
 
-def test_quadratic_pde_zero_residual(airy_tensors, airy_table):
-    rep = verify_quadratic_pde(airy_tensors, airy_table, 4, 4)
+def test_quadratic_pde_zero_residual(airy_tensors):
+    rep = verify_quadratic_pde(airy_tensors, 4, 4)
     assert rep.ok, rep.first_nonzero()
 
 
 def test_quadratic_pde_two_point(two_point_table):
-    at = compute_airy_tensors(two_point_table, 4)
-    rep = verify_quadratic_pde(at, two_point_table, 4, 4)
+    at = compute_airy_tensors(two_point_table)
+    rep = verify_quadratic_pde(at, 4, 4)
     assert rep.ok, rep.first_nonzero()
 
 
-def test_quadratic_pde_perturbations(airy_tensors, airy_table):
+def test_quadratic_pde_perturbations(airy_tensors):
     cases = [
         ("D", (("1", 3),)),
         ("A", (("1", 1), ("1", 1), ("1", 1))),
@@ -152,12 +149,10 @@ def test_quadratic_pde_perturbations(airy_tensors, airy_table):
     ]
     for name, idx in cases:
         rep = verify_quadratic_pde(
-            airy_tensors.copy_with_perturbation(name, idx, 1), airy_table,
-            4, 4)
+            airy_tensors.copy_with_perturbation(name, idx, 1), 4, 4)
         assert not rep.ok, name
     rep = verify_quadratic_pde(
-        airy_tensors.copy_with_perturbation("D", (("1", 3),), 1), airy_table,
-        4, 4)
+        airy_tensors.copy_with_perturbation("D", (("1", 3),), 1), 4, 4)
     assert rep.first_nonzero()[1] == 1   # residual located at order one
 
 
@@ -240,8 +235,8 @@ def test_fg_cross_engine():
     from trcycles import compute_Fg, validate_local_curve
     curve = validate_local_curve([("1", 2, {3: 1, 5: Fraction(1, 3)})])
     table = compute_omega_table(curve, 4)
-    at = compute_airy_tensors(table, 4)
-    ttab = tensor_recursion(at, 4)
+    at = compute_airy_tensors(table)
+    ttab = tensor_recursion(at)
     f2 = compute_Fg(table, 2)
     assert f2 != 0
     assert compute_Fg(ttab, 2) == f2
@@ -257,21 +252,20 @@ def test_engines_and_pde_on_kernel_coupled_curve():
                     declared_ramification=((1, 2), (-1, 2)))
     curve = localize_global_curve(g, 24)
     table = compute_omega_table(curve, 2)
-    at = compute_airy_tensors(table, 2)
-    ttab = tensor_recursion(at, 2)
+    at = compute_airy_tensors(table)
+    ttab = tensor_recursion(at)
     for gn in set(table.tables) | set(ttab.tables):
         assert table.entries(*gn) == ttab.entries(*gn), gn
     # cross-point correlator entries genuinely appear
     assert any(len({lb for lb, _ in key}) > 1
                for key in table.entries(0, 4))
-    rep = verify_quadratic_pde(at, table, 2, 2)
+    rep = verify_quadratic_pde(at, 2, 2)
     assert rep.ok, rep.first_nonzero()
 
 
-def test_residual_report_lists_are_per_instance(airy_tensors, airy_table):
+def test_residual_report_lists_are_per_instance(airy_tensors):
     failed = verify_quadratic_pde(
-        airy_tensors.copy_with_perturbation("D", (("1", 3),), 1), airy_table,
-        4, 4)
+        airy_tensors.copy_with_perturbation("D", (("1", 3),), 1), 4, 4)
     assert failed.entries
     fresh = ResidualReport()
     assert fresh.entries == [] and fresh.term_structure == {}
@@ -288,8 +282,7 @@ def test_perturbed_copy_leaves_the_tensors_unchanged(airy_tensors):
     assert {name: getattr(airy_tensors, name) for name in "ABCD"} == before
     assert all(getattr(bumped, name) is not getattr(airy_tensors, name)
                for name in "ABCD")
-    assert (bumped.curve, bumped.chi_max) == \
-        (airy_tensors.curve, airy_tensors.chi_max)
+    assert bumped.table is airy_tensors.table
     assert (bumped.B, bumped.C, bumped.D) == \
         (before["B"], before["C"], before["D"])
 
@@ -322,7 +315,7 @@ def test_airy_kernel_products(monkeypatch, make, chi, calls):
         return contract(self, *args, **kwargs)
 
     monkeypatch.setattr(recursion._Engine, "kernel_contract", counted)
-    compute_airy_tensors(table, chi)
+    compute_airy_tensors(table)
     assert count[0] == calls
 
 
@@ -330,7 +323,7 @@ def test_quadratic_pde_products(monkeypatch, two_point_curve):
     # HPoly x HPoly products: one d/dt'_e' P_e + P_e P_e' per unordered
     # (e, e') and one t'_s P_j per (j, s), shared by every row i0
     table = compute_omega_table(two_point_curve, 5)
-    at = compute_airy_tensors(table, 5)
+    at = compute_airy_tensors(table)
     count = [0]
     mul = HPoly.__mul__
 
@@ -339,5 +332,5 @@ def test_quadratic_pde_products(monkeypatch, two_point_curve):
         return mul(self, other)
 
     monkeypatch.setattr(HPoly, "__mul__", counted)
-    assert verify_quadratic_pde(at, table, 4, 4).ok
+    assert verify_quadratic_pde(at, 4, 4).ok
     assert count[0] == 102

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from trcycles import (
     LogZ,
     assemble_logZ,
-    assemble_logZprime,
     compute_omega_table,
     hirota_insertion_check,
     scale_curve,
@@ -34,22 +33,12 @@ def test_logz_symmetric_degrees(airy_table):
             assert (h - n) % 2 == 0
 
 
-def test_logzprime_prefactors_vanish(airy_table):
-    lzp = assemble_logZprime(airy_table, 3)
-    assert not lzp.prefactor_01
-    assert not lzp.prefactor_02
-    assert lzp.min_hbar_order() >= -1
-    base = assemble_logZ(airy_table, 3)
-    assert lzp.terms == base.terms
-
-
 def test_logz_defaults(airy_curve, airy_table):
     lz = assemble_logZ(airy_table, 3)
-    assert (lz.prime, lz.prefactor_01, lz.prefactor_02) == (False, None, None)
+    assert (lz.curve, lz.chi_max) == (airy_curve, 3)
     bare = LogZ(airy_curve, 3, HPoly())
-    assert (bare.curve, bare.chi_max, bare.prime, bare.prefactor_01,
-            bare.prefactor_02) == (airy_curve, 3, False, None, None)
-    assert bare.min_hbar_order() == 0
+    assert (bare.curve, bare.chi_max, bare.terms) == (airy_curve, 3, {})
+    assert bare.coefficient(1, [("1", 3)]) == 0
 
 
 def test_logz_homogeneity_transfer(airy_curve, airy_table):
@@ -97,7 +86,7 @@ def test_hirota_needs_single_point(two_point_table):
 def test_logz_canonical_dict(airy_table):
     lz = assemble_logZ(airy_table, 2)
     doc = lz.canonical_dict()
-    assert doc["version"] == 1 and not doc["prime"]
+    assert doc["version"] == 1 and doc["chi_max"] == 2
     row = [t for t in doc["terms"]
            if t["hbar"] == 1 and t["monomial"] == [[["1", 3], 1]]]
     assert row and row[0]["value"] == "1/24"
