@@ -20,10 +20,10 @@ _EXPORTS = {
     "recursion": ("OmegaTable", "compute_Fg", "compute_omega_table"),
     "scalars": ("Cyclo", "ScalarField"),
     "series": ("FORM", "FUNCTION", "LaurentSeries", "series_mul"),
-    "tensors": ("AiryTensors", "ResidualReport", "UOperator",
-                "compute_airy_tensors", "compute_Uk", "tensor_recursion",
-                "verify_higher_pde", "verify_quadratic_pde"),
-    "wavefunction": ("LogZ", "assemble_logZ", "hirota_insertion_check"),
+    "tensors": ("AiryTensors", "ResidualReport", "compute_airy_tensors",
+                "compute_Uk", "tensor_recursion", "verify_higher_pde",
+                "verify_quadratic_pde"),
+    "wavefunction": ("assemble_logZ", "hirota_insertion_check"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}

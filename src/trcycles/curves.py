@@ -155,17 +155,13 @@ class CurveData:
 def validate_local_curve(points, phi=None, n_max=None) -> CurveData:
     """Validate raw local-curve data and return canonical CurveData.
 
-    ``points``: iterable of (label, order, {k: time}) triples or RamPoints.
+    ``points``: iterable of (label, order, {k: time}) triples.
     ``phi``: {((label, k), (label, k')): value}, or an iterable of such
     (key, value) pairs, in which a key may repeat with one value only.
     """
     pts = {}
     orders = []
-    for p in points:
-        if isinstance(p, RamPoint):
-            label, order, times = p.label, p.order, p.times
-        else:
-            label, order, times = p
+    for label, order, times in points:
         label = str(label)
         order = int(order)
         if label in pts:

@@ -16,7 +16,7 @@ over candidate entries: each block is a map from its spectator multiset to
 its series, the Cartesian product of the blocks' maps lists every term that
 can be nonzero, and one kernel product per term yields the whole k0 row.
 A correlator block is contracted with the rotated basis forms one slot at
-a time (``_Engine.table_block``): partial sums over the entries meet each
+a time (``OmegaTable.table_block``): partial sums over the entries meet each
 distinct remaining index, so no slot ordering is formed twice.
 
 Nor is an order-2 term formed with its twin.  The twin of the term with
@@ -31,11 +31,11 @@ simple points are odd on every curve.
 All arithmetic is exact; windows are asserted at every coefficient
 extraction.
 
-Each table owns one engine (``OmegaTable.engine``): the fill, the Airy
-tensors and the higher verifier share its factors and blocks, and
-``set_entry`` drops the blocks of the level it changes.
+Each table takes its own residues: the fill, the Airy tensors and the
+higher verifier share its cached factors and blocks, and ``set_entry``
+drops the blocks of the level it changes.
 
-Before a term's product is formed, ``_Engine.reaches`` rejects it when its
+Before a term's product is formed, ``OmegaTable.reaches`` rejects it when its
 exact supports cannot meet the column: up to z^-2 the product's exponents
 lie in the Minkowski sum of the supports of its factors and of the
 denominator inverses (at the order the product uses), and the column
@@ -56,34 +56,34 @@ from itertools import combinations
 from math import comb
 
 from .curves import CurveData
-from .cycles import LocalCycle, LocalForm, bhat, gamma
+from .cycles import bhat, gamma
 from .errors import PrecisionError, UnsupportedError
 from .series import FORM, LaurentSeries
 
 
 class OmegaTable:
-    """Sparse symmetric tensors F[g,n], indexed by local-cycle labels."""
+    """Sparse symmetric tensors F[g,n], indexed by local-cycle labels, and
+    the kernel residues that fill and read them.  The residue factors are
+    cached per curve, the blocks per level until ``set_entry`` changes
+    it."""
 
     def __init__(self, curve: CurveData, chi_max: int = 0):
         self.curve = curve
         self.field = curve.field
         self.chi_max = chi_max
         self.tables = {}   # (g, n) -> {sorted tuple of (label,k): scalar}
-        self._engine = None
-
-    @property
-    def engine(self) -> _Engine:
-        """The residue engine of this table, created on first use."""
-        if self._engine is None:
-            self._engine = _Engine(self)
-        return self._engine
+        self._denom = {}      # (label, j, order) -> inverse series
+        self._basis = {}      # e -> kernel map of Gamma_e (a LocalForm)
+        self._rot = {}        # (at_label, e, j) -> rotated series
+        self._bridge = {}     # (label, jp, jq) -> weight-2 series
+        self._leg = {}        # (label, k_spec, j) -> rotated monomial
+        self._slice = {}      # (gb, mb) -> {(label, rotations): block map}
 
     def set_entry(self, g: int, n: int, indices, value) -> None:
         key = tuple(sorted(indices))
         if len(key) != n:
             raise ValueError("index tuple length must equal n")
-        if self._engine is not None:
-            self._engine._slice.pop((g, n), None)
+        self._slice.pop((g, n), None)
         tab = self.tables.setdefault((g, n), {})
         if value:
             tab[key] = value
@@ -101,71 +101,6 @@ class OmegaTable:
 
     def gn_list(self):
         return sorted(self.tables)
-
-    def local_form(self, g: int, n: int, contracted) -> LocalForm:
-        """The (g,n) correlator in one variable, the rest contracted.
-
-        ``contracted``: n-1 labels (a,k); returns sum_e F[e, contracted]
-        bhat(Gamma_e) as a LocalForm.
-        """
-        contracted = tuple(sorted(contracted))
-        if len(contracted) != n - 1:
-            raise ValueError("need n-1 contracted labels")
-        cycle = {e: v for key, v in self.tables.get((g, n), {}).items()
-                 for e, rest in _drops(key) if rest == contracted}
-        return bhat(LocalCycle(self.field, cycle), self.curve)
-
-
-def _drops(key):
-    """(e, key minus one e) for each distinct index e of a sorted key."""
-    for i, e in enumerate(key):
-        if i == 0 or e != key[i - 1]:
-            yield e, key[:i] + key[i + 1:]
-
-
-def _levels(chi_max):
-    """(g, n) of every level 2g - 2 + n = 1 .. chi_max, in fill order."""
-    for chi in range(1, chi_max + 1):
-        for g in range((chi + 1) // 2 + 1):
-            yield g, chi + 2 - 2 * g
-
-
-def _set_partitions(items):
-    """All partitions of a list into nonempty blocks (tuples of tuples)."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        yield ((first,),) + part
-        for i, block in enumerate(part):
-            yield part[:i] + (block + (first,),) + part[i + 1:]
-
-
-def _compositions(total, parts):
-    """Nonnegative integer tuples of given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-class _Engine:
-    """Kernel residue evaluation for one table, with its caches: the
-    factors depend only on the curve, the blocks on the table too."""
-
-    def __init__(self, table: OmegaTable):
-        self.table = table
-        self.curve = table.curve
-        self.field = table.field
-        self._denom = {}      # (label, j, order) -> inverse series
-        self._basis = {}      # e -> kernel map of Gamma_e (a LocalForm)
-        self._rot = {}        # (at_label, e, j) -> rotated series
-        self._bridge = {}     # (label, jp, jq) -> weight-2 series
-        self._leg = {}        # (label, k_spec, j) -> rotated monomial
-        self._slice = {}      # (gb, mb) -> {(label, rotations): block map}
 
     # -- factor builders -------------------------------------------------
     def denom_inv(self, label: str, j: int, order: int) -> LaurentSeries:
@@ -262,7 +197,7 @@ class _Engine:
         level = self._slice.setdefault((gb, mb), {})
         got = level.get((label, rots))
         if got is None:
-            partial = self.table.entries(gb, mb)
+            partial = self.entries(gb, mb)
             for slot, j in enumerate(rots):
                 sums = {}
                 for spec, f in partial.items():
@@ -355,6 +290,42 @@ class _Engine:
                 for k0 in range(1, reach + 1)}
 
 
+def _drops(key):
+    """(e, key minus one e) for each distinct index e of a sorted key."""
+    for i, e in enumerate(key):
+        if i == 0 or e != key[i - 1]:
+            yield e, key[:i] + key[i + 1:]
+
+
+def _levels(chi_max):
+    """(g, n) of every level 2g - 2 + n = 1 .. chi_max, in fill order."""
+    for chi in range(1, chi_max + 1):
+        for g in range((chi + 1) // 2 + 1):
+            yield g, chi + 2 - 2 * g
+
+
+def _set_partitions(items):
+    """All partitions of a list into nonempty blocks (tuples of tuples)."""
+    if not items:
+        yield ()
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        yield ((first,),) + part
+        for i, block in enumerate(part):
+            yield part[:i] + (block + (first,),) + part[i + 1:]
+
+
+def _compositions(total, parts):
+    """Nonnegative integer tuples of given length summing to total."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for tail in _compositions(total - head, parts - 1):
+            yield (head,) + tail
+
+
 def compute_omega_table(curve: CurveData, chi_max: int) -> OmegaTable:
     """Fill F[g,n] for all 2g-2+n <= chi_max by the residue recursion.
 
@@ -364,12 +335,11 @@ def compute_omega_table(curve: CurveData, chi_max: int) -> OmegaTable:
     if chi_max < 1:
         raise ValueError("chi_max must be >= 1")
     table = OmegaTable(curve, chi_max)
-    engine = table.engine
     for g, n1 in _levels(chi_max):
         level = {}
         for label in curve.labels:
             try:
-                row = _point_row(engine, label, g, n1 - 1)
+                row = _point_row(table, label, g, n1 - 1)
             except PrecisionError as exc:
                 raise PrecisionError(
                     f"insufficient truncation at (g,n)=({g},{n1}), "
@@ -381,7 +351,7 @@ def compute_omega_table(curve: CurveData, chi_max: int) -> OmegaTable:
     return table
 
 
-def _point_row(engine: _Engine, label: str, g: int, n: int) -> dict:
+def _point_row(table: OmegaTable, label: str, g: int, n: int) -> dict:
     """{(k0, S): F[g,n+1][(label,k0), S]} summed over the kernel terms at
     ``label`` that can be nonzero, with |S| = n and (label,k0) <= min(S).
 
@@ -392,7 +362,7 @@ def _point_row(engine: _Engine, label: str, g: int, n: int) -> dict:
     out block maps {S_b: series}.  A term that stands for its twin too
     (``_twin``) is summed apart and scaled once per entry.
     """
-    r = engine.curve.order(label)
+    r = table.curve.order(label)
     rows = {}   # twin index -> {(k0, S): sum of unscaled terms}
     for slot_rot, part in _kernel_terms(r):
         ell = len(part)
@@ -405,8 +375,8 @@ def _point_row(engine: _Engine, label: str, g: int, n: int) -> dict:
                 if any(gb == 0 and len(slots) + c == 1
                        for slots, gb, c in layout):
                     continue
-                _add_terms(engine, label, slot_rot, layout, rows)
-    return _fold_twins(engine.field, r, rows)
+                _add_terms(table, label, slot_rot, layout, rows)
+    return _fold_twins(table.field, r, rows)
 
 
 def _kernel_terms(r: int):
@@ -456,11 +426,11 @@ def _fold_twins(field, r: int, rows: dict) -> dict:
     return out
 
 
-def _add_terms(engine, label, slot_rot, layout, rows):
+def _add_terms(table, label, slot_rot, layout, rows):
     """Add every term of one block layout to ``rows`` {twin index: row}.
     The slot data that ``_twin`` compares are the blocks' (g, c), then
     their spectator multisets."""
-    r = engine.curve.order(label)
+    r = table.curve.order(label)
     twin = _twin(r, slot_rot)
     swaps = len(slot_rot) == len(layout) == 2   # the twin swaps the blocks
     if swaps and _twin(r, slot_rot, [(gb, c) for _, gb, c in layout]) \
@@ -472,11 +442,11 @@ def _add_terms(engine, label, slot_rot, layout, rows):
         rots = tuple(slot_rot[s] for s in slots)
         if gb == 0 and len(slots) + c == 2:
             if c == 0:
-                blocks[b] = {(): engine.bridge(label, *rots)}
+                blocks[b] = {(): table.bridge(label, *rots)}
             else:
                 legs.append((b, rots[0]))
         else:
-            blocks[b] = engine.table_block(label, gb, len(slots) + c, rots)
+            blocks[b] = table.table_block(label, gb, len(slots) + c, rots)
             if not blocks[b]:
                 return
     # the residue reaches k0 = 1 only while the factor orders sum to at
@@ -488,7 +458,7 @@ def _add_terms(engine, label, slot_rot, layout, rows):
     if spare < 0:
         return
     for b, rot in legs:
-        blocks[b] = {((label, kp),): engine.leg(label, kp, rot)
+        blocks[b] = {((label, kp),): table.leg(label, kp, rot)
                      for kp in range(1, spare + 2)}
     blocks = [sorted(((f.lo - floor, spec, f) for spec, f in blk.items()),
                      key=lambda item: item[0])
@@ -507,9 +477,9 @@ def _add_terms(engine, label, slot_rot, layout, rows):
             if spec[0][0] == label:
                 k0_max = spec[0][1]
         factors = [f for _, f in combo]
-        if not engine.reaches(label, slot_rot[1:], factors, k0_max):
+        if not table.reaches(label, slot_rot[1:], factors, k0_max):
             continue
-        column = engine.kernel_contract(label, slot_rot[1:], factors, k0_max)
+        column = table.kernel_contract(label, slot_rot[1:], factors, k0_max)
         weight = _deal_count([part for part, _ in combo])
         row = rows.setdefault(twin, {})
         for k0, v in column.items():

@@ -9,12 +9,11 @@ contraction, and the verifiers expand the annihilation identities in
 one object: ``compute_airy_tensors`` and the higher verifier a table,
 the tensor recursion and the quadratic verifier the tensors, which keep
 the table they were read from.  Every kernel residue,
-scalar or HPoly-valued, is taken by the table's own engine
-(``OmegaTable.engine``), through the one routine
-``_Engine.kernel_contract`` that also drives the correlator recursion,
-and the higher verifier's W and U blocks are the recursion's own
-``_Engine.table_block`` maps, summed over the table levels with their
-hbar and times weights: those the fill built are not built again.
+scalar or HPoly-valued, is taken by the table itself, through the one
+routine ``OmegaTable.kernel_contract`` that also drives the correlator
+recursion, and the higher verifier's W and U blocks are the recursion's
+own ``OmegaTable.table_block`` maps, summed over the table levels with
+their hbar and times weights: those the fill built are not built again.
 
 Slot conventions for the stored B-tensor follow its defining residue:
 B[i1, i2, i3] contracts the kernel output with i1, feeds the basis form
@@ -111,14 +110,13 @@ def _parity_filter(curve: CurveData) -> bool:
 def compute_airy_tensors(table: OmegaTable) -> AiryTensors:
     """Tensors of the quadratic Airy structure of the table's curve, which
     must have simple ramification: A and D from the correlator table, C
-    and B from kernel residues on the table's engine."""
+    and B from kernel residues taken by the table."""
     curve = table.curve
     for label in curve.labels:
         if curve.order(label) != 2:
             raise UnsupportedError(
                 "the quadratic tensor form needs simple ramification "
                 "everywhere; use the order-by-order verifier instead")
-    engine = table.engine
     # the index bound and the parity filter fix which entries the tensors
     # have, not only which columns are skipped: entries outside them can
     # be nonzero (unfiltered, airy chi 3 has 21 C and 36 B entries instead
@@ -144,14 +142,14 @@ def compute_airy_tensors(table: OmegaTable) -> AiryTensors:
         # a slot whose basis form vanishes at the kernel point gives no
         # residue (on a purely local curve, those of the other points)
         live = [e for e in slots
-                if not engine.rotated_basis(label, e, 0).is_zero()]
+                if not table.rotated_basis(label, e, 0).is_zero()]
         for a, e in enumerate(live):
-            base = engine.rotated_basis(label, e, 0)
+            base = table.rotated_basis(label, e, 0)
             for ep in live[a:]:
                 # C[i0, e, e'] = 2 * contraction of K2(basis_e, basis_e'),
                 # and C[i0, e', e] is its twin
-                column = engine.kernel_contract(
-                    label, (1,), [base, engine.rotated_basis(label, ep, 1)])
+                column = table.kernel_contract(
+                    label, (1,), [base, table.rotated_basis(label, ep, 1)])
                 for k0 in ks:
                     if column.get(k0):
                         v = C[((label, k0), e, ep)] = 2 * column[k0]
@@ -163,8 +161,8 @@ def compute_airy_tensors(table: OmegaTable) -> AiryTensors:
                 # at the kernel point), summed over the two slot
                 # assignments.  They are twins, so the sum is twice this
                 # residue at odd k0 and 0 at even k0, on every curve
-                first = engine.kernel_contract(
-                    label, (1,), [base, engine.leg(label, ep_k, 1)])
+                first = table.kernel_contract(
+                    label, (1,), [base, table.leg(label, ep_k, 1)])
                 for k0 in ks:
                     if k0 % 2 and first.get(k0):
                         B[((label, k0), e, (label, ep_k))] = 2 * first[k0]
@@ -254,21 +252,10 @@ def _slots(entries):
 # ---------------------------------------------------------------------------
 # The disc-free derivative coefficients.
 
-class UOperator:
+def compute_Uk(k: int) -> dict:
     """Partition expansion of the disc-free k-th derivative coefficient:
-    shapes are multisets of block sizes >= 2, with their multiplicities."""
-
-    __slots__ = ("k", "terms")
-
-    def __init__(self, k: int, terms: tuple):
-        self.k, self.terms = k, terms   # terms: (shape tuple, count) pairs
-
-    def shape_dict(self):
-        return {shape: count for shape, count in self.terms}
-
-
-def compute_Uk(k: int) -> UOperator:
-    """Sum over set partitions of k slots with every block of size >= 2."""
+    {shape: count} over the set partitions of k slots with every block of
+    size >= 2, a shape being the sorted tuple of block sizes."""
     if k < 1:
         raise ValueError("arity must be >= 1")
     counts = {}
@@ -277,7 +264,7 @@ def compute_Uk(k: int) -> UOperator:
             continue
         shape = tuple(sorted(len(b) for b in part))
         counts[shape] = counts.get(shape, 0) + 1
-    return UOperator(k=k, terms=tuple(sorted(counts.items())))
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +308,18 @@ def verify_quadratic_pde(at: AiryTensors, hbar_max: int,
                 - hbar B[i,j,k] t'_k d/dt'_j
                 - (hbar/2) C[i,j,k] (d2/dt'_j dt'_k + d/dt'_j d/dt'_k)
 
-    applied to log Z (all sums over the full label set).
+    applied to log Z (all sums over the full label set).  The tensors
+    enter at hbar^1, so ``hbar_max`` must be at least 1 and ``deg_max``
+    at least 0.
     """
+    if hbar_max < 1 or deg_max < 0:
+        raise ValueError(f"the quadratic check needs hbar_max >= 1 and "
+                         f"deg_max >= 0, got {hbar_max}, {deg_max}")
     table = at.table
     fld = table.field
     chi_needed = min(hbar_max, table.chi_max)
     caps = (hbar_max, deg_max)
-    logz = HPoly(assemble_logZ(table, chi_needed).terms, caps)
+    logz = HPoly(assemble_logZ(table, chi_needed), caps)
     variables = _airy_index_variables(table)
     zero = HPoly((), caps)
 
@@ -404,9 +396,9 @@ def verify_higher_pde(table: OmegaTable, hbar_max: int,
     the sum over kernel orders of all partition-labeled kernel terms) are
     expanded over basis contractions with (hbar, times)-polynomial
     coefficients: each kernel term is one HPoly-valued column of
-    ``_Engine.kernel_contract``.  The left side is the derivative of log Z
+    ``OmegaTable.kernel_contract``.  The left side is the derivative of log Z
     (``assemble_logZ``).  The blocks are the recursion's own
-    ``_Engine.table_block`` maps: an m-fold insertion block sums, over the
+    ``OmegaTable.table_block`` maps: an m-fold insertion block sums, over the
     stored levels (g, m+n), each spectator multiset S weighted by
     hbar^(2g-2+m+n) t^S/|Aut S|; a disc-free block is the genus-zero
     map at S = ().  ``drop_terms`` removes structural term classes, e.g.
@@ -414,18 +406,20 @@ def verify_higher_pde(table: OmegaTable, hbar_max: int,
 
     Term classes are keyed (k, sorted block descriptors) with descriptors
     ('W', m) for m-fold insertion blocks and ('U', m) for disc-free
-    derivative blocks.
+    derivative blocks.  ``hbar_max`` must be at least 0.
     """
+    if hbar_max < 0:
+        raise ValueError(f"the higher check needs hbar_max >= 0, "
+                         f"got {hbar_max}")
     curve = table.curve
     if not curve.is_purely_local:
         raise UnsupportedError(
             "order-by-order verification needs a purely local curve")
-    engine = table.engine
     hbar_cap = min(hbar_max, table.chi_max - 1)
     deg_cap = hbar_cap + 2
     ring = HPolyRing(curve.field, (hbar_cap, deg_cap))
     variables = _airy_index_variables(table)
-    logz = assemble_logZ(table, hbar_cap + 1).terms
+    logz = assemble_logZ(table, hbar_cap + 1)
     report = ResidualReport(checked_orders=(hbar_cap, deg_cap))
 
     for label in curve.labels:
@@ -454,7 +448,7 @@ def verify_higher_pde(table: OmegaTable, hbar_max: int,
                 h = 2 * g - 2 + mn
                 if mn < m or (g, mn) == (0, m) or h > hbar_cap:
                     continue
-                for spec, f in engine.table_block(label, g, mn,
+                for spec, f in table.table_block(label, g, mn,
                                                   rots).items():
                     for ex, c in f.coeffs.items():
                         add(ex, HPoly({h: times_polynomial([(spec, c)])},
@@ -463,7 +457,7 @@ def verify_higher_pde(table: OmegaTable, hbar_max: int,
                 # the one-form pairing term of the single insertion: its
                 # hbar^-1 meets the block's hbar^1 dressing at order zero
                 for (lb, kv) in point_vars:
-                    leg = engine.leg(label, kv, rots[0])
+                    leg = table.leg(label, kv, rots[0])
                     for ex, c in leg.coeffs.items():
                         add(ex, HPoly({0: {(((lb, kv), 1),): c}}, ring.caps))
             got = wcache[key] = LaurentSeries(ring, coeffs, weight=m)
@@ -475,8 +469,8 @@ def verify_higher_pde(table: OmegaTable, hbar_max: int,
             m = len(block_slots)
             rots = tuple(slot_rot[s] for s in block_slots)
             if m == 2:
-                return engine.bridge(label, *rots).over(ring)
-            block = engine.table_block(label, 0, m, rots).get(
+                return table.bridge(label, *rots).over(ring)
+            block = table.table_block(label, 0, m, rots).get(
                 (), LaurentSeries.zero(curve.field))
             return LaurentSeries(
                 ring, {ex: HPoly({m - 2: {(): c}}, ring.caps)
@@ -500,7 +494,7 @@ def verify_higher_pde(table: OmegaTable, hbar_max: int,
                     u_series(b, slot_rot) if lab == "U"
                     else w_series(len(b), tuple(slot_rot[x] for x in b))
                     for b, lab in zip(part, labeling)]
-                column = engine.kernel_contract(label, slot_rot[1:], blocks)
+                column = table.kernel_contract(label, slot_rot[1:], blocks)
                 if not column:
                     continue
                 # the flag is read before the twin factor, which can

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from math import factorial
 
-from .curves import CurveData
 from .errors import UnsupportedError
 from .recursion import OmegaTable
 
@@ -194,34 +193,9 @@ class HPolyRing:
 
 # -- the wave function -------------------------------------------------------
 
-class LogZ:
-    """hbar-series with times-polynomial coefficients."""
-
-    __slots__ = ("curve", "chi_max", "terms")
-
-    def __init__(self, curve: CurveData, chi_max: int, terms: HPoly):
-        self.curve, self.chi_max, self.terms = curve, chi_max, terms
-
-    def coefficient(self, hbar_order: int, indices):
-        return self.terms.get(hbar_order, {}).get(
-            monomial_from_multiset(indices), 0)
-
-    def canonical_dict(self) -> dict:
-        fld = self.curve.field
-        out = []
-        for h in sorted(self.terms):
-            for mon, c in sorted(self.terms[h].items()):
-                out.append({
-                    "hbar": h,
-                    "monomial": [[[lb, k], m] for (lb, k), m in mon],
-                    "value": str(fld.as_fraction(c)),
-                })
-        return {"chi_max": self.chi_max, "terms": out, "version": 1}
-
-
-def assemble_logZ(table: OmegaTable, chi_max: int) -> LogZ:
-    """log Z(t'): sum over stable (g,n) of hbar^(2g-2+n) F[g,n](t')/n!."""
-    curve = table.curve
+def assemble_logZ(table: OmegaTable, chi_max: int) -> HPoly:
+    """log Z(t'): sum over stable (g,n) of hbar^(2g-2+n) F[g,n](t')/n!,
+    for 2g-2+n up to ``chi_max``."""
     terms = HPoly()
     for (g, n), tab in table.tables.items():
         chi = 2 * g - 2 + n
@@ -230,7 +204,7 @@ def assemble_logZ(table: OmegaTable, chi_max: int) -> LogZ:
         poly = times_polynomial(tab.items())
         if poly:
             terms = terms + HPoly({chi: poly})
-    return LogZ(curve=curve, chi_max=chi_max, terms=terms)
+    return terms
 
 
 # -- insertion operator check ------------------------------------------------
@@ -267,8 +241,11 @@ def hirota_insertion_check(table: OmegaTable, g: int, n: int,
         if not keys:
             return {"ok": True, "checked": 0, "details": "empty table"}
         spectators = keys[0][1:]
-    ws = table.local_form(g, n + 1, spectators).at(label)
-    if ws.is_zero():
+    spectators = tuple(sorted(spectators))
+    if len(spectators) != n:
+        raise ValueError("need n spectator labels")
+    ws = table.table_block(label, g, n + 1, (0,)).get(spectators)
+    if ws is None:
         return {"ok": True, "checked": 0, "details": "zero slice"}
 
     # -dx(z) * sum_j Res_{p->rho^j z}: the pullbacks -sigma_j^* w(z)

@@ -143,13 +143,13 @@ def test_verify_even_index_c_perturbation_breaks_the_tensor_recursion(
 
 def non_monomial_denominator(monkeypatch):
     """y - sigma* y + z^v dz: the leading coefficient is lambda*c + 1."""
-    difference = recursion._Engine._difference
+    difference = recursion.OmegaTable._difference
 
     def planted(self, label, j):
         d = difference(self, label, j)
         return d + LaurentSeries.monomial(self.field, d.lo, weight=FORM,
                                           hi=d.hi)
-    monkeypatch.setattr(recursion._Engine, "_difference", planted)
+    monkeypatch.setattr(recursion.OmegaTable, "_difference", planted)
 
 
 def test_verify_non_monomial_denominator_fails_homogeneity(
@@ -320,6 +320,38 @@ def test_malformed_perturbation_fails_before_the_table(tmp_path, capsys,
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"]["exit"] == 2
+
+
+@pytest.mark.parametrize("window", [
+    ("--hbar-max", "0"), ("--hbar-max", "-1"), ("--deg-max", "-1"),
+], ids=["hbar-0", "hbar-minus-1", "deg-minus-1"])
+def test_empty_verify_window_is_refused(tmp_path, capsys, monkeypatch,
+                                        window):
+    # below hbar 1 or degree 0 no order the tensors enter is expanded,
+    # and a perturbed D passed quadratic-pde or higher-pde there
+    def refuse(*args, **kwargs):
+        pytest.fail("the table was built before the window was checked")
+    monkeypatch.setattr(recursion, "compute_omega_table", refuse)
+    out = tmp_path / "r.json"
+    code = run("verify", "--curve", str(DATA / "two_point.json"),
+               "--chi-max", "3", "--perturb", "D,(1,3),+1", *window,
+               "--out", str(out))
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and json.loads(err[0])["error"]["exit"] == 2
+    assert window[0] in err[0]
+    assert not out.exists()
+
+
+def test_smallest_verify_window_sees_a_perturbed_d(tmp_path):
+    out = tmp_path / "r.json"
+    code = run("verify", "--curve", str(DATA / "two_point.json"),
+               "--chi-max", "3", "--perturb", "D,(1,3),+1",
+               "--hbar-max", "1", "--deg-max", "0", "--out", str(out))
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["quadratic-pde"]["status"] == "fail"
+    assert ", 1, " in checks["quadratic-pde"]["details"]
 
 
 def test_localize_n_max_zero_is_rejected(tmp_path, capsys):

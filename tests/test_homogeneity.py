@@ -8,6 +8,7 @@ import pytest
 
 from oracles import three_lambda_homogeneity
 from trcycles import (
+    OmegaTable,
     compute_omega_table,
     localize_global_curve,
     recursion,
@@ -16,9 +17,6 @@ from trcycles import (
 from trcycles.cli import _verify_homogeneity
 from trcycles.serialize import parse_curve_spec
 from trcycles.series import FORM, LaurentSeries
-
-Engine = recursion._Engine
-
 
 def _cubic_global(n_max):
     text = (Path(__file__).parent / "data" / "cubic_global.json").read_text()
@@ -42,7 +40,7 @@ def in_order(table):
 
 def extra_denominator(monkeypatch):
     """Terms with two factors get one more 1/(y - sigma* y) dz."""
-    contract = Engine.kernel_contract
+    contract = OmegaTable.kernel_contract
 
     def planted(self, label, js, factors, k0_max=None):
         if len(factors) == 2:
@@ -52,38 +50,38 @@ def extra_denominator(monkeypatch):
             extra = self.denom_inv(label, js[0], order).mul(dz)
             factors = list(factors) + [extra]
         return contract(self, label, js, factors, k0_max)
-    monkeypatch.setattr(Engine, "kernel_contract", planted)
+    monkeypatch.setattr(OmegaTable, "kernel_contract", planted)
 
 
 def bridge_times_time(monkeypatch):
     """The two-slot bridge picks up a factor of the point's first time
     (a weight bug even where that time is 1 and the table is unchanged)."""
-    bridge = Engine.bridge
+    bridge = OmegaTable.bridge
 
     def planted(self, label, jp, jq):
         t = min(self.curve.times(label).items())[1]
         return bridge(self, label, jp, jq).scale(t)
-    monkeypatch.setattr(Engine, "bridge", planted)
+    monkeypatch.setattr(OmegaTable, "bridge", planted)
 
 
 def inhomogeneous_denominator(monkeypatch):
     """y - sigma* y + z^(v+1) dz: a term of lambda-degree zero."""
-    difference = Engine._difference
+    difference = OmegaTable._difference
 
     def planted(self, label, j):
         d = difference(self, label, j)
         return d + LaurentSeries.monomial(self.field, d.lo + 1,
                                           weight=FORM, hi=d.hi)
-    monkeypatch.setattr(Engine, "_difference", planted)
+    monkeypatch.setattr(OmegaTable, "_difference", planted)
 
 
 def leg_wrong_rotation(monkeypatch):
     """Each contracted leg is rotated once too far: not a weight bug."""
-    leg = Engine.leg
+    leg = OmegaTable.leg
 
     def planted(self, label, k_spec, j):
         return leg(self, label, k_spec, j + 1)
-    monkeypatch.setattr(Engine, "leg", planted)
+    monkeypatch.setattr(OmegaTable, "leg", planted)
 
 
 BUGS = {

@@ -17,11 +17,11 @@ from trcycles import (
     validate_local_curve,
     verify_higher_pde,
 )
-from trcycles import localize_global_curve, recursion
+from trcycles import bhat, gamma, localize_global_curve
 from trcycles.errors import PrecisionError, UnsupportedError
 from trcycles.scalars import Cyclo
 from trcycles.serialize import parse_curve_spec
-from trcycles.series import LaurentSeries
+from trcycles.series import FORM, LaurentSeries
 
 
 def L(*ks):
@@ -112,27 +112,45 @@ def test_k2_apply_omega03(airy_table):
     # the order-2 kernel K2 on two omega02 legs whose spectators are
     # contracted with the k=1 extraction cycles (legs z^0 dz), summed over
     # the two slot assignments: the F[0,3] entry, without reading the table
-    engine = airy_table.engine
-    column = engine.kernel_contract(
-        "1", (1,), [engine.leg("1", 1, 0), engine.leg("1", 1, 1)])
+    column = airy_table.kernel_contract(
+        "1", (1,), [airy_table.leg("1", 1, 0), airy_table.leg("1", 1, 1)])
     assert {k0: 2 * v for k0, v in column.items() if v} == {1: 1}
     assert airy_table.entries(0, 3) == {(("1", 1),) * 3: 1}
 
 
 def test_k2_apply_omega11(airy_table):
     # K2 on the bridge omega02(z, sigma z): the F[1,1] entry
-    engine = airy_table.engine
-    column = engine.kernel_contract("1", (1,), [engine.bridge("1", 0, 1)])
+    column = airy_table.kernel_contract("1", (1,),
+                                        [airy_table.bridge("1", 0, 1)])
     assert {k0: v for k0, v in column.items() if v} == {3: Fraction(1, 24)}
     assert airy_table.entries(1, 1) == {(("1", 3),): Fraction(1, 24)}
 
 
-def test_zero_residue_of_one_point_tables(airy_table, r3_table):
-    for table in (airy_table, r3_table):
-        label = table.curve.labels[0]
+def test_zero_residue_of_one_point_tables(airy_table, r3_table,
+                                          two_point_curve):
+    # the one-slot block of F[g,1] is sum_e F[g,1][e] bhat(Gamma_e) at
+    # each point: on a purely local curve the block skips the forms of
+    # the other points, which vanish there; on the global cubic their
+    # analytic tails are kept
+    tables = [airy_table, r3_table, compute_omega_table(two_point_curve, 5),
+              compute_omega_table(_cubic_global(14), 3)]
+    for table in tables:
+        curve = table.curve
         for (g, n) in table.tables:
-            if n == 1:
-                assert table.local_form(g, 1, ()).at(label).residue() == 0
+            if n != 1:
+                continue
+            for label in curve.labels:
+                want = LaurentSeries.zero(curve.field, weight=FORM,
+                                          hi=curve.tail_hi())
+                for (e,), f in table.entries(g, 1).items():
+                    want = want + bhat(gamma(curve, *e), curve).at(
+                        label).scale(f)
+                have = table.table_block(label, g, 1, (0,)).get(())
+                if have is None:
+                    assert want.is_zero(), (g, label)
+                else:
+                    assert (have.coeffs, have.hi) == (want.coeffs, want.hi)
+                    assert have.residue() == 0
 
 
 @pytest.mark.parametrize("r, chi, kmax", [
@@ -237,7 +255,7 @@ def test_kernel_products_per_table(monkeypatch, points, chi, calls):
     # none of them comes out all zero; one product stands for both twins
     # of an order-2 pair
     count = [0]
-    contract = recursion._Engine.kernel_contract
+    contract = OmegaTable.kernel_contract
 
     def counted(self, *args, **kwargs):
         count[0] += 1
@@ -245,7 +263,7 @@ def test_kernel_products_per_table(monkeypatch, points, chi, calls):
         assert any(column.values()), (args, kwargs)
         return column
 
-    monkeypatch.setattr(recursion._Engine, "kernel_contract", counted)
+    monkeypatch.setattr(OmegaTable, "kernel_contract", counted)
     compute_omega_table(validate_local_curve(points), chi)
     assert count[0] == calls
 
@@ -256,15 +274,15 @@ def test_table_block_matches_arrangement_sum(monkeypatch):
     # distinct ordering of their slot labels of one product of rotated
     # basis forms, in coefficients and in truncation
     requested = {}
-    block = recursion._Engine.table_block
+    block = OmegaTable.table_block
 
     def recorded(self, label, gb, mb, rotations):
         got = block(self, label, gb, mb, rotations)
-        requested[id(self.table), label, gb, mb, tuple(sorted(rotations))] = \
-            (self.table, got)
+        requested[id(self), label, gb, mb, tuple(sorted(rotations))] = \
+            (self, got)
         return got
 
-    monkeypatch.setattr(recursion._Engine, "table_block", recorded)
+    monkeypatch.setattr(OmegaTable, "table_block", recorded)
     cases = [
         (validate_local_curve([("0", 3, {4: 1})]), 4),
         (validate_local_curve([("0", 4, {5: 1})]), 3),
@@ -278,7 +296,7 @@ def test_table_block_matches_arrangement_sum(monkeypatch):
         table = compute_omega_table(curve, chi)
         if curve.is_purely_local:
             verify_higher_pde(table, 3)
-        reference = OmegaTable(curve).engine
+        reference = OmegaTable(curve)
         for (_, label, gb, mb, rots), (tab, got) in requested.items():
             specs = {spec for key in tab.entries(gb, mb)
                      for spec in combinations(key, mb - len(rots))}
@@ -300,7 +318,7 @@ def test_table_block_matches_arrangement_sum(monkeypatch):
 
     r3 = validate_local_curve([("0", 3, {4: 1})])
     filled = compute_omega_table(r3, 3).tables
-    monkeypatch.setattr(recursion._Engine, "table_block", refused)
+    monkeypatch.setattr(OmegaTable, "table_block", refused)
     assert unpruned_table(r3, 3, 12).tables == filled
 
 
@@ -319,13 +337,13 @@ def test_block_products_per_table(monkeypatch, points, chi, verify,
     # ordering of the slot labels formed 200, 193 and 222 on the first
     # three); on r3 the blocks at rotation 2 would serve only order-2
     # twins, which are not formed.  The verifier runs on the fill's table
-    # and engine, so it builds only the blocks the fill did not: on r4
-    # 115 products (127 on an engine of its own), on two-point none
+    # and its caches, so it builds only the blocks the fill did not: on r4
+    # 115 products (127 on a fresh copy of the table), on two-point none
     curve = validate_local_curve(points)
     table = compute_omega_table(curve, chi) if verify else None
     inside = [0]
     count = [0]
-    block = recursion._Engine.table_block
+    block = OmegaTable.table_block
     mul = LaurentSeries.mul
 
     def counted_block(self, *args):
@@ -339,7 +357,7 @@ def test_block_products_per_table(monkeypatch, points, chi, verify,
         count[0] += bool(inside[0])
         return mul(self, *args)
 
-    monkeypatch.setattr(recursion._Engine, "table_block", counted_block)
+    monkeypatch.setattr(OmegaTable, "table_block", counted_block)
     monkeypatch.setattr(LaurentSeries, "mul", counted_mul)
     monkeypatch.setattr(LaurentSeries, "__mul__", counted_mul)
     if verify:
@@ -367,7 +385,7 @@ def test_class_guard_matches_unguarded(monkeypatch, make, chi):
     # the support guard only skips products that come out zero
     curve = make()
     guarded = compute_omega_table(curve, chi).tables
-    monkeypatch.setattr(recursion._Engine, "reaches",
+    monkeypatch.setattr(OmegaTable, "reaches",
                         lambda self, *args, **kwargs: True)
     assert compute_omega_table(curve, chi).tables == guarded
 
@@ -412,9 +430,9 @@ def test_class_guard_rejects_only_zero_columns(case):
     # a rejected term's column is all zero, and reading it raises no
     # PrecisionError: the guard never hides a truncated factor
     curve, js, factors, k0_max = case
-    engine = OmegaTable(curve).engine
-    if not engine.reaches("0", js, factors, k0_max):
-        column = engine.kernel_contract("0", js, factors, k0_max)
+    table = OmegaTable(curve)
+    if not table.reaches("0", js, factors, k0_max):
+        column = table.kernel_contract("0", js, factors, k0_max)
         assert not any(column.values())
 
 
@@ -456,11 +474,11 @@ def test_twin_relation(case):
     # twin[k0] = -rho^(j k0) term[k0], and a truncated factor fails both
     # residues or neither
     curve, r, j, term, twin, k0_max = case
-    engine = OmegaTable(curve).engine
+    table = OmegaTable(curve)
     columns = []
     for js, factors in (((j,), term), ((r - j,), twin)):
         try:
-            columns.append(engine.kernel_contract("0", js, factors, k0_max))
+            columns.append(table.kernel_contract("0", js, factors, k0_max))
         except PrecisionError:
             columns.append(None)
     got, want = columns

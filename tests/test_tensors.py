@@ -13,7 +13,6 @@ from trcycles import (
     verify_higher_pde,
     verify_quadratic_pde,
 )
-from trcycles import recursion
 from trcycles.errors import UnsupportedError
 from trcycles.tensors import _parity_filter
 from trcycles.wavefunction import HPoly
@@ -50,8 +49,8 @@ def test_direct_kernel_reproduces_d(airy_curve, airy_tensors):
     # the one-holed torus form from the kernel with identified arguments:
     # the bridge residue, mapped to a form and paired with the B-cycles
     from trcycles import LocalCycle, bcycle, bhat, pair_cycle_form
-    engine = airy_tensors.table.engine
-    column = engine.kernel_contract("1", (1,), [engine.bridge("1", 0, 1)])
+    table = airy_tensors.table
+    column = table.kernel_contract("1", (1,), [table.bridge("1", 0, 1)])
     out = bhat(LocalCycle(airy_curve.field, {("1", k0): v
                                              for k0, v in column.items()}),
                airy_curve)
@@ -120,13 +119,26 @@ def test_tensor_form_needs_simple_points(r3_table):
 
 
 def test_uk_partition_counts():
-    assert compute_Uk(1).terms == ()
-    assert compute_Uk(2).shape_dict() == {(2,): 1}
-    assert compute_Uk(3).shape_dict() == {(3,): 1}
-    assert compute_Uk(4).shape_dict() == {(4,): 1, (2, 2): 3}
-    assert compute_Uk(5).shape_dict() == {(5,): 1, (2, 3): 10}
-    assert compute_Uk(6).shape_dict() == \
+    assert compute_Uk(1) == {}
+    assert compute_Uk(2) == {(2,): 1}
+    assert compute_Uk(3) == {(3,): 1}
+    assert compute_Uk(4) == {(4,): 1, (2, 2): 3}
+    assert compute_Uk(5) == {(5,): 1, (2, 3): 10}
+    assert compute_Uk(6) == \
         {(6,): 1, (2, 4): 15, (3, 3): 10, (2, 2, 2): 15}
+
+
+@pytest.mark.parametrize("hbar_max, deg_max", [(0, 3), (-1, 3), (3, -1)])
+def test_quadratic_pde_refuses_an_empty_window(airy_tensors, hbar_max,
+                                               deg_max):
+    with pytest.raises(ValueError):
+        verify_quadratic_pde(airy_tensors, hbar_max, deg_max)
+
+
+def test_higher_pde_refuses_a_negative_hbar_order(r3_table):
+    with pytest.raises(ValueError):
+        verify_higher_pde(r3_table, -1)
+    assert verify_higher_pde(r3_table, 0).checked_orders == (0, 2)
 
 
 def test_quadratic_pde_zero_residual(airy_tensors):
@@ -216,11 +228,11 @@ def test_bridge_insertion_class_aggregates_to_zero(r3_table):
 
 def test_set_entry_reaches_the_cached_blocks(r3_curve):
     # the fill and a first verification cache blocks of F[0,3] on the
-    # table's engine; after one entry changes, the verifier reports what
-    # it reports on a fresh copy, whose engine builds every block anew
+    # table; after one entry changes, the verifier reports what it
+    # reports on a fresh copy, which builds every block anew
     table = compute_omega_table(r3_curve, 3)
     assert verify_higher_pde(table, 3).ok
-    assert table.engine._slice[0, 3]
+    assert table._slice[0, 3]
     key = min(table.entries(0, 3))
     table.set_entry(0, 3, key, 2 * table.get(0, 3, key))
     fresh = OmegaTable(r3_curve, table.chi_max)
@@ -308,13 +320,13 @@ def test_airy_kernel_products(monkeypatch, make, chi, calls):
     curve = make()
     table = compute_omega_table(curve, chi)
     count = [0]
-    contract = recursion._Engine.kernel_contract
+    contract = OmegaTable.kernel_contract
 
     def counted(self, *args, **kwargs):
         count[0] += 1
         return contract(self, *args, **kwargs)
 
-    monkeypatch.setattr(recursion._Engine, "kernel_contract", counted)
+    monkeypatch.setattr(OmegaTable, "kernel_contract", counted)
     compute_airy_tensors(table)
     assert count[0] == calls
 

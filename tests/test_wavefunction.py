@@ -5,28 +5,32 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from trcycles import (
-    LogZ,
+    OmegaTable,
     assemble_logZ,
     compute_omega_table,
     hirota_insertion_check,
     scale_curve,
 )
 from trcycles.errors import UnsupportedError
-from trcycles.wavefunction import HPoly
+from trcycles.wavefunction import HPoly, monomial_from_multiset
 
 
 def test_logz_coefficients(airy_table):
     lz = assemble_logZ(airy_table, 3)
-    assert lz.coefficient(1, [("1", 3)]) == Fraction(1, 24)
-    assert lz.coefficient(1, [("1", 1)] * 3) == Fraction(1, 6)
-    assert lz.coefficient(2, [("1", 3), ("1", 3)]) == Fraction(1, 48)
+
+    def coefficient(h, indices):
+        return lz[h][monomial_from_multiset(indices)]
+
+    assert coefficient(1, [("1", 3)]) == Fraction(1, 24)
+    assert coefficient(1, [("1", 1)] * 3) == Fraction(1, 6)
+    assert coefficient(2, [("1", 3), ("1", 3)]) == Fraction(1, 48)
     # all t' = 0: no constant terms at all
-    assert all(() not in poly for poly in lz.terms.values())
+    assert all(() not in poly for poly in lz.values())
 
 
 def test_logz_symmetric_degrees(airy_table):
     lz = assemble_logZ(airy_table, 3)
-    for h, poly in lz.terms.items():
+    for h, poly in lz.items():
         for mon in poly:
             n = sum(m for _, m in mon)
             # the hbar exponent is the level 2g-2+n of the source tensor
@@ -34,11 +38,14 @@ def test_logz_symmetric_degrees(airy_table):
 
 
 def test_logz_defaults(airy_curve, airy_table):
+    # log Z is a bare HPoly: chi_max cuts the levels, and a table with
+    # no levels gives the empty polynomial
     lz = assemble_logZ(airy_table, 3)
-    assert (lz.curve, lz.chi_max) == (airy_curve, 3)
-    bare = LogZ(airy_curve, 3, HPoly())
-    assert (bare.curve, bare.chi_max, bare.terms) == (airy_curve, 3, {})
-    assert bare.coefficient(1, [("1", 3)]) == 0
+    assert type(lz) is HPoly and lz.caps == (None, None)
+    assert sorted(lz) == [1, 2, 3]
+    assert sorted(assemble_logZ(airy_table, 1)) == [1]
+    assert assemble_logZ(airy_table, 0) == {}
+    assert assemble_logZ(OmegaTable(airy_curve, 3), 3) == {}
 
 
 def test_logz_homogeneity_transfer(airy_curve, airy_table):
@@ -46,10 +53,10 @@ def test_logz_homogeneity_transfer(airy_curve, airy_table):
     scaled_table = compute_omega_table(scale_curve(airy_curve, lam), 3)
     lz = assemble_logZ(airy_table, 3)
     lzs = assemble_logZ(scaled_table, 3)
-    for h, poly in lz.terms.items():
+    for h, poly in lz.items():
         for mon, c in poly.items():
             # the scaling exponent 2-2g-n equals -(2g-2+n) = -h
-            assert lzs.terms[h][mon] == lam ** (-h) * c
+            assert lzs[h][mon] == lam ** (-h) * c
 
 
 def test_hirota_checks(airy_table):
@@ -81,15 +88,6 @@ def test_hirota_r3(r3_table):
 def test_hirota_needs_single_point(two_point_table):
     with pytest.raises(UnsupportedError):
         hirota_insertion_check(two_point_table, 0, 2)
-
-
-def test_logz_canonical_dict(airy_table):
-    lz = assemble_logZ(airy_table, 2)
-    doc = lz.canonical_dict()
-    assert doc["version"] == 1 and doc["chi_max"] == 2
-    row = [t for t in doc["terms"]
-           if t["hbar"] == 1 and t["monomial"] == [[["1", 3], 1]]]
-    assert row and row[0]["value"] == "1/24"
 
 
 _MONOMIALS = [(), ((("a", 1), 1),), ((("a", 1), 2),),

@@ -4,19 +4,19 @@ Every candidate key with indices up to a fixed ``kmax`` is evaluated, each
 one by summing every (kernel order, Galois subset, slot partition,
 spectator split, genus split) term for its distinguished index, with no
 selection rule, parity filter or pole bound.  It shares the package's
-residue core (the table's ``_Engine``), so it checks the term enumeration
-of ``compute_omega_table``, not the kernel residues themselves.  It calls
-``_Engine.kernel_contract`` directly and never the support guard
-``_Engine.reaches``, on purpose: every term reaches the residue, so the
-comparison pins that pruning rule too, including its treatment of
-truncated factors on global curves.
+residue core (``OmegaTable.kernel_contract``), so it checks the term
+enumeration of ``compute_omega_table``, not the kernel residues
+themselves.  It calls ``kernel_contract`` directly and never the support
+guard ``OmegaTable.reaches``, on purpose: every term reaches the
+residue, so the comparison pins that pruning rule too, including its
+treatment of truncated factors on global curves.
 
 It also holds the arrangement-sum block reference, ``_block_series``: for
 one spectator multiset, each table entry that contains it, and every
 distinct ordering of the remaining slot labels, one product of rotated
 basis forms.  The package contracts its blocks one slot at a time
-(``_Engine.table_block``) and never forms these products, so the two
-meet only in the forms ``_Engine.rotated_basis`` caches.
+(``OmegaTable.table_block``) and never forms these products, so the two
+meet only in the forms ``OmegaTable.rotated_basis`` caches.
 """
 
 from itertools import combinations, combinations_with_replacement, permutations
@@ -59,10 +59,9 @@ def unpruned_table(curve, chi_max: int, kmax: int) -> OmegaTable:
 def entry_value(table, g: int, i0: tuple, spectators: tuple):
     """F[g, n+1] entry with distinguished contraction i0 = (a, k0), from
     the completed levels of ``table`` below it."""
-    engine = table.engine
     label, k0 = i0
-    r = engine.curve.order(label)
-    total = engine.field.zero()
+    r = table.curve.order(label)
+    total = table.field.zero()
     spectators = tuple(sorted(spectators))
     splits = {ell: list(_multiset_splits(spectators, ell))
               for ell in range(1, r + 1)}
@@ -77,7 +76,7 @@ def entry_value(table, g: int, i0: tuple, spectators: tuple):
                 genera = list(_compositions(g_total, ell))
                 for parts, weight in splits[ell]:
                     for gs in genera:
-                        term = _term_value(engine, table, label, k0, slot_rot,
+                        term = _term_value(table, label, k0, slot_rot,
                                            part, parts, gs)
                         if term:
                             total = total + term * weight
@@ -97,7 +96,7 @@ def check_every_reading(table) -> int:
     return readings
 
 
-def _term_value(engine, table, label, k0, slot_rot, part, parts, gs):
+def _term_value(table, label, k0, slot_rot, part, parts, gs):
     """One (partition, split, genus) term; None when structurally absent."""
     plan = []
     for b_idx, block_slots in enumerate(part):
@@ -115,49 +114,51 @@ def _term_value(engine, table, label, k0, slot_rot, part, parts, gs):
         if gb == 0 and mb == 2:
             if len(block_slots) == 2:
                 p, q = block_slots
-                factors.append(engine.bridge(label, slot_rot[p], slot_rot[q]))
+                factors.append(table.bridge(label, slot_rot[p], slot_rot[q]))
             else:
-                factors.append(engine.leg(label, sb[0][1],
-                                          slot_rot[block_slots[0]]))
+                factors.append(table.leg(label, sb[0][1],
+                                         slot_rot[block_slots[0]]))
             continue
-        series = _block_series(engine, table, label, gb, mb,
+        series = _block_series(table, table, label, gb, mb,
                                tuple(slot_rot[s] for s in block_slots), sb)
         if series.is_zero():
             return None
         factors.append(series)
-    return engine.kernel_contract(label, slot_rot[1:], factors, k0).get(k0)
+    return table.kernel_contract(label, slot_rot[1:], factors, k0).get(k0)
 
 
-def _block_series(engine, table, label, gb, mb, rotations, sb):
-    """sum over e-tuples of F[gb, mb][e..., sb] * prod rotated basis forms.
+def _block_series(forms, table, label, gb, mb, rotations, sb):
+    """sum over e-tuples of F[gb, mb][e..., sb] * prod rotated basis forms,
+    the entries read from ``table`` and the forms from the caches of
+    ``forms`` (an OmegaTable of the same curve, possibly ``table``).
 
-    Cached on the engine: blocks only read completed lower tables, and the
+    Cached on ``forms``: blocks only read completed lower tables, and the
     value is symmetric in the rotations."""
-    cache = vars(engine).setdefault("reference_blocks", {})
+    cache = vars(forms).setdefault("reference_blocks", {})
     key = (label, gb, mb, sb, tuple(sorted(rotations)))
     if key not in cache:
-        out = LaurentSeries.zero(engine.field, weight=len(rotations))
+        out = LaurentSeries.zero(forms.field, weight=len(rotations))
         for tkey, value in table.entries(gb, mb).items():
             rest = _multiset_diff(tkey, sb)
             if rest is None or len(rest) != len(rotations):
                 continue
-            if engine.curve.is_purely_local and \
+            if forms.curve.is_purely_local and \
                     any(e[0] != label for e in rest):
                 continue
-            out = out + _basis_product(engine, label, rest,
+            out = out + _basis_product(forms, label, rest,
                                        rotations).scale(value)
         cache[key] = out
     return cache[key]
 
 
-def _basis_product(engine, label, es, rotations):
+def _basis_product(forms, label, es, rotations):
     """Sum over the distinct orderings of the labels ``es`` of the product
     of their rotated basis forms, paired with the sorted ``rotations``."""
     out = None
     for arrangement in set(permutations(es)):
         piece = None
         for e, j in zip(arrangement, sorted(rotations)):
-            s = engine.rotated_basis(label, e, j)
+            s = forms.rotated_basis(label, e, j)
             piece = s if piece is None else piece * s
         out = piece if out is None else out + piece
     return out
