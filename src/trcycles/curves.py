@@ -86,15 +86,14 @@ class GlobalCurve:
 class CurveData:
     """A validated local curve plus bookkeeping used by the engines."""
 
-    __slots__ = ("field", "points", "phi", "n_max", "x_offsets")
+    __slots__ = ("field", "points", "phi", "n_max")
 
     def __init__(self, field: ScalarField, points: dict, phi: dict,
-                 n_max: int | None, x_offsets: dict | None = None):
+                 n_max: int | None):
         self.field = field
         self.points = points      # label -> RamPoint
         self.phi = phi            # canonical ((label,k),(label,j)) -> scalar
         self.n_max = n_max        # analytic truncation order (None = exact)
-        self.x_offsets = {} if x_offsets is None else x_offsets  # label->x(a)
 
     @property
     def labels(self):
@@ -248,7 +247,7 @@ def scale_curve(curve: CurveData, lam) -> CurveData:
         for label, pt in curve.points.items()
     }
     return CurveData(field=curve.field, points=points, phi=dict(curve.phi),
-                     n_max=curve.n_max, x_offsets=dict(curve.x_offsets))
+                     n_max=curve.n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +293,7 @@ def localize_global_curve(gcurve: GlobalCurve, n_max: int) -> CurveData:
     if polynomial:
         reach = max(top, len(gcurve.x.num) + len(gcurve.y.num))
     exact = polynomial
-    points, tables, offsets = [], [], {}
+    points, tables = [], []
     for a, r in decls:
         label = str(a)
         x_series = gcurve.x.shifted_series(a, reach + r, fld)
@@ -336,7 +335,6 @@ def localize_global_curve(gcurve: GlobalCurve, n_max: int) -> CurveData:
                  and max(w.coeffs, default=-1) < n_max)
         points.append((label, r, times))
         tables.append(powers)
-        offsets[label] = x0
 
     phi = {}
     for i, (la, _, _) in enumerate(points):
@@ -358,10 +356,8 @@ def localize_global_curve(gcurve: GlobalCurve, n_max: int) -> CurveData:
                         f"asymmetric kernel expansion at {ckey}")
 
     exact = exact and not any(phi.values())
-    curve = validate_local_curve(points, phi=phi,
-                                 n_max=None if exact else n_max)
-    curve.x_offsets = offsets
-    return curve
+    return validate_local_curve(points, phi=phi,
+                                n_max=None if exact else n_max)
 
 
 def _over_common_denominator(values) -> tuple:

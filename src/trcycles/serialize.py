@@ -183,6 +183,20 @@ def parse_omega_table(text: str, curve: CurveData):
     return table
 
 
+def _tensor_document(tensors) -> dict:
+    """{name: [{"indices", "value"}]} for A, B, C, D in sorted key order;
+    D's key is one index, written as a one-element index list."""
+    fld = tensors.table.field
+    doc = {}
+    for name in "ABCD":
+        tab = getattr(tensors, name)
+        doc[name] = [{"indices": [list(i) for i in
+                                  ((key,) if name == "D" else key)],
+                      "value": scalar_to_str(fld, tab[key])}
+                     for key in sorted(tab)]
+    return doc
+
+
 def dump_results(table, tensors=None, fg: dict | None = None) -> str:
     """The compute output: the table, its curve hash, tensors and scalars."""
     fld = table.field
@@ -190,7 +204,7 @@ def dump_results(table, tensors=None, fg: dict | None = None) -> str:
     doc = {"version": 1, "curve_hash": chash,
            "omega": _omega_document(table, chash)}
     if tensors is not None:
-        doc["airy_tensors"] = tensors.canonical_entries()
+        doc["airy_tensors"] = _tensor_document(tensors)
     if fg:
         doc["F"] = {str(g): scalar_to_str(fld, v) for g, v in fg.items()}
     return canonical_json(doc)

@@ -78,21 +78,6 @@ class AiryTensors:
         tab[key] = tab.get(key, fld.zero()) + fld.coerce(delta)
         return AiryTensors(self.table, **data)
 
-    def canonical_entries(self):
-        fld = self.table.field
-        out = {"A": [], "B": [], "C": [], "D": []}
-        for key in sorted(self.A):
-            out["A"].append({"indices": [list(i) for i in key],
-                             "value": str(fld.as_fraction(self.A[key]))})
-        for key in sorted(self.D):
-            out["D"].append({"indices": [list(key)],
-                             "value": str(fld.as_fraction(self.D[key]))})
-        for name, tab in (("B", self.B), ("C", self.C)):
-            for key in sorted(tab):
-                out[name].append({"indices": [list(i) for i in key],
-                                  "value": str(fld.as_fraction(tab[key]))})
-        return out
-
 
 def _parity_filter(curve: CurveData) -> bool:
     """True when all points are simple with odd times and no analytic part

@@ -1,4 +1,5 @@
-"""Formal wave-function assembly and the insertion-operator check.
+"""Formal wave-function assembly and the insertion-operator check (the
+linear loop equation of the correlator table).
 
 The log of the partition function is a Laurent series in hbar whose
 coefficients are polynomials in the formal times t'_{a,k} (one variable
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 from math import factorial
 
-from .errors import UnsupportedError
 from .recursion import OmegaTable
 
 
@@ -209,87 +209,19 @@ def assemble_logZ(table: OmegaTable, chi_max: int) -> HPoly:
 
 # -- insertion operator check ------------------------------------------------
 
-def hirota_insertion_check(table: OmegaTable, g: int, n: int,
-                           spectators=None,
-                           with_dx_weight: bool = True) -> dict:
-    """Check that the one-point extraction kernel reproduces the (g, n+1)
-    correlator of the table in its first slot.
+def hirota_insertion_check(table: OmegaTable) -> list:
+    """The linear loop equation on every stored entry: the sorted
+    ((g, n), key) pairs where it fails ([] when it holds).
 
-    With z a formal exterior point on the disc of a single ramification
-    point and the local model x = x(a) + zeta^r, the residue at p -> z of
-    w(p)/(x(p) - x(z)) is evaluated through the global residue theorem:
-
-        dx(z) Res_{p->z} = -dx(z) [ sum_j Res_{p -> rho^j z}
-                                    + Res_{p->0} + Res_{p->inf} ].
-
-    The deck-translate residues produce Galois pullbacks of w, so the
-    identity exercises the polar expansions and the covering map; it
-    fails when the dx(z) weight is dropped (``with_dx_weight=False``).
+    With z the first slot near a point a of order r, the deck sum
+    sum_j sigma_j^* omega_{g,n+1}(z, S) must be holomorphic at a.  The
+    basis form of (a, k) is k z^(-k-1) dz plus an analytic tail, its
+    pullback by z -> rho^j z carries rho^(-jk), and sum_j rho^(-jk) is r
+    when r | k, else 0: the equation holds exactly when no stored entry
+    has an index (a, k) with r | k (basis forms of other points are
+    analytic at a).
     """
-    curve = table.curve
-    if len(curve.labels) != 1 or not curve.is_purely_local:
-        raise UnsupportedError(
-            "the insertion check is implemented for purely local "
-            "single-point curves (x offsets between points are not "
-            "local data)")
-    label = curve.labels[0]
-    r = curve.order(label)
-    fld = curve.field
-    tab = table.entries(g, n + 1)
-    if spectators is None:
-        keys = sorted(tab)
-        if not keys:
-            return {"ok": True, "checked": 0, "details": "empty table"}
-        spectators = keys[0][1:]
-    spectators = tuple(sorted(spectators))
-    if len(spectators) != n:
-        raise ValueError("need n spectator labels")
-    ws = table.table_block(label, g, n + 1, (0,)).get(spectators)
-    if ws is None:
-        return {"ok": True, "checked": 0, "details": "zero slice"}
-
-    # -dx(z) * sum_j Res_{p->rho^j z}: the pullbacks -sigma_j^* w(z)
-    recon = {}
-
-    def add(e, c):
-        s = recon.get(e)
-        s = c if s is None else s + c
-        if s:
-            recon[e] = s
-        else:
-            recon.pop(e, None)
-
-    for j in range(1, r):
-        for e, c in ws.coeffs.items():
-            if with_dx_weight:
-                add(e, -c * fld.root(r, j * (e + 1)))
-            else:
-                # drop dx(z)=r z^(r-1) dz: leaves 1/(r (rho^j z)^(r-1))
-                add(e - (r - 1), -c * fld.root(r, j * (e - r + 1))
-                    / r)
-    # -dx(z) * Res_{p->0}: |p| < |z| expansion of 1/(p^r - z^r)
-    depth = max(0, -min(ws.coeffs))
-    for m in range(0, depth // r + 1):
-        c = ws.coeffs.get(-1 - r * m)
-        if c:
-            if with_dx_weight:
-                add(r - 1 - r * (m + 1), fld.coerce(c * r))
-            else:
-                add(-r * (m + 1), fld.coerce(c))
-    # -dx(z) * Res_{p->inf}: |p| > |z| expansion
-    top = max(max(ws.coeffs), 0)
-    for m in range(0, top // r + 1):
-        c = ws.coeffs.get(r * (m + 1) - 1)
-        if c:
-            if with_dx_weight:
-                add(r - 1 + r * m, fld.coerce(c * r))
-            else:
-                add(r * m, fld.coerce(c))
-    mismatches = {}
-    for e in set(recon) | set(ws.coeffs):
-        got = recon.get(e, fld.zero())
-        want = ws.coeffs.get(e, fld.zero())
-        if got != want:
-            mismatches[e] = (got, want)
-    return {"ok": not mismatches, "checked": len(ws.coeffs),
-            "spectators": tuple(spectators), "mismatches": mismatches}
+    order = table.curve.order
+    return sorted(((g, n), key) for (g, n), tab in table.tables.items()
+                  for key in tab
+                  if any(k % order(label) == 0 for label, k in key))

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from test_homogeneity import extra_denominator
+from test_wavefunction import drop_kernel_class
 from trcycles import recursion
 from trcycles.cli import _parse_perturb, main
 from trcycles.series import FORM, LaurentSeries
@@ -187,6 +188,17 @@ def test_verify_fills_one_table_unless_homogeneity_fails(
     assert run("verify", "--curve", str(DATA / curve), "--chi-max",
                str(chi), "--out", str(tmp_path / "r.json")) == code
     assert len(calls) == fills
+
+
+def test_verify_insertion_operator_fails_on_a_dropped_term_class(
+        tmp_path, monkeypatch):
+    drop_kernel_class(monkeypatch, 2, 2)
+    out = tmp_path / "report.json"
+    assert run("verify", "--curve", str(DATA / "r3.json"), "--chi-max", "3",
+               "--out", str(out)) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["insertion-operator"] == {
+        "name": "insertion-operator", "status": "fail", "details": ""}
 
 
 def test_verify_results_roundtrip(tmp_path):

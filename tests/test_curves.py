@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from trcycles import (
-    CurveData,
     GlobalCurve,
     RationalFunction,
     localize_global_curve,
@@ -81,8 +80,6 @@ def test_localize_cubic():
     cross = [key for key in loc.phi if key[0][0] != key[1][0]]
     assert cross
     assert loc.phi_row("1", ("-1", 1))[1] == Fraction(1, 4)
-    # x offsets recorded for provenance
-    assert loc.x_offsets["1"] == Fraction(-2, 3)
 
 
 def test_localize_bad_declarations():
@@ -125,12 +122,8 @@ def test_repeated_phi_pair_must_agree():
 
 
 def test_record_classes_keep_their_defaults():
-    # the records are plain __slots__ classes: each CurveData gets its own
-    # x_offsets, and a RationalFunction without den is a polynomial
-    a, b = (validate_local_curve([("1", 2, {3: 1})]) for _ in range(2))
-    a.x_offsets["1"] = Fraction(1)
-    assert b.x_offsets == {}
-    assert CurveData(a.field, {}, {}, None).x_offsets == {}
+    # the records are plain __slots__ classes: a RationalFunction without
+    # den is a polynomial
     assert RationalFunction((0, 1)).den == (Fraction(1),)
     g = GlobalCurve(RationalFunction((0, 0, 1)), RationalFunction((0, 1)),
                     ((0, 2),))
