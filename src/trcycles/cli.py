@@ -248,6 +248,7 @@ def _first_inhomogeneous(table, gtab) -> str:
 
 
 def _verify_dilaton(table, check):
+    from .recursion import _dilaton_sum
     # factor 2g-2+n under the implemented cycle-pairing orientation (the
     # defining intersection formula fixes the dual of the primary form up
     # to the same global sign recorded for the pairing table)
@@ -259,11 +260,7 @@ def _verify_dilaton(table, check):
         if (g, n + 1) not in table.tables:
             continue
         for key, v in tab.items():
-            total = table.field.zero()
-            for label in table.curve.labels:
-                for k, t in table.curve.times(label).items():
-                    total = total + t * table.get(g, n + 1,
-                                                  ((label, k),) + key)
+            total = _dilaton_sum(table, g, key)
             if total != (2 * g - 2 + n) * v:
                 ok = False
                 detail = f"(g,n)=({g},{n}) {key}: {total} vs {(2*g-2+n)*v}"

@@ -25,7 +25,7 @@ slot rotations (0, j) and blocks A, B on slots 0, 1 has rotations
 the other, so twin[k0] = -rho^(j k0) * term[k0].  This is a change of
 variables, so it holds over every coefficient ring and for any times.
 One term of each pair is formed and its column scaled by 1 - rho^(j k0)
-(``_kernel_terms``, ``_twin``).  At a simple point the factor is 0 at even
+(``_kernel_terms`` names j).  At a simple point the factor is 0 at even
 k0, and a term that is its own twin vanishes there too: table indices at
 simple points are odd on every curve.
 All arithmetic is exact; windows are asserted at every coefficient
@@ -98,9 +98,6 @@ class OmegaTable:
 
     def entries(self, g: int, n: int) -> dict:
         return self.tables.get((g, n), {})
-
-    def gn_list(self):
-        return sorted(self.tables)
 
     # -- factor builders -------------------------------------------------
     def denom_inv(self, label: str, j: int, order: int) -> LaurentSeries:
@@ -360,11 +357,11 @@ def _point_row(table: OmegaTable, label: str, g: int, n: int) -> dict:
     block is built: its other blocks could include F[g,n+1] itself, whose
     slice would be cached while still empty.  The other layouts multiply
     out block maps {S_b: series}.  A term that stands for its twin too
-    (``_twin``) is summed apart and scaled once per entry.
+    is summed apart by its twin index and scaled once per entry.
     """
     r = table.curve.order(label)
     rows = {}   # twin index -> {(k0, S): sum of unscaled terms}
-    for slot_rot, part in _kernel_terms(r):
+    for slot_rot, part, twin in _kernel_terms(r):
         ell = len(part)
         k = len(slot_rot)
         if g - k + ell < 0:
@@ -375,47 +372,32 @@ def _point_row(table: OmegaTable, label: str, g: int, n: int) -> dict:
                 if any(gb == 0 and len(slots) + c == 1
                        for slots, gb, c in layout):
                     continue
-                _add_terms(table, label, slot_rot, layout, rows)
+                _add_terms(table, label, slot_rot, twin, layout, rows)
     return _fold_twins(table.field, r, rows)
 
 
 def _kernel_terms(r: int):
-    """(slot rotations, slot partition) of every kernel term at a point of
-    order r that is formed: each order k = 2..r, each Galois subset of k-1
-    nontrivial rotations (slot 0 is unrotated), each set partition of the
-    k slots.  The order-2 terms at rotation j > r - j are left out: each
-    is the twin of a term at rotation r - j (blocks in swapped slots), and
-    twin[k0] = -rho^(j k0) * term[k0], so that term stands for both."""
+    """(slot rotations, slot partition, twin index) of every kernel term at
+    a point of order r that is formed: each order k = 2..r, each Galois
+    subset of k-1 nontrivial rotations (slot 0 is unrotated), each set
+    partition of the k slots.  An order-2 term at rotation j < r - j stands
+    for its unlisted twin at r - j (blocks swapped), twin[k0] = -rho^(j k0)
+    term[k0], so its index is j: its column takes the factor 1 - rho^(j k0).
+    The index is 0 for order k >= 3 and at j = r - j, where only the blocks
+    tell twins apart (``_add_terms``)."""
     for k in range(2, r + 1):
         for js in combinations(range(1, r), k - 1):
             if k == 2 and 2 * js[0] > r:
                 continue
+            twin = js[0] if k == 2 and 2 * js[0] < r else 0
             for part in _set_partitions(list(range(k))):
-                yield (0,) + js, part
-
-
-def _twin(r: int, slot_rot, sides=()):
-    """How a term listed by ``_kernel_terms`` enters its column: j when
-    it stands for its twin too (scale by 1 - rho^(j k0)), 0 when it
-    stands alone (order k >= 3, or its own twin), None when its twin is
-    formed instead.  At j = r - j both twins have rotation j, and only
-    ``sides``, the slot data (A, B) of a two-block term, tell them apart:
-    the one with A < B is formed; a term with A == B, or with one block
-    (no sides), is its own twin."""
-    if len(slot_rot) != 2:
-        return 0
-    j = slot_rot[1]
-    if 2 * j < r:
-        return j
-    if len(sides) < 2 or sides[0] == sides[1]:
-        return 0
-    return j if sides[0] < sides[1] else None
+                yield (0,) + js, part, twin
 
 
 def _fold_twins(field, r: int, rows: dict) -> dict:
     """{(k0, ...): value} from ``rows`` {j: {(k0, ...): value}}, the sums
-    of the terms with each ``_twin`` index j, each scaled by
-    1 - rho^(j k0) once per entry (row 0 as it is)."""
+    of the terms with each twin index j, each scaled by 1 - rho^(j k0)
+    once per entry (row 0 as it is)."""
     out = rows.pop(0, {})
     for j, part in rows.items():
         for key, v in part.items():
@@ -426,15 +408,15 @@ def _fold_twins(field, r: int, rows: dict) -> dict:
     return out
 
 
-def _add_terms(table, label, slot_rot, layout, rows):
+def _add_terms(table, label, slot_rot, twin, layout, rows):
     """Add every term of one block layout to ``rows`` {twin index: row}.
-    The slot data that ``_twin`` compares are the blocks' (g, c), then
-    their spectator multisets."""
+    At j = r - j a two-block term and its twin (blocks swapped) are listed
+    alike: the one whose blocks' (g, c), then spectator multisets, are
+    smaller on slot 0 is formed and takes the factor 1 - rho^(j k0), and
+    one whose blocks agree is its own twin."""
     r = table.curve.order(label)
-    twin = _twin(r, slot_rot)
-    swaps = len(slot_rot) == len(layout) == 2   # the twin swaps the blocks
-    if swaps and _twin(r, slot_rot, [(gb, c) for _, gb, c in layout]) \
-            is None:
+    tie = len(slot_rot) == len(layout) == 2 and not twin
+    if tie and layout[0][1:] > layout[1][1:]:
         return
     blocks = [None] * len(layout)
     legs = []
@@ -451,12 +433,10 @@ def _add_terms(table, label, slot_rot, layout, rows):
                 return
     # the residue reaches k0 = 1 only while the factor orders sum to at
     # most r(k-1) - 2; a block's spare order is what the others' lowest
-    # orders leave (a leg z^(k'-1) dz has order k'-1 >= 0)
+    # orders leave (a leg z^(k'-1) dz has order k'-1 >= 0), none below 0
     floors = [0 if blk is None else min(f.lo for f in blk.values())
               for blk in blocks]
     spare = r * (len(slot_rot) - 1) - 2 - sum(floors)
-    if spare < 0:
-        return
     for b, rot in legs:
         blocks[b] = {((label, kp),): table.leg(label, kp, rot)
                      for kp in range(1, spare + 2)}
@@ -464,11 +444,13 @@ def _add_terms(table, label, slot_rot, layout, rows):
                      key=lambda item: item[0])
               for blk, floor in zip(blocks, floors)]
     for combo in _within(blocks, spare):
-        if swaps:
-            twin = _twin(r, slot_rot, [(gb, c, part) for (_, gb, c), (part, _)
-                                       in zip(layout, combo)])
-            if twin is None:
+        j = twin
+        if tie:
+            sides = [(gb, c, part) for (_, gb, c), (part, _)
+                     in zip(layout, combo)]
+            if sides[0] > sides[1]:
                 continue
+            j = slot_rot[1] if sides[0] < sides[1] else 0
         spec = tuple(sorted(x for part, _ in combo for x in part))
         k0_max = None
         if spec:
@@ -481,7 +463,7 @@ def _add_terms(table, label, slot_rot, layout, rows):
             continue
         column = table.kernel_contract(label, slot_rot[1:], factors, k0_max)
         weight = _deal_count([part for part, _ in combo])
-        row = rows.setdefault(twin, {})
+        row = rows.setdefault(j, {})
         for k0, v in column.items():
             if v:
                 v = v * weight
@@ -522,10 +504,16 @@ def compute_Fg(table: OmegaTable, g: int):
     if g < 2:
         raise UnsupportedError(
             "scalar invariants are implemented for genus >= 2 only")
-    curve = table.curve
+    return _dilaton_sum(table, g, ()) / (2 - 2 * g)
+
+
+def _dilaton_sum(table: OmegaTable, g: int, key: tuple):
+    """sum over the times t_(a,k) of t_(a,k) * F[g,n+1][(a,k), key], with
+    n = len(key)."""
     total = table.field.zero()
-    for label in curve.labels:
-        for k, t in curve.times(label).items():
-            total = total + t * table.get(g, 1, ((label, k),))
-    return total / (2 - 2 * g)
+    for label in table.curve.labels:
+        for k, t in table.curve.times(label).items():
+            total = total + t * table.get(g, len(key) + 1,
+                                          ((label, k),) + key)
+    return total
 

@@ -161,7 +161,7 @@ def dump_omega_table(table, chash: str) -> str:
 def _omega_document(table, chash: str) -> dict:
     fld = table.field
     entries = []
-    for (g, n) in table.gn_list():
+    for (g, n) in sorted(table.tables):
         for key in sorted(table.entries(g, n)):
             entries.append({
                 "g": g, "n": n,
@@ -214,7 +214,7 @@ def format_table(table) -> str:
     """Human-readable aligned table of the correlator tensors."""
     fld = table.field
     rows = []
-    for (g, n) in table.gn_list():
+    for (g, n) in sorted(table.tables):
         for key in sorted(table.entries(g, n)):
             idx = " ".join(f"({lb},{k})" for lb, k in key)
             rows.append((f"F[{g},{n}]", idx,

@@ -36,7 +36,6 @@ from .recursion import (
     _kernel_terms,
     _levels,
     _set_partitions,
-    _twin,
 )
 from .series import LaurentSeries
 from .wavefunction import (
@@ -464,11 +463,11 @@ def verify_higher_pde(table: OmegaTable, hbar_max: int,
         r = curve.order(label)
         rows = {}           # twin index -> {(k0,): HPoly}
         structure = {}      # class -> contracted nonzero flag
-        for slot_rot, part in _kernel_terms(r):
+        for slot_rot, part, j in _kernel_terms(r):
             k = len(slot_rot)
             # every term here is fixed by its block sizes, labels and
-            # rotations, so at j = r - j each one is its own twin
-            row = rows.setdefault(_twin(r, slot_rot), {})
+            # rotations, so at j = r - j each is its own twin (index 0)
+            row = rows.setdefault(j, {})
             for labeling in _labelings(part):
                 desc = (k, tuple(sorted(
                     (("U", len(b)) if lab == "U" else ("W", len(b)))

@@ -52,8 +52,12 @@ def test_compute_deterministic(tmp_path):
     (("verify", "two_point.json", "--chi-max", "5", "--hbar-max", "4",
       "--deg-max", "4"),
      "889d7f66ca8267fa88a16f151d1ad7f2d4ddc44be1009c806940d3dadf925333"),
+    # the check set perfbench runs on the global cubic
+    (("verify", "cubic_global.json", "--n-max", "14", "--chi-max", "1"),
+     "ec564071ee6779af9235fa778f6cd480a265c2b9d1e53acbce9a5701ff41b7c8"),
 ], ids=["compute-two-point-chi5", "compute-r3-chi3", "compute-cubic-n14-chi1",
-        "compute-r3-chi4", "verify-r3-chi3", "verify-two-point-chi5"])
+        "compute-r3-chi4", "verify-r3-chi3", "verify-two-point-chi5",
+        "verify-cubic-n14-chi1"])
 def test_golden_stdout(capsys, argv, digest):
     # byte identity of the CLI output; the first three are the perfbench
     # compute pins
@@ -115,6 +119,17 @@ def test_verify_perturbation_negative_control(tmp_path):
     detail = [c for c in report["checks"]
               if c["name"] == "quadratic-pde"][0]["details"]
     assert ", 1, " in detail   # residual located at hbar order one
+
+
+def test_verify_perturbation_needs_a_simple_curve(tmp_path):
+    out = tmp_path / "report.json"
+    code = run("verify", "--curve", str(DATA / "r3.json"),
+               "--perturb", "D,(0,4),+1", "--out", str(out))
+    assert code == 1
+    failing = [c for c in json.loads(out.read_text())["checks"]
+               if c["status"] == "fail"]
+    assert [(c["name"], c["details"]) for c in failing] == \
+        [("perturbation", "perturbation needs a simple curve")]
 
 
 def test_verify_c_perturbation_breaks_the_tensor_recursion(tmp_path):

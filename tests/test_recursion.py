@@ -19,6 +19,7 @@ from trcycles import (
 )
 from trcycles import bhat, gamma, localize_global_curve
 from trcycles.errors import PrecisionError, UnsupportedError
+from trcycles.recursion import _kernel_terms, _set_partitions
 from trcycles.scalars import Cyclo
 from trcycles.serialize import parse_curve_spec
 from trcycles.series import FORM, LaurentSeries
@@ -230,6 +231,19 @@ def test_twin_pairing_matches_unpruned():
         curve = validate_local_curve(points)
         assert unpruned_table(curve, chi, kmax).tables == \
             compute_omega_table(curve, chi).tables
+
+
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_kernel_terms_name_each_twin(r):
+    # each order-2 rotation j <= r/2 is listed once per partition of the
+    # two slots, none above; the twin index is j while 2j < r, else 0
+    terms = list(_kernel_terms(r))
+    order2 = sorted((rot[1], part) for rot, part, _ in terms if len(rot) == 2)
+    assert order2 == sorted((j, part) for j in range(1, r // 2 + 1)
+                            for part in _set_partitions([0, 1]))
+    for rot, _, twin in terms:
+        j = rot[1]
+        assert twin == (j if len(rot) == 2 and 2 * j < r else 0)
 
 
 def test_unpruned_reference_refuses_to_clip(airy_curve):

@@ -76,6 +76,7 @@ def _assert_engines_agree(curve, chi):
     ttab = tensor_recursion(compute_airy_tensors(table))
     for gn in set(table.tables) | set(ttab.tables):
         assert table.entries(*gn) == ttab.entries(*gn), gn
+    return table
 
 
 def test_engine_equivalence_two_point_chi5(two_point_curve):
@@ -83,18 +84,23 @@ def test_engine_equivalence_two_point_chi5(two_point_curve):
         _assert_engines_agree(two_point_curve, chi)
 
 
-@pytest.mark.parametrize("points", [
-    [("1", 2, {3: 1, 4: Fraction(1, 2), 5: Fraction(1, 3)})],
-    [("1", 2, {3: 1, 4: Fraction(1, 2)}),
-     ("-1", 2, {3: 2, 4: Fraction(-1, 3)})],
+@pytest.mark.parametrize("points, stored", [
+    ([("1", 2, {3: 1, 4: Fraction(1, 2), 5: Fraction(1, 3)})], 56),
+    ([("1", 2, {3: 1, 4: Fraction(1, 2)}),
+      ("-1", 2, {3: 2, 4: Fraction(-1, 3)})], 44),
 ], ids=["one-point", "two-point"])
-def test_engine_equivalence_parity_broken(points):
+def test_engine_equivalence_parity_broken(points, stored):
     # even times switch the parity filter off, so on these purely local
     # curves the tensors carry even indices too (the tensor recursion
     # itself only follows the stored entries and never consults the filter)
     curve = validate_local_curve(points)
     assert not _parity_filter(curve)
-    _assert_engines_agree(curve, 4)
+    table = _assert_engines_agree(curve, 4)
+    # yet the table itself has odd indices only: the twin factor
+    # 1 - (-1)^k0 is 0 at even k0 on every curve
+    keys = [key for tab in table.tables.values() for key in tab]
+    assert len(keys) == stored
+    assert all(k % 2 for key in keys for _, k in key)
 
 
 @pytest.mark.parametrize("name, idx, moved", [

@@ -71,7 +71,7 @@ def drop_kernel_class(monkeypatch, order, blocks):
     """Fill without the kernel terms of one order and block count."""
     terms = recursion._kernel_terms
     monkeypatch.setattr(recursion, "_kernel_terms", lambda r: (
-        (rot, part) for rot, part in terms(r)
+        (rot, part, j) for rot, part, j in terms(r)
         if (len(rot), len(part)) != (order, blocks)))
 
 
