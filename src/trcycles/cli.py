@@ -34,11 +34,11 @@ from .errors import AdmissibilityError, PrecisionError, TrcyclesError
 from .serialize import (
     canonical_json,
     curve_hash,
-    dump_curve_spec,
-    dump_results,
     format_table,
     parse_curve_spec,
+    results_document,
     str_to_fraction,
+    write_out,
 )
 
 EXIT_OK = 0
@@ -72,14 +72,6 @@ def _load_curve(path: str, n_max: int | None, chi_max: int):
     return parsed
 
 
-def _write_out(text: str, out: str | None) -> None:
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _simple_tensors(table):
     """The Airy tensors when every point is simple, else None."""
     curve = table.curve
@@ -89,13 +81,13 @@ def _simple_tensors(table):
     return None
 
 
-def _results_json(table, tensors) -> str:
+def _results(table, tensors) -> dict:
     """The compute output: table, tensors and the genus scalars."""
     from .recursion import compute_Fg
     chi_max = table.chi_max
     fg = {g: compute_Fg(table, g)
           for g in range(2, (chi_max + 1) // 2 + 1) if 2 * g - 1 <= chi_max}
-    return dump_results(table, tensors, fg)
+    return results_document(table, tensors, fg)
 
 
 def cmd_compute(args) -> int:
@@ -104,8 +96,8 @@ def cmd_compute(args) -> int:
     table = compute_omega_table(curve, args.chi_max)
     # the tensors are built for either format, so both fail alike
     tensors = _simple_tensors(table)
-    _write_out(format_table(table) if args.format == "table" else
-               _results_json(table, tensors), args.out)
+    write_out(format_table(table) if args.format == "table" else
+              _results(table, tensors), args.out)
     return EXIT_OK
 
 
@@ -183,13 +175,13 @@ def cmd_verify(args) -> int:
     if args.results:
         with open(args.results, "rb") as fh:
             stored = fh.read()
-        own = _results_json(table, tensors).encode("utf-8")
+        own = canonical_json(_results(table, tensors)).encode("utf-8")
         check("results-roundtrip", stored == own,
               "stored results equal recomputation")
 
     report = {"version": 1, "curve_hash": curve_hash(curve),
               "checks": checks}
-    _write_out(canonical_json(report), args.out)
+    write_out(report, args.out)
     ok = all(c["status"] == "pass" for c in checks)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
@@ -323,13 +315,11 @@ def _verify_cycle_algebra(curve, check):
 
 
 def cmd_localize(args) -> int:
-    parsed = _read_spec(args.curve, args.n_max)
-    if isinstance(parsed, CurveData):
-        _write_out(dump_curve_spec(parsed), args.out)
-        return EXIT_OK
-    n_max = 12 if args.n_max is None else args.n_max
-    curve = localize_global_curve(parsed, n_max)
-    _write_out(dump_curve_spec(curve), args.out)
+    curve = _read_spec(args.curve, args.n_max)
+    if isinstance(curve, GlobalCurve):
+        curve = localize_global_curve(
+            curve, 12 if args.n_max is None else args.n_max)
+    write_out(curve.canonical_dict(), args.out)
     return EXIT_OK
 
 

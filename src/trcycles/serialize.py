@@ -8,6 +8,7 @@ produces byte-identical files.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .curves import CurveData, GlobalCurve, RationalFunction, validate_local_curve
@@ -15,6 +16,26 @@ from .curves import CurveData, GlobalCurve, RationalFunction, validate_local_cur
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+
+
+def write_out(doc, out: str | None) -> None:
+    """Write ``doc`` to the file ``out``, or to stdout when ``out`` is None
+    or "-": a str as it is, any other document as canonical JSON, which
+    ``json.dump`` writes chunk by chunk instead of joining it first.  The
+    file is opened only here, once the document is complete."""
+    if out is None or out == "-":
+        _write(doc, sys.stdout)
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            _write(doc, fh)
+
+
+def _write(doc, fh) -> None:
+    if isinstance(doc, str):
+        fh.write(doc)
+    else:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
 def scalar_to_str(field, value) -> str:
@@ -29,9 +50,17 @@ def str_to_fraction(text) -> Fraction:
 
 
 def curve_hash(curve: CurveData) -> str:
-    import hashlib      # only compute/verify hash, so parsing skips OpenSSL
-    doc = canonical_json(curve.canonical_dict())
-    return hashlib.sha256(doc.encode()).hexdigest()
+    # CPython's own SHA-256 module, imported on first use: hashlib would
+    # load OpenSSL's libcrypto into every compute and verify; all three
+    # give the same digest
+    try:
+        from _sha2 import sha256            # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256      # CPython 3.10-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(dump_curve_spec(curve).encode()).hexdigest()
 
 
 # -- curve specs --------------------------------------------------------------
@@ -197,7 +226,7 @@ def _tensor_document(tensors) -> dict:
     return doc
 
 
-def dump_results(table, tensors=None, fg: dict | None = None) -> str:
+def results_document(table, tensors=None, fg: dict | None = None) -> dict:
     """The compute output: the table, its curve hash, tensors and scalars."""
     fld = table.field
     chash = curve_hash(table.curve)
@@ -207,7 +236,7 @@ def dump_results(table, tensors=None, fg: dict | None = None) -> str:
         doc["airy_tensors"] = _tensor_document(tensors)
     if fg:
         doc["F"] = {str(g): scalar_to_str(fld, v) for g, v in fg.items()}
-    return canonical_json(doc)
+    return doc
 
 
 def format_table(table) -> str:

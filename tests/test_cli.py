@@ -7,7 +7,7 @@ import pytest
 
 from test_homogeneity import extra_denominator
 from test_wavefunction import drop_kernel_class
-from trcycles import recursion
+from trcycles import cli, recursion, tensors
 from trcycles.cli import _parse_perturb, main
 from trcycles.series import FORM, LaurentSeries
 
@@ -38,7 +38,7 @@ def test_compute_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize("argv, digest", [
+GOLDEN = [
     (("compute", "two_point.json", "--chi-max", "5"),
      "ee041242130bd4759869c4cf8f1d5f44cef6c4dabb3500a87cbf488417a2415f"),
     (("compute", "r3.json", "--chi-max", "3"),
@@ -55,9 +55,13 @@ def test_compute_deterministic(tmp_path):
     # the check set perfbench runs on the global cubic
     (("verify", "cubic_global.json", "--n-max", "14", "--chi-max", "1"),
      "ec564071ee6779af9235fa778f6cd480a265c2b9d1e53acbce9a5701ff41b7c8"),
-], ids=["compute-two-point-chi5", "compute-r3-chi3", "compute-cubic-n14-chi1",
-        "compute-r3-chi4", "verify-r3-chi3", "verify-two-point-chi5",
-        "verify-cubic-n14-chi1"])
+]
+GOLDEN_IDS = ["compute-two-point-chi5", "compute-r3-chi3",
+              "compute-cubic-n14-chi1", "compute-r3-chi4", "verify-r3-chi3",
+              "verify-two-point-chi5", "verify-cubic-n14-chi1"]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN, ids=GOLDEN_IDS)
 def test_golden_stdout(capsys, argv, digest):
     # byte identity of the CLI output; the first three are the perfbench
     # compute pins
@@ -65,6 +69,18 @@ def test_golden_stdout(capsys, argv, digest):
     assert run(command, "--curve", str(DATA / curve), *rest) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", ["compute-two-point-chi5",
+                                  "compute-cubic-n14-chi1", "verify-r3-chi3"])
+def test_out_file_equals_golden_stdout(tmp_path, capsys, case):
+    # --out FILE gets the very bytes the golden stdout pins
+    (command, curve, *rest), digest = GOLDEN[GOLDEN_IDS.index(case)]
+    out = tmp_path / "out.json"
+    assert run(command, "--curve", str(DATA / curve), *rest,
+               "--out", str(out)) == 0
+    assert capsys.readouterr().out == ""
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_compute_table_format(capsys):
@@ -88,9 +104,11 @@ def test_admissibility_error(tmp_path, capsys):
                                                             "5": "1"}}]}
     f = tmp_path / "bad_curve.json"
     f.write_text(json.dumps(spec))
-    assert run("compute", "--curve", str(f)) == 3
+    out = tmp_path / "out.json"
+    assert run("compute", "--curve", str(f), "--out", str(out)) == 3
     err = capsys.readouterr().err
     assert json.loads(err.strip())["error"]["exit"] == 3
+    assert not out.exists()
 
 
 def test_verify_airy_passes(tmp_path):
@@ -216,6 +234,62 @@ def test_verify_insertion_operator_fails_on_a_dropped_term_class(
         "name": "insertion-operator", "status": "fail", "details": ""}
 
 
+def _airy_statuses(tmp_path):
+    """verify on the Airy curve at chi 3: the exit code and each check's
+    status."""
+    out = tmp_path / "report.json"
+    code = run("verify", "--curve", str(DATA / "airy.json"),
+               "--chi-max", "3", "--out", str(out))
+    return code, {c["name"]: c["status"]
+                  for c in json.loads(out.read_text())["checks"]}
+
+
+def _one_check_reads(monkeypatch, name, change):
+    """Make the check ``cli.<name>`` alone read ``change(table)``, a copy of
+    the table with one entry changed."""
+    original = getattr(cli, name)
+
+    def moved(table, *args):
+        copy = recursion.OmegaTable(table.curve, table.chi_max)
+        for (g, n), tab in table.tables.items():
+            for key, v in tab.items():
+                copy.set_entry(g, n, key, v)
+        change(copy)
+        return original(copy, *args)
+    monkeypatch.setattr(cli, name, moved)
+
+
+def _fails_only(tmp_path, name):
+    code, statuses = _airy_statuses(tmp_path)
+    assert code == 1 and statuses[name] == "fail"
+    assert all(s == "pass" for n, s in statuses.items() if n != name)
+    assert len(statuses) == 9
+
+
+def test_verify_dilaton_fails_on_a_moved_entry(tmp_path, monkeypatch):
+    assert _airy_statuses(tmp_path) == (0, dict.fromkeys(
+        ["homogeneity", "dilaton", "zero-residue", "pole-bound",
+         "cycle-algebra", "engine-equivalence", "quadratic-pde",
+         "higher-pde", "insertion-operator"], "pass"))
+    # t_3 F[1,2][(1,3),(1,3)] is the dilaton sum of F[1,1][(1,3)]
+    key = (("1", 3), ("1", 3))
+    _one_check_reads(monkeypatch, "_verify_dilaton", lambda table: (
+        table.set_entry(1, 2, key, table.get(1, 2, key) + 1)))
+    _fails_only(tmp_path, "dilaton")
+
+
+def test_verify_pole_bound_fails_above_the_bound(tmp_path, monkeypatch):
+    # 9 > 6g - 4 + 2n = 8 at (g,n) = (1,3), a level no dilaton sum reads
+    _one_check_reads(monkeypatch, "_verify_pole_bound", lambda table: (
+        table.set_entry(1, 3, (("1", 1), ("1", 1), ("1", 9)), 1)))
+    _fails_only(tmp_path, "pole-bound")
+
+
+def test_verify_cycle_algebra_fails_on_a_wrong_uk(tmp_path, monkeypatch):
+    monkeypatch.setattr(tensors, "compute_Uk", lambda k: {(k,): 1})
+    _fails_only(tmp_path, "cycle-algebra")
+
+
 def test_verify_results_roundtrip(tmp_path):
     res = tmp_path / "res.json"
     assert run("compute", "--curve", str(DATA / "airy.json"),
@@ -293,11 +367,12 @@ def test_precision_exit_code(tmp_path, capsys):
 def test_precision_error_record(tmp_path, capsys, command, n_max, chi,
                                 message):
     # the whole record, so a change in which product fails first shows
+    out = tmp_path / "out.json"
     assert run(command, "--curve", str(DATA / "cubic_global.json"),
-               "--n-max", n_max, "--chi-max", chi,
-               "--out", str(tmp_path / "out.json")) == 4
+               "--n-max", n_max, "--chi-max", chi, "--out", str(out)) == 4
     assert _error(capsys) == {"code": "precision", "exit": 4,
                               "message": message}
+    assert not out.exists()
 
 
 def test_verify_order_four_curve(tmp_path):
@@ -329,12 +404,13 @@ def test_parse_perturb(text, expected):
 
 @pytest.mark.parametrize("text", ["D,,1", "D,(1,),1", "D,(1,3),1,2"])
 def test_malformed_perturbation_is_a_parse_error(tmp_path, capsys, text):
+    out = tmp_path / "r.json"
     code = run("verify", "--curve", str(DATA / "airy.json"),
-               "--chi-max", "1", "--perturb", text,
-               "--out", str(tmp_path / "r.json"))
+               "--chi-max", "1", "--perturb", text, "--out", str(out))
     assert code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and json.loads(err[0])["error"]["exit"] == 2
+    assert not out.exists()
 
 
 def test_malformed_perturbation_fails_before_the_table(tmp_path, capsys,

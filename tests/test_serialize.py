@@ -1,4 +1,6 @@
+import hashlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,13 +8,14 @@ import pytest
 
 from trcycles import CurveData, GlobalCurve, localize_global_curve
 from trcycles.serialize import (
+    canonical_json,
     curve_hash,
     dump_curve_spec,
     dump_omega_table,
-    dump_results,
     format_table,
     parse_curve_spec,
     parse_omega_table,
+    results_document,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -44,6 +47,35 @@ def test_localized_equals_local_spec():
     assert dump_curve_spec(loc) == dump_curve_spec(ref)
 
 
+def _data_curves():
+    """Every tests/data curve, a global one localized at n_max 14."""
+    for path in sorted(DATA.glob("*.json")):
+        curve = parse_curve_spec(path.read_text())
+        if isinstance(curve, GlobalCurve):
+            curve = localize_global_curve(curve, 14)
+        yield path.name, curve
+
+
+# the one SHA-256 module left importable; curve_hash tries _sha2 (CPython
+# 3.12+), then _sha256 (3.10-3.11), then hashlib
+SHA_MODULES = ("_sha2", "_sha256", "hashlib")
+
+
+@pytest.mark.parametrize("source", SHA_MODULES)
+def test_curve_hash_is_sha256_on_each_import_path(monkeypatch, source):
+    if source != "hashlib":
+        pytest.importorskip(source)
+    expected = {name: hashlib.sha256(canonical_json(
+        curve.canonical_dict()).encode()).hexdigest()
+        for name, curve in _data_curves()}
+    assert "cubic_global.json" in expected and len(expected) == 5
+    for name in SHA_MODULES:
+        if name != source:
+            monkeypatch.setitem(sys.modules, name, None)
+    assert {name: curve_hash(curve)
+            for name, curve in _data_curves()} == expected
+
+
 def test_omega_table_roundtrip(airy_curve, airy_table):
     text = dump_omega_table(airy_table, curve_hash(airy_curve))
     back = parse_omega_table(text, airy_curve)
@@ -52,7 +84,7 @@ def test_omega_table_roundtrip(airy_curve, airy_table):
 
 
 def test_results_document(airy_curve, airy_table):
-    doc = dump_results(airy_table)
+    doc = canonical_json(results_document(airy_table))
     parsed = json.loads(doc)
     assert parsed["curve_hash"] == curve_hash(airy_curve)
     entries = parsed["omega"]["entries"]
@@ -60,7 +92,7 @@ def test_results_document(airy_curve, airy_table):
              if e["g"] == 1 and e["n"] == 1]
     assert found and found[0]["value"] == "1/24"
     # determinism: byte-identical on recomputation
-    assert dump_results(airy_table) == doc
+    assert canonical_json(results_document(airy_table)) == doc
 
 
 def test_format_table(airy_table):
