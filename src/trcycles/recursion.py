@@ -74,7 +74,7 @@ class OmegaTable:
         self.tables = {}   # (g, n) -> {sorted tuple of (label,k): scalar}
         self._denom = {}      # (label, j, order) -> inverse series
         self._basis = {}      # e -> kernel map of Gamma_e (a LocalForm)
-        self._rot = {}        # (at_label, e, j) -> rotated series
+        self._rot = {}        # (at_label, e, j) -> rotated series, j >= 0
         self._bridge = {}     # (label, jp, jq) -> weight-2 series
         self._leg = {}        # (label, k_spec, j) -> rotated monomial
         self._slice = {}      # (gb, mb) -> {(label, rotations): block map}
@@ -113,22 +113,15 @@ class OmegaTable:
         w01 = self.curve.omega01(label)
         return w01 - w01.rotate(self.curve.order(label), j)
 
-    def basis_form(self, at_label: str, e: tuple) -> LaurentSeries:
-        """Expansion at ``at_label`` of the kernel map of Gamma_e."""
-        got = self._basis.get(e)
-        if got is None:
-            got = self._basis[e] = bhat(gamma(self.curve, *e), self.curve)
-        return got.at(at_label)
-
     def rotated_basis(self, at_label: str, e: tuple, j: int) -> LaurentSeries:
-        if j == 0:
-            return self.basis_form(at_label, e)
+        """sigma_j^* of the kernel map of Gamma_e, expanded at ``at_label``."""
         key = (at_label, e, j)
         got = self._rot.get(key)
         if got is None:
-            r = self.curve.order(at_label)
-            got = self.basis_form(at_label, e).rotate(r, j)
-            self._rot[key] = got
+            if e not in self._basis:
+                self._basis[e] = bhat(gamma(self.curve, *e), self.curve)
+            got = self._rot[key] = self._basis[e].at(at_label).rotate(
+                self.curve.order(at_label), j)
         return got
 
     def leg(self, label: str, k_spec: int, j: int) -> LaurentSeries:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from itertools import product
 
-from .curves import CurveData
 from .errors import UnsupportedError
 from .recursion import (
     OmegaTable,
@@ -78,19 +77,6 @@ class AiryTensors:
         return AiryTensors(self.table, **data)
 
 
-def _parity_filter(curve: CurveData) -> bool:
-    """True when all points are simple with odd times and no analytic part
-    (then every table entry has odd indices)."""
-    if not curve.is_purely_local:
-        return False
-    for label in curve.labels:
-        if curve.order(label) != 2:
-            return False
-        if any(k % 2 == 0 for k in curve.times(label)):
-            return False
-    return True
-
-
 def compute_airy_tensors(table: OmegaTable) -> AiryTensors:
     """Tensors of the quadratic Airy structure of the table's curve, which
     must have simple ramification: A and D from the correlator table, C
@@ -101,13 +87,15 @@ def compute_airy_tensors(table: OmegaTable) -> AiryTensors:
             raise UnsupportedError(
                 "the quadratic tensor form needs simple ramification "
                 "everywhere; use the order-by-order verifier instead")
-    # the index bound and the parity filter fix which entries the tensors
-    # have, not only which columns are skipped: entries outside them can
-    # be nonzero (unfiltered, airy chi 3 has 21 C and 36 B entries instead
-    # of 6 and 18), and the compute output publishes these tensors
+    # the index bound and the parity fix which entries the tensors have,
+    # not only which columns are skipped: entries outside them can be
+    # nonzero (unfiltered, airy chi 3 has 21 C and 36 B entries instead
+    # of 6 and 18), and the compute output publishes these tensors.  A
+    # purely local curve enters only through y - sigma* y, where its even
+    # times cancel, so its tensors are odd-indexed whatever its times
     kmax = max((6 * g - 4 + 2 * n for g, n in _levels(table.chi_max)),
                default=2)
-    odd_only = _parity_filter(curve)
+    odd_only = curve.is_purely_local
     ks = [k for k in range(1, kmax + 1) if not odd_only or k % 2 == 1]
 
     A = {key: 2 * v for key, v in table.entries(0, 3).items()}

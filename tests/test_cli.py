@@ -38,6 +38,39 @@ def test_compute_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("points, cancelling, chi", [
+    ([("1", 2, {"3": "1", "5": "1/3"})], {"1": {"4": "1/2"}}, 4),
+    ([("1", 2, {"3": "1"}), ("-1", 2, {"3": "2"})],
+     {"1": {"4": "1/2"}, "-1": {"4": "-1/3"}}, 4),
+    ([("0", 3, {"4": "1"})], {"0": {"6": "1/2"}}, 4),
+    ([("0", 4, {"5": "1"})], {"0": {"8": "-2"}}, 3),
+    ([("0", 5, {"6": "1"})], {"0": {"10": "1/2"}}, 2),
+    ([("a", 2, {"3": "1"}), ("b", 3, {"4": "1", "5": "1/2"})],
+     {"a": {"4": "1", "6": "2"}, "b": {"6": "1/3"}}, 3),
+], ids=["r2", "r2-two-point", "r3", "r4", "r5", "r2-r3"])
+def test_cancelling_times_change_only_the_curve_hash(tmp_path, points,
+                                                     cancelling, chi):
+    # a time t_k with r | k cancels in y - sigma* y, the only way a purely
+    # local curve enters the kernel: table, tensors and F_g stay the same
+    docs = []
+    for extra in ({}, cancelling):
+        spec = {"kind": "local", "version": 1, "phi": [], "n_max": None,
+                "points": [{"label": label, "order": order,
+                            "times": {**times, **extra.get(label, {})}}
+                           for label, order, times in points]}
+        curve = tmp_path / f"curve{len(docs)}.json"
+        curve.write_text(json.dumps(spec))
+        out = tmp_path / f"res{len(docs)}.json"
+        assert run("compute", "--curve", str(curve), "--chi-max", str(chi),
+                   "--out", str(out)) == 0
+        text = out.read_text()
+        docs.append((json.loads(text)["curve_hash"], text))
+    (plain_hash, plain), (moved_hash, moved) = docs
+    assert plain_hash != moved_hash
+    assert plain.count(plain_hash) == 2
+    assert plain.replace(plain_hash, moved_hash) == moved
+
+
 GOLDEN = [
     (("compute", "two_point.json", "--chi-max", "5"),
      "ee041242130bd4759869c4cf8f1d5f44cef6c4dabb3500a87cbf488417a2415f"),
@@ -276,6 +309,11 @@ def test_verify_dilaton_fails_on_a_moved_entry(tmp_path, monkeypatch):
     _one_check_reads(monkeypatch, "_verify_dilaton", lambda table: (
         table.set_entry(1, 2, key, table.get(1, 2, key) + 1)))
     _fails_only(tmp_path, "dilaton")
+    # the first failing entry is named: F[1,1] reads the moved F[1,2]
+    # entry, before F[1,2] itself does
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    detail = [c["details"] for c in checks if c["name"] == "dilaton"][0]
+    assert detail.startswith("(g,n)=(1,1)")
 
 
 def test_verify_pole_bound_fails_above_the_bound(tmp_path, monkeypatch):

@@ -14,7 +14,6 @@ from trcycles import (
     verify_quadratic_pde,
 )
 from trcycles.errors import UnsupportedError
-from trcycles.tensors import _parity_filter
 from trcycles.wavefunction import HPoly
 
 
@@ -90,13 +89,12 @@ def test_engine_equivalence_two_point_chi5(two_point_curve):
       ("-1", 2, {3: 2, 4: Fraction(-1, 3)})], 44),
 ], ids=["one-point", "two-point"])
 def test_engine_equivalence_parity_broken(points, stored):
-    # even times switch the parity filter off, so on these purely local
-    # curves the tensors carry even indices too (the tensor recursion
-    # itself only follows the stored entries and never consults the filter)
+    # the even times cancel in y - sigma* y, so on these purely local
+    # curves the tensors are odd-indexed as for odd times alone (the tensor
+    # recursion itself only follows the stored entries)
     curve = validate_local_curve(points)
-    assert not _parity_filter(curve)
     table = _assert_engines_agree(curve, 4)
-    # yet the table itself has odd indices only: the twin factor
+    # the table itself has odd indices only: the twin factor
     # 1 - (-1)^k0 is 0 at even k0 on every curve
     keys = [key for tab in table.tables.values() for key in tab]
     assert len(keys) == stored
@@ -262,8 +260,9 @@ def test_fg_cross_engine():
 
 def test_engines_and_pde_on_kernel_coupled_curve():
     # a localized global curve with nonzero analytic kernel part: the
-    # points couple, parity is broken, and even-index tensor entries
-    # matter; both engines and the times-PDE must still agree
+    # points couple and the tensors keep their even-index entries (which
+    # neither check below needs); both engines and the times-PDE must
+    # still agree
     from trcycles import GlobalCurve, RationalFunction, localize_global_curve
     g = GlobalCurve(x=RationalFunction((0, -1, 0, Fraction(1, 3))),
                     y=RationalFunction((0, 1)),
