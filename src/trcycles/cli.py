@@ -110,15 +110,21 @@ def _parse_perturb(text: str):
     """TENSOR,INDEX,DELTA e.g.  D,(1,3),+1  or  A,((1,1),(1,1),(1,5)),-2/3
 
     INDEX is one (label,k) pair or a parenthesized list of them; labels
-    are free text without commas or parentheses.  D keeps the first pair.
+    are free text without commas or parentheses.  D keeps the first pair;
+    A, B and C take three.
     """
     m = re.fullmatch(_PERTURB, text)
     if m is None:
         raise ValueError("perturbation must be TENSOR,INDEX,DELTA")
     name, idx_text, delta = (part.strip() for part in m.groups())
+    if name not in ("A", "B", "C", "D"):
+        raise ValueError(f"unknown perturbation tensor {name!r}")
     pairs = [(lb, int(k)) for lb, k in re.findall(_INDEX_PAIR, idx_text)]
     if not pairs or re.sub(_INDEX_PAIR, "", idx_text).strip(" (),"):
         raise ValueError(f"malformed perturbation index {idx_text!r}")
+    if name != "D" and len(pairs) != 3:
+        raise ValueError(f"tensor {name} needs 3 index pairs, "
+                         f"got {len(pairs)}")
     return (name, tuple(pairs[:1] if name == "D" else pairs),
             str_to_fraction(delta))
 
@@ -132,6 +138,10 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--deg-max must be >= 0, got {args.deg_max}")
     perturb = _parse_perturb(args.perturb) if args.perturb else None
     curve = _load_curve(args.curve, args.n_max, args.chi_max)
+    for lb, k in perturb[1] if perturb else ():
+        if lb not in curve.labels or k < 1:
+            raise ValueError(f"perturbation index ({lb},{k}) is not a "
+                             f"local-cycle index of the curve")
     checks = []
 
     def check(name, ok, details=""):

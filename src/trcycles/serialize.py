@@ -183,10 +183,6 @@ def parse_curve_spec(text: str):
 
 # -- correlator tables ---------------------------------------------------------
 
-def dump_omega_table(table, chash: str) -> str:
-    return canonical_json(_omega_document(table, chash))
-
-
 def _omega_document(table, chash: str) -> dict:
     fld = table.field
     entries = []
@@ -199,17 +195,6 @@ def _omega_document(table, chash: str) -> dict:
             })
     return {"version": 1, "curve_hash": chash,
             "chi_max": table.chi_max, "entries": entries}
-
-
-def parse_omega_table(text: str, curve: CurveData):
-    from .recursion import OmegaTable
-    doc = json.loads(text)
-    table = OmegaTable(curve, int(doc.get("chi_max", 0)))
-    for e in doc["entries"]:
-        indices = tuple((str(lb), int(k)) for lb, k in e["indices"])
-        value = curve.field.coerce(str_to_fraction(e["value"]))
-        table.set_entry(int(e["g"]), int(e["n"]), indices, value)
-    return table
 
 
 def _tensor_document(tensors) -> dict:

@@ -11,9 +11,11 @@ the tensor recursion and the quadratic verifier the tensors, which keep
 the table they were read from.  Every kernel residue,
 scalar or HPoly-valued, is taken by the table itself, through the one
 routine ``OmegaTable.kernel_contract`` that also drives the correlator
-recursion, and the higher verifier's W and U blocks are the recursion's
-own ``OmegaTable.table_block`` maps, summed over the table levels with
-their hbar and times weights: those the fill built are not built again.
+recursion.  The higher verifier forms one kernel product per kernel
+term: each slot group's block is the recursion's own
+``OmegaTable.table_block`` maps summed over every stored level with its
+hbar and times weights, plus the bridge for two slots and the one-form
+leg for one.  Blocks the fill built are not built again.
 
 Slot conventions for the stored B-tensor follow its defining residue:
 B[i1, i2, i3] contracts the kernel output with i1, feeds the basis form
@@ -23,8 +25,6 @@ therefore pairs with derivatives and the i3 slot with time variables.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 from .errors import UnsupportedError
 from .recursion import (
@@ -245,10 +245,10 @@ def compute_Uk(k: int) -> dict:
 class ResidualReport:
     """Nonzero coefficients of an annihilation-operator residual."""
 
-    __slots__ = ("entries", "checked_orders", "term_structure")
+    __slots__ = ("entries", "checked_orders")
 
     def __init__(self, checked_orders: tuple = ()):
-        self.entries, self.term_structure = [], {}
+        self.entries = []
         self.checked_orders = checked_orders
 
     @property
@@ -359,26 +359,20 @@ def verify_quadratic_pde(at: AiryTensors, hbar_max: int,
 # ---------------------------------------------------------------------------
 # Order-by-order verification of the higher annihilation operator.
 
-def verify_higher_pde(table: OmegaTable, hbar_max: int,
-                      drop_terms: tuple = ()) -> ResidualReport:
+def verify_higher_pde(table: OmegaTable, hbar_max: int) -> ResidualReport:
     """Verify, coefficient by coefficient, that the order-r annihilation
     operator kills the wave function.
 
     Both sides of the master identity (the single-insertion series equals
-    the sum over kernel orders of all partition-labeled kernel terms) are
-    expanded over basis contractions with (hbar, times)-polynomial
-    coefficients: each kernel term is one HPoly-valued column of
-    ``OmegaTable.kernel_contract``.  The left side is the derivative of log Z
-    (``assemble_logZ``).  The blocks are the recursion's own
-    ``OmegaTable.table_block`` maps: an m-fold insertion block sums, over the
-    stored levels (g, m+n), each spectator multiset S weighted by
-    hbar^(2g-2+m+n) t^S/|Aut S|; a disc-free block is the genus-zero
-    map at S = ().  ``drop_terms`` removes structural term classes, e.g.
-    ``(3, (('U', 2), ('W', 1)))``, for negative controls.
-
-    Term classes are keyed (k, sorted block descriptors) with descriptors
-    ('W', m) for m-fold insertion blocks and ('U', m) for disc-free
-    derivative blocks.  ``hbar_max`` must be at least 0.
+    the sum over kernel orders and slot partitions of the kernel applied
+    to one block per slot group) are expanded over basis contractions
+    with (hbar, times)-polynomial coefficients.  The left side is the
+    derivative of log Z (``assemble_logZ``).  On the right, each kernel
+    term is one HPoly-valued column of ``OmegaTable.kernel_contract``,
+    and each slot group takes one block, ``_slot_block``, summed over
+    every stored level.  The kernel is multilinear, so this one product
+    per term is the sum over every way of drawing each group's slots
+    from one level.  ``hbar_max`` must be at least 0.
     """
     if hbar_max < 0:
         raise ValueError(f"the higher check needs hbar_max >= 0, "
@@ -401,86 +395,29 @@ def verify_higher_pde(table: OmegaTable, hbar_max: int,
             d = logz.deriv(v).shift(-1)
             if d:
                 lhs[v[1]] = d
-        # W-block series per (m, rotation multiset): the table blocks of
-        # every level plus, for m = 1, the contracted-leg part of the
-        # one-form pairing term
-        wcache = {}
-
-        def w_series(m: int, rots: tuple) -> LaurentSeries:
-            key = (m, tuple(sorted(rots)))
-            got = wcache.get(key)
-            if got is not None:
-                return got
-            coeffs = {}
-
-            def add(ex, poly):
-                coeffs[ex] = coeffs[ex] + poly if ex in coeffs else poly
-
-            for (g, mn) in table.tables:
-                h = 2 * g - 2 + mn
-                if mn < m or (g, mn) == (0, m) or h > hbar_cap:
-                    continue
-                for spec, f in table.table_block(label, g, mn,
-                                                  rots).items():
-                    for ex, c in f.coeffs.items():
-                        add(ex, HPoly({h: times_polynomial([(spec, c)])},
-                                      ring.caps))
-            if m == 1:
-                # the one-form pairing term of the single insertion: its
-                # hbar^-1 meets the block's hbar^1 dressing at order zero
-                for (lb, kv) in point_vars:
-                    leg = table.leg(label, kv, rots[0])
-                    for ex, c in leg.coeffs.items():
-                        add(ex, HPoly({0: {(((lb, kv), 1),): c}}, ring.caps))
-            got = wcache[key] = LaurentSeries(ring, coeffs, weight=m)
-            return got
-
-        def u_series(block_slots: tuple, slot_rot: tuple) -> LaurentSeries:
-            # disc-free blocks are forms of the hbar-rescaled curve and
-            # carry hbar^(m-2); the bridge (m=2) is undressed
-            m = len(block_slots)
-            rots = tuple(slot_rot[s] for s in block_slots)
-            if m == 2:
-                return table.bridge(label, *rots).over(ring)
-            block = table.table_block(label, 0, m, rots).get(
-                (), LaurentSeries.zero(curve.field))
-            return LaurentSeries(
-                ring, {ex: HPoly({m - 2: {(): c}}, ring.caps)
-                       for ex, c in block.coeffs.items()}, weight=m)
-
+        blocks = {}     # sorted rotations -> block series
         r = curve.order(label)
-        rows = {}           # twin index -> {(k0,): HPoly}
-        structure = {}      # class -> contracted nonzero flag
+        rows = {}       # twin index -> {(k0,): HPoly}
         for slot_rot, part, j in _kernel_terms(r):
             k = len(slot_rot)
-            # every term here is fixed by its block sizes, labels and
-            # rotations, so at j = r - j each is its own twin (index 0)
+            factors = []
+            for b in part:
+                rots = tuple(sorted(slot_rot[x] for x in b))
+                if rots not in blocks:
+                    blocks[rots] = _slot_block(table, label, rots, ring,
+                                               point_vars)
+                factors.append(blocks[rots])
+            column = table.kernel_contract(label, slot_rot[1:], factors)
+            # every term here is fixed by its rotations and slot groups,
+            # so at j = r - j each is its own twin (index 0)
             row = rows.setdefault(j, {})
-            for labeling in _labelings(part):
-                desc = (k, tuple(sorted(
-                    (("U", len(b)) if lab == "U" else ("W", len(b)))
-                    for b, lab in zip(part, labeling))))
-                if desc in drop_terms:
-                    continue
-                blocks = [
-                    u_series(b, slot_rot) if lab == "U"
-                    else w_series(len(b), tuple(slot_rot[x] for x in b))
-                    for b, lab in zip(part, labeling)]
-                column = table.kernel_contract(label, slot_rot[1:], blocks)
-                if not column:
-                    continue
-                # the flag is read before the twin factor, which can
-                # vanish: 1 - rho^(j k0) = 0 when r | j k0
-                nonzero = False
-                for k0, poly in column.items():
-                    # kernels of the hbar-rescaled curve: hbar^(k-2)
-                    poly = HPoly({h + k - 2: p for h, p in poly.items()
-                                  if h + k - 2 <= hbar_cap}, ring.caps)
-                    if poly:
-                        nonzero = True
-                        got = row.get((k0,))
-                        row[k0,] = poly if got is None else got + poly
-                structure[desc] = structure.get(desc, False) or nonzero
+            for k0, poly in column.items():
+                # kernels of the hbar-rescaled curve: hbar^(k-2)
+                poly = HPoly({h + k - 2: p for h, p in poly.items()
+                              if h + k - 2 <= hbar_cap}, ring.caps)
+                if poly:
+                    got = row.get((k0,))
+                    row[k0,] = poly if got is None else got + poly
         rhs = {k0: v for (k0,), v in
                _fold_twins(curve.field, r, rows).items()}
         for k0 in sorted(set(lhs) | set(rhs)):
@@ -491,14 +428,39 @@ def verify_higher_pde(table: OmegaTable, hbar_max: int,
                 for mon, c in sorted(res[h].items()):
                     if c:
                         report.entries.append(((label, k0), h, mon, c))
-        for desc, flag in structure.items():
-            prev = report.term_structure.get(desc, False)
-            report.term_structure[desc] = prev or flag
     return report
 
 
-def _labelings(part):
-    """All U/W labelings of partition blocks (U needs block size >= 2),
-    the first block's label varying fastest."""
-    options = [("W", "U") if len(b) >= 2 else ("W",) for b in part]
-    return (t[::-1] for t in product(*reversed(options)))
+def _slot_block(table: OmegaTable, label: str, rots: tuple, ring,
+                point_vars) -> LaurentSeries:
+    """The kernel block of one slot group with rotations ``rots``: over
+    every stored level (g, n) with n >= m = len(rots) and hbar order
+    h = 2g-2+n within the caps, each spectator multiset S of
+    ``OmegaTable.table_block`` weighted by hbar^h t^S/|Aut S|.  The
+    disc-free level (0, m) is a form of the hbar-rescaled curve, so the
+    same weight gives it hbar^(m-2).  Two slots add the bridge, the
+    undressed level (0, 2); one slot adds the contracted-leg part of the
+    one-form pairing term, whose hbar^-1 meets the block's hbar^1
+    dressing at order zero."""
+    caps = ring.caps
+    coeffs = {}
+
+    def add(ex, poly):
+        coeffs[ex] = coeffs[ex] + poly if ex in coeffs else poly
+
+    m = len(rots)
+    for (g, n) in table.tables:
+        h = 2 * g - 2 + n
+        if n < m or h > caps[0]:
+            continue
+        for spec, f in table.table_block(label, g, n, rots).items():
+            for ex, c in f.coeffs.items():
+                add(ex, HPoly({h: times_polynomial([(spec, c)])}, caps))
+    if m == 2:
+        for ex, c in table.bridge(label, *rots).coeffs.items():
+            add(ex, HPoly({0: {(): c}}, caps))
+    if m == 1:
+        for (lb, kv) in point_vars:
+            for ex, c in table.leg(label, kv, rots[0]).coeffs.items():
+                add(ex, HPoly({0: {(((lb, kv), 1),): c}}, caps))
+    return LaurentSeries(ring, coeffs, weight=m)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 
 from oracles import engine_entry
+from test_tensors import drop_disc_free, drop_kernel_terms, zero_bridge
 from test_wavefunction import drop_kernel_class
 from unpruned import check_every_reading
 from trcycles import (
@@ -35,13 +36,7 @@ from trcycles import (
     verify_quadratic_pde,
 )
 from trcycles.series import FORM, LaurentSeries
-from trcycles.serialize import (
-    curve_hash,
-    dump_curve_spec,
-    dump_omega_table,
-    parse_curve_spec,
-    parse_omega_table,
-)
+from trcycles.serialize import dump_curve_spec, parse_curve_spec
 
 DATA = Path(__file__).parent / "data"
 
@@ -140,18 +135,18 @@ def test_criterion_3_quadratic_pde():
           f"perturbations on the second curve ({elapsed:.2f}s)")
 
 
-def test_criterion_4_higher_operator():
-    """Order-3 operator on the order-3 curve: zero residual, term match,
-    and falsifiability.
+def test_criterion_4_higher_operator(monkeypatch):
+    """Order-3 operator on the order-3 curve: zero residual and
+    falsifiability.
 
-    The expansion contains exactly the term classes of the explicit
-    order-3 operator plus the disc-free triple term (required: removing
-    it breaks annihilation on a mixed-times order-3 curve).  On the
-    single-time curve both disc-free order-3 classes aggregate to zero:
-    the three Galois pairings of the bridge share one constant and the
-    correlator supports avoid indices divisible by 3, so removing the
-    bridge (x) insertion term is provably invisible there; tampering
-    with any other class is detected.
+    The expansion forms one kernel product per kernel term of orders 2
+    and 3, each slot group's block summed over the stored levels, and
+    every term is load-bearing.  So is the disc-free triple block:
+    removing it breaks annihilation on a mixed-times order-3 curve.  On
+    the single-time curve the order-3 bridge (x) insertion terms
+    aggregate to zero: the three Galois pairings of the bridge share one
+    constant and the correlator supports avoid indices divisible by 3, so
+    a zero bridge leaves only the residual of the order-2 bridge term.
     """
     t0 = time.time()
     curve = validate_local_curve([("0", 3, {4: 1})])
@@ -160,45 +155,30 @@ def test_criterion_4_higher_operator():
     assert rep.ok, rep.first_nonzero()
     assert rep.checked_orders[0] == 3
 
-    # term-by-term match with the order-3 operator's expansion
-    expected_classes = {
-        (2, (("U", 2),)),                      # the (1,1) correlator term
-        (2, (("W", 2),)),                      # K2(insertion^2), connected
-        (2, (("W", 1), ("W", 1))),             # K2(insertion^2), split
-        (3, (("U", 2), ("W", 1))),             # 3 K3(bilinear (x) insertion)
-        (3, (("W", 3),)),                      # K3(insertion^3), connected
-        (3, (("W", 1), ("W", 2))),             # K3(insertion^3), mixed
-        (3, (("W", 1), ("W", 1), ("W", 1))),   # K3(insertion^3), split
-    }
-    got = set(rep.term_structure)
-    assert expected_classes <= got, expected_classes - got
-    extra = got - expected_classes
-    assert extra <= {(3, (("U", 3),))}
-
-    # falsifiability: every class that is active on this curve is
+    # falsifiability: every kernel term, by order and slot groups, is
     # load-bearing
-    for desc in [(2, (("U", 2),)), (3, (("W", 3),)),
-                 (3, (("W", 1), ("W", 2))),
-                 (3, (("W", 1), ("W", 1), ("W", 1)))]:
-        bad = verify_higher_pde(table, 3, drop_terms=(desc,))
-        assert not bad.ok, desc
+    for order, blocks in [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)]:
+        with monkeypatch.context() as mp:
+            drop_kernel_terms(mp, order, blocks)
+            assert not verify_higher_pde(table, 3).ok, (order, blocks)
 
-    # the bridge (x) insertion class: structurally present, provably
-    # aggregating to zero on this curve (Galois average)
-    dropped = verify_higher_pde(table, 3,
-                                drop_terms=((3, (("U", 2), ("W", 1))),))
-    assert dropped.ok
+    # the bridge (x) insertion terms: provably aggregating to zero on this
+    # curve (Galois average)
+    with monkeypatch.context() as mp:
+        zero_bridge(mp)
+        assert verify_higher_pde(table, 3).entries == \
+            [(("0", 4), 0, (), Fraction(1, 12))]
 
-    # on a mixed-times order-3 curve the disc-free triple term is needed
+    # on a mixed-times order-3 curve the disc-free triple block is needed
     mixed = validate_local_curve([("0", 3, {4: 1, 5: Fraction(1, 2)})])
     mtable = compute_omega_table(mixed, 3)
     assert verify_higher_pde(mtable, 2).ok
-    assert not verify_higher_pde(mtable, 2,
-                                 drop_terms=((3, (("U", 3),)),)).ok
+    drop_disc_free(monkeypatch)
+    assert not verify_higher_pde(mtable, 2).ok
     elapsed = time.time() - t0
     assert elapsed < 120
     print(f"criterion 4: PASS - order-3 residual zero through hbar^3, "
-          f"term classes matched, verifier falsifiable ({elapsed:.2f}s)")
+          f"every kernel term load-bearing ({elapsed:.2f}s)")
 
 
 def test_criterion_5_homogeneity():
@@ -333,11 +313,6 @@ def test_criterion_10_infrastructure():
         text = (DATA / name).read_text()
         curve = parse_curve_spec(text)
         assert dump_curve_spec(curve) == text
-    curve = parse_curve_spec((DATA / "airy.json").read_text())
-    table = compute_omega_table(curve, 3)
-    blob = dump_omega_table(table, curve_hash(curve))
-    back = parse_omega_table(blob, curve)
-    assert dump_omega_table(back, curve_hash(curve)) == blob
     # localization of the half-quadratic model equals the unit local curve
     half = GlobalCurve(x=RationalFunction((0, 0, Fraction(1, 2))),
                        y=RationalFunction((0, 1)),

@@ -453,14 +453,19 @@ def test_malformed_perturbation_is_a_parse_error(tmp_path, capsys, text):
 
 def test_malformed_perturbation_fails_before_the_table(tmp_path, capsys,
                                                        monkeypatch):
+    # a malformed index, an unknown tensor, A or C with two pairs, a
+    # label that is not on the curve, and k < 1
     def refuse(*args, **kwargs):
-        pytest.fail("the table was built before --perturb was parsed")
+        pytest.fail("the table was built before --perturb was checked")
     monkeypatch.setattr(recursion, "compute_omega_table", refuse)
-    code = run("verify", "--curve", str(DATA / "airy.json"),
-               "--perturb", "D,(1,),1", "--out", str(tmp_path / "r.json"))
-    assert code == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and json.loads(err[0])["error"]["exit"] == 2
+    for perturb in ["D,(1,),1", "Q,(1,3),1", "A,((1,1),(1,1)),1",
+                    "C,((1,5),(1,1)),1", "D,(9,3),1", "D,(1,-3),1"]:
+        code = run("verify", "--curve", str(DATA / "airy.json"),
+                   "--perturb", perturb, "--out", str(tmp_path / "r.json"))
+        assert code == 2, perturb
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and json.loads(err[0])["error"]["exit"] == 2
+        assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("window", [

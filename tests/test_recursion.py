@@ -340,7 +340,7 @@ def test_table_block_matches_arrangement_sum(monkeypatch):
     ([("1", 2, {3: 2, 5: Fraction(1, 3)}), ("-1", 2, {3: 2})], 5, False,
      132),
     ([("0", 3, {4: 1})], 4, False, 128),
-    ([("0", 4, {5: 1})], 2, True, 115),
+    ([("0", 4, {5: 1})], 2, True, 60),
     ([("1", 2, {3: 2, 5: Fraction(1, 3)}), ("-1", 2, {3: 2})], 5, True, 0),
 ], ids=["two-point-chi5-fill", "r3-chi4-fill", "r4-chi2-verify-hbar3",
         "two-point-chi5-verify-hbar3"])
@@ -352,7 +352,9 @@ def test_block_products_per_table(monkeypatch, points, chi, verify,
     # three); on r3 the blocks at rotation 2 would serve only order-2
     # twins, which are not formed.  The verifier runs on the fill's table
     # and its caches, so it builds only the blocks the fill did not: on r4
-    # 115 products (127 on a fresh copy of the table), on two-point none
+    # 60 products (72 on a fresh copy of the table), on two-point none.
+    # It requests only the levels within its hbar cap (the disc-free
+    # (0,4) block over four rotations, at hbar^2 above the cap 1, cost 55)
     curve = validate_local_curve(points)
     table = compute_omega_table(curve, chi) if verify else None
     inside = [0]

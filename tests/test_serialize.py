@@ -11,10 +11,8 @@ from trcycles.serialize import (
     canonical_json,
     curve_hash,
     dump_curve_spec,
-    dump_omega_table,
     format_table,
     parse_curve_spec,
-    parse_omega_table,
     results_document,
 )
 
@@ -74,13 +72,6 @@ def test_curve_hash_is_sha256_on_each_import_path(monkeypatch, source):
             monkeypatch.setitem(sys.modules, name, None)
     assert {name: curve_hash(curve)
             for name, curve in _data_curves()} == expected
-
-
-def test_omega_table_roundtrip(airy_curve, airy_table):
-    text = dump_omega_table(airy_table, curve_hash(airy_curve))
-    back = parse_omega_table(text, airy_curve)
-    assert back.tables == airy_table.tables
-    assert dump_omega_table(back, curve_hash(airy_curve)) == text
 
 
 def test_results_document(airy_curve, airy_table):

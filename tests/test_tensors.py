@@ -13,7 +13,9 @@ from trcycles import (
     verify_higher_pde,
     verify_quadratic_pde,
 )
+from trcycles import tensors
 from trcycles.errors import UnsupportedError
+from trcycles.series import LaurentSeries
 from trcycles.wavefunction import HPoly
 
 
@@ -172,14 +174,54 @@ def test_quadratic_pde_perturbations(airy_tensors):
     assert rep.first_nonzero()[1] == 1   # residual located at order one
 
 
-def test_higher_pde_airy_reduces(airy_table):
-    rep = verify_higher_pde(airy_table, 3)
-    assert rep.ok
-    assert set(rep.term_structure) == {
-        (2, (("U", 2),)),
-        (2, (("W", 1), ("W", 1))),
-        (2, (("W", 2),)),
-    }
+# Negative controls for the higher verifier.  Each mutant removes one
+# piece of its kernel terms; apply it after the fill, so that only the
+# verifier reads the mutated code.
+
+def zero_bridge(monkeypatch):
+    """Verify with a zero bridge, the undressed level (0,2)."""
+    monkeypatch.setattr(OmegaTable, "bridge", lambda self, label, jp, jq:
+                        LaurentSeries.zero(self.field, weight=2))
+
+
+def drop_disc_free(monkeypatch):
+    """Verify without the disc-free level (0,m) of every block, m >= 3."""
+    block = OmegaTable.table_block
+    monkeypatch.setattr(
+        OmegaTable, "table_block", lambda self, label, gb, mb, rots:
+        {} if gb == 0 and mb == len(rots) else
+        block(self, label, gb, mb, rots))
+
+
+def bridge_only_pairs(monkeypatch):
+    """Verify with two-slot blocks that hold only the bridge."""
+    block = OmegaTable.table_block
+    monkeypatch.setattr(
+        OmegaTable, "table_block", lambda self, label, gb, mb, rots:
+        {} if len(rots) == 2 and (gb, mb) != (0, 2) else
+        block(self, label, gb, mb, rots))
+
+
+def drop_kernel_terms(monkeypatch, order, blocks):
+    """Verify without the kernel terms of one order and block count."""
+    terms = tensors._kernel_terms
+    monkeypatch.setattr(tensors, "_kernel_terms", lambda r: (
+        (rot, part, j) for rot, part, j in terms(r)
+        if (len(rot), len(part)) != (order, blocks)))
+
+
+def test_higher_pde_airy_reduces(airy_table, monkeypatch):
+    # at a simple point the operator is the quadratic one: the order-2
+    # kernel on one slot group (bridge and connected insertion) and on
+    # two (split insertion), and each of the three pieces is needed
+    assert verify_higher_pde(airy_table, 3).ok
+    assert sorted(len(part) for _, part, _ in tensors._kernel_terms(2)) \
+        == [1, 2]
+    for mutant in (zero_bridge, bridge_only_pairs,
+                   lambda m: drop_kernel_terms(m, 2, 2)):
+        with monkeypatch.context() as mp:
+            mutant(mp)
+            assert not verify_higher_pde(airy_table, 3).ok
 
 
 def test_higher_pde_r3(r3_table):
@@ -187,47 +229,72 @@ def test_higher_pde_r3(r3_table):
     assert rep.ok, rep.first_nonzero()
 
 
-def test_higher_pde_falsifiable(airy_table, r3_table):
-    # each dropped class leaves exactly these residuals (count, first)
+def test_higher_pde_falsifiable(airy_table, r3_table, monkeypatch):
+    # each mutant leaves exactly these residuals (count, first)
     r3, airy = ("0", r3_table), ("1", airy_table)
-    for (lb, table), desc, count, first in [
-            (r3, (2, (("U", 2),)), 1, (4, 0, (), Fraction(1, 12))),
-            (r3, (3, (("W", 3),)), 2, (11, 3, ((5, 1),), Fraction(-2, 33))),
-            (r3, (3, (("W", 1), ("W", 1), ("W", 1))), 45,
+    for (lb, table), mutant, count, first in [
+            (r3, zero_bridge, 1, (4, 0, (), Fraction(1, 12))),
+            (r3, lambda m: drop_kernel_terms(m, 3, 1), 2,
+             (11, 3, ((5, 1),), Fraction(-2, 33))),
+            (r3, lambda m: drop_kernel_terms(m, 3, 3), 45,
              (2, 1, ((1, 2), (4, 1)), Fraction(-1, 2))),
-            (airy, (2, (("U", 2),)), 1, (3, 0, (), Fraction(1, 24))),
-            (airy, (2, (("W", 2),)), 12, (5, 1, ((1, 1),), Fraction(1, 10))),
-            (airy, (2, (("W", 1), ("W", 1))), 41,
+            (airy, zero_bridge, 1, (3, 0, (), Fraction(1, 24))),
+            (airy, bridge_only_pairs, 12,
+             (5, 1, ((1, 1),), Fraction(1, 10))),
+            (airy, lambda m: drop_kernel_terms(m, 2, 2), 41,
              (1, 0, ((1, 2),), Fraction(1, 2)))]:
-        rep = verify_higher_pde(table, 3, drop_terms=(desc,))
+        with monkeypatch.context() as mp:
+            mutant(mp)
+            rep = verify_higher_pde(table, 3)
         k0, h, mon, value = first
-        assert len(rep.entries) == count, desc
+        assert len(rep.entries) == count, (lb, count)
         assert rep.first_nonzero() == \
-            ((lb, k0), h, tuple(((lb, k), m) for k, m in mon), value), desc
+            ((lb, k0), h, tuple(((lb, k), m) for k, m in mon), value)
 
 
-def test_higher_pde_mixed_r3(r3_mixed_table):
+def test_higher_pde_mixed_r3(r3_mixed_table, monkeypatch):
     rep = verify_higher_pde(r3_mixed_table, 2)
     assert rep.ok, rep.first_nonzero()
-    # the disc-free triple term is required on generic order-3 curves
-    rep2 = verify_higher_pde(r3_mixed_table, 2,
-                             drop_terms=((3, (("U", 3),)),))
+    # the disc-free triple block is required on generic order-3 curves
+    drop_disc_free(monkeypatch)
+    rep2 = verify_higher_pde(r3_mixed_table, 2)
     assert len(rep2.entries) == 8
     assert rep2.first_nonzero() == (("0", 1), 2, (), Fraction(-1, 3072))
 
 
-def test_bridge_insertion_class_aggregates_to_zero(r3_table):
+def test_bridge_insertion_class_aggregates_to_zero(r3_table, monkeypatch):
     """On order-3 curves the three Galois pairings of the bilinear-kernel
     bridge share one constant (-1/3), and correlator supports avoid
-    indices divisible by 3, so the bridge (x) insertion class sums to
-    zero; removing it is invisible.  Falsifiability of the verifier is
-    covered by the other classes above."""
-    rep = verify_higher_pde(r3_table, 3,
-                            drop_terms=((3, (("U", 2), ("W", 1))),))
-    assert rep.ok
-    # ... but the class is structurally present in the expansion
-    full = verify_higher_pde(r3_table, 3)
-    assert (3, (("U", 2), ("W", 1))) in full.term_structure
+    indices divisible by 3, so the bridge (x) insertion terms of order 3
+    sum to zero: a zero bridge leaves only the residual of the order-2
+    bridge term.  Falsifiability of the verifier is covered by the other
+    mutants above."""
+    zero_bridge(monkeypatch)
+    rep = verify_higher_pde(r3_table, 3)
+    assert rep.entries == [(("0", 4), 0, (), Fraction(1, 12))]
+
+
+def test_kernel_products_per_verification(monkeypatch):
+    # one kernel product per kernel term at each point: every slot group
+    # takes one block, summed over the levels, whatever its terms' parts
+    count = [0]
+    contract = OmegaTable.kernel_contract
+
+    def counted(self, *args, **kwargs):
+        count[0] += 1
+        return contract(self, *args, **kwargs)
+
+    for points, chi, calls in [
+            ([("1", 2, {3: 1})], 4, 2),
+            ([("1", 2, {3: 2, 5: Fraction(1, 3)}), ("-1", 2, {3: 2})], 5, 4),
+            ([("0", 3, {4: 1})], 4, 7),
+            ([("0", 4, {5: 1})], 2, 34)]:
+        table = compute_omega_table(validate_local_curve(points), chi)
+        count[0] = 0
+        with monkeypatch.context() as mp:
+            mp.setattr(OmegaTable, "kernel_contract", counted)
+            assert verify_higher_pde(table, 3).ok
+        assert count[0] == calls, points
 
 
 def test_set_entry_reaches_the_cached_blocks(r3_curve):
@@ -243,8 +310,8 @@ def test_set_entry_reaches_the_cached_blocks(r3_curve):
     fresh.tables = {gn: dict(tab) for gn, tab in table.tables.items()}
     got, want = verify_higher_pde(table, 3), verify_higher_pde(fresh, 3)
     assert not want.ok
-    assert (got.entries, got.term_structure, got.checked_orders) == \
-        (want.entries, want.term_structure, want.checked_orders)
+    assert (got.entries, got.checked_orders) == \
+        (want.entries, want.checked_orders)
 
 
 def test_fg_cross_engine():
@@ -285,11 +352,10 @@ def test_residual_report_lists_are_per_instance(airy_tensors):
         airy_tensors.copy_with_perturbation("D", (("1", 3),), 1), 4, 4)
     assert failed.entries
     fresh = ResidualReport()
-    assert fresh.entries == [] and fresh.term_structure == {}
+    assert fresh.entries == []
     assert fresh.ok and fresh.first_nonzero() is None
     assert fresh.checked_orders == ()
     assert ResidualReport().entries is not fresh.entries
-    assert ResidualReport().term_structure is not fresh.term_structure
 
 
 def test_perturbed_copy_leaves_the_tensors_unchanged(airy_tensors):
