@@ -161,11 +161,10 @@ def cmd_verify(args) -> int:
         from .tensors import tensor_recursion, verify_quadratic_pde
         used = tensors if perturb is None else \
             tensors.copy_with_perturbation(*perturb)
-        ttab = tensor_recursion(used)
-        same = all(table.entries(*gn) == ttab.entries(*gn)
-                   for gn in set(table.tables) | set(ttab.tables))
-        check("engine-equivalence", same,
-              "residue recursion vs tensor recursion")
+        diff = _first_mismatch(table, tensor_recursion(used))
+        check("engine-equivalence", not diff,
+              f"first difference: {diff}" if diff
+              else "residue recursion vs tensor recursion")
         rep = verify_quadratic_pde(used, args.hbar_max, args.deg_max)
         check("quadratic-pde", rep.ok,
               f"first nonzero: {rep.first_nonzero()}" if not rep.ok
@@ -229,22 +228,22 @@ def _verify_homogeneity(curve, chi_max, check):
     for (g, n), gt in gtab.tables.items():
         for key, v in gt.items():
             table.set_entry(g, n, key, v.get(2 - 2 * g - n, {}).get(()))
-    detail = _first_inhomogeneous(table, gtab)
+    detail = _first_mismatch(table, gtab, graded=True)
     if detail:
         table = compute_omega_table(curve, chi_max)
-        detail = _first_inhomogeneous(table, gtab)
+        detail = _first_mismatch(table, gtab, graded=True)
     check("homogeneity", not detail, detail)
     return table
 
 
-def _first_inhomogeneous(table, gtab) -> str:
-    """The first (g,n) and key where the graded entry is not
-    lambda^(2-2g-n) times the plain one, or ""."""
-    for g, n in sorted(set(table.tables) | set(gtab.tables)):
-        tab, gt = table.entries(g, n), gtab.entries(g, n)
-        for key in sorted(set(tab) | set(gt)):
-            if key not in tab or gt.get(key) != {2 - 2 * g - n:
-                                                 {(): tab[key]}}:
+def _first_mismatch(table, other, graded=False) -> str:
+    """The first (g,n) and key where ``other``'s entry is not the plain
+    one, or lambda^(2-2g-n) times it if ``graded``; else ""."""
+    for g, n in sorted(set(table.tables) | set(other.tables)):
+        tab, ot = table.entries(g, n), other.entries(g, n)
+        for key in sorted(set(tab) | set(ot)):
+            if key not in tab or ot.get(key) != (
+                    {2 - 2 * g - n: {(): tab[key]}} if graded else tab[key]):
                 return f"(g,n)=({g},{n}), {key}"
     return ""
 

@@ -4,15 +4,17 @@ verification that the annihilation operators kill the wave function.
 Two independent routes to the same tensors meet here: A and D are read
 from the correlator table, C and the B-tensor come from fresh kernel
 residues.  The tensor recursion then rebuilds correlators by pure
-contraction, and the verifiers expand the annihilation identities in
-(hbar, times)-coefficients, which must all vanish.  Each consumer takes
-one object: ``compute_airy_tensors`` and the higher verifier a table,
-the tensor recursion and the quadratic verifier the tensors, which keep
-the table they were read from.  Every kernel residue,
-scalar or HPoly-valued, is taken by the table itself, through the one
-routine ``OmegaTable.kernel_contract`` that also drives the correlator
-recursion.  The higher verifier forms one kernel product per kernel
-term: each slot group's block is the recursion's own
+contraction.  The quadratic verifier reads the same contraction of the
+stored table at every index; its difference from the table gives the
+(hbar, times)-coefficients of the quadratic annihilation identity, and
+the higher verifier expands its identity in them; all must vanish.
+Each consumer takes one object: ``compute_airy_tensors`` and the higher
+verifier a table, the tensor recursion and the quadratic verifier the
+tensors, which keep the table they were read from.  Every kernel
+residue, scalar or HPoly-valued, is taken by the table itself, through
+the one routine ``OmegaTable.kernel_contract`` that also drives the
+correlator recursion.  The higher verifier forms one kernel product per
+kernel term: each slot group's block is the recursion's own
 ``OmegaTable.table_block`` maps summed over every stored level with its
 hbar and times weights, plus the bridge for two slots and the one-form
 leg for one.  Blocks the fill built are not built again.
@@ -41,7 +43,6 @@ from .wavefunction import (
     HPoly,
     HPolyRing,
     assemble_logZ,
-    monomial_from_multiset,
     times_polynomial,
 )
 
@@ -143,73 +144,90 @@ def compute_airy_tensors(table: OmegaTable) -> AiryTensors:
 
 def tensor_recursion(at: AiryTensors) -> OmegaTable:
     """Rebuild the correlator tensors by pure contraction, up to the level
-    bound of the table the tensors were read from.
+    bound of the table the tensors were read from: each level is
+    ``_contract`` of the levels already rebuilt, read at the rows
+    i0 <= min(rest) (the same reading as the residue recursion)."""
+    chi_max = at.table.chi_max
+    table = OmegaTable(at.table.curve, chi_max)
+    rows = _rows(at)
+    for g, n1 in _levels(chi_max):
+        for (i0, rest), v in _contract(at, rows, table, g, n1,
+                                       False).items():
+            table.set_entry(g, n1, (i0,) + rest, v / 2)
+    return table
 
-    Seeds: F[0,3] = A/2 and F[1,1] = D; then
+
+def _rows(at: AiryTensors):
+    """The tensors' rows as ``_contract`` reads them: C by (e, e') as
+    [(i0, C)] sorted by i0, B by j as [(i0, s, B)]."""
+    crows, brows = {}, {}
+    for (i0, e, ep), v in sorted(at.C.items()):
+        crows.setdefault((e, ep), []).append((i0, v))
+    for (i0, j, s), v in at.B.items():
+        brows.setdefault(j, []).append((i0, s, v))
+    return crows, brows
+
+
+def _contract(at: AiryTensors, rows, table: OmegaTable, g: int, n1: int,
+              every: bool) -> dict:
+    """{(i0, rest): 2 F[g,n1][i0, rest]} as the tensors give it from the
+    entries of ``table`` below (g, n1).
+
+    Seeds: 2 F[0,3] = A and 2 F[1,1] = 2 D; then
     2 F[g,n+1][i0,S] = sum C[i0,e,e'] (F[g-1,n+2][e,e',S]
                         + sum_stable F F)
                      + 2 sum_{s in S} sum_j B[i0,j,s] F[g,n][j, S-s].
     Each level is pushed forward from the stored entries: every C row
-    meets the entries holding e and e', every B row the entries holding
-    j, and each term lands on the key (i0,) + rest it feeds, kept only
-    when i0 <= min(rest) (the same reading as the residue recursion).
+    (``_rows``) meets the entries holding e and e', every B row the
+    entries holding j, and each term lands on the row (i0, rest) it
+    feeds.  Only rows with i0 <= min(rest) are kept unless ``every``.
     """
-    chi_max = at.table.chi_max
-    table = OmegaTable(at.table.curve, chi_max)
-    for key, v in at.A.items():
-        table.set_entry(0, 3, key, v / 2)
-    for lab, v in at.D.items():
-        table.set_entry(1, 1, (lab,), v)
+    crows, brows = rows
+    acc = {}
 
-    crows = {}      # (e, e') -> [(i0, C)], sorted by i0
-    for (i0, e, ep), v in sorted(at.C.items()):
-        crows.setdefault((e, ep), []).append((i0, v))
-    brows = {}      # j -> [(i0, s, B)]
-    for (i0, j, s), v in at.B.items():
-        brows.setdefault(j, []).append((i0, s, v))
+    def add(i0, rest, v):
+        key = (i0, rest)
+        acc[key] = acc[key] + v if key in acc else v
 
-    for g, n1 in _levels(chi_max):
-        if (g, n1) in ((0, 3), (1, 1)):
-            continue
-        acc = {}    # key -> 2 F[g,n1][key]
+    def add_c(e, ep, rest, v):
+        for i0, c in crows.get((e, ep), ()):
+            if rest and i0 > rest[0] and not every:
+                break
+            add(i0, rest, c * v)
 
-        def add(key, v):
-            acc[key] = acc[key] + v if key in acc else v
-
-        def add_c(e, ep, rest, v):
-            for i0, c in crows.get((e, ep), ()):
-                if rest and i0 > rest[0]:
-                    break
-                add((i0,) + rest, c * v)
-
-        for key, v in table.entries(g - 1, n1 + 1).items():
-            for e, part in _drops(key):
-                for ep, rest in _drops(part):
-                    add_c(e, ep, rest, v)
-        for g1 in range(g + 1):
-            for m1 in range(1, n1 + 1):
-                g2, m2 = g - g1, n1 + 1 - m1
-                if 2 * g1 - 2 + m1 <= 0 or 2 * g2 - 2 + m2 <= 0:
-                    continue
-                right = _slots(table.entries(g2, m2))
-                for e, lefts in _slots(table.entries(g1, m1)).items():
-                    for ep, rights in right.items():
-                        if (e, ep) not in crows:
-                            continue
-                        for r1, v1 in lefts:
-                            for r2, v2 in rights:
-                                add_c(e, ep, tuple(sorted(r1 + r2)),
-                                      _deal_count((r1, r2)) * v1 * v2)
-        for key, v in table.entries(g, n1 - 1).items():
-            for j, part in _drops(key):
-                for i0, s, b in brows.get(j, ()):
-                    rest = tuple(sorted(part + (s,)))
-                    if i0 <= rest[0]:
-                        add((i0,) + rest, 2 * rest.count(s) * b * v)
-        for key, v in acc.items():
-            if v:
-                table.set_entry(g, n1, key, v / 2)
-    return table
+    if (g, n1) == (0, 3):
+        for key, v in at.A.items():
+            for e, rest in _drops(key):
+                if every or e <= rest[0]:
+                    add(e, rest, v)
+    if (g, n1) == (1, 1):
+        for lab, v in at.D.items():
+            add(lab, (), 2 * v)
+    for key, v in table.entries(g - 1, n1 + 1).items():
+        for e, part in _drops(key):
+            for ep, rest in _drops(part):
+                add_c(e, ep, rest, v)
+    for g1 in range(g + 1):
+        for m1 in range(1, n1 + 1):
+            g2, m2 = g - g1, n1 + 1 - m1
+            if 2 * g1 - 2 + m1 <= 0 or 2 * g2 - 2 + m2 <= 0:
+                continue
+            right = _slots(table.entries(g2, m2))
+            for e, lefts in _slots(table.entries(g1, m1)).items():
+                for ep, rights in right.items():
+                    if (e, ep) not in crows:
+                        continue
+                    for r1, v1 in lefts:
+                        for r2, v2 in rights:
+                            add_c(e, ep, tuple(sorted(r1 + r2)),
+                                  _deal_count((r1, r2)) * v1 * v2)
+    for key, v in table.entries(g, n1 - 1).items():
+        for j, part in _drops(key):
+            for i0, s, b in brows.get(j, ()):
+                rest = tuple(sorted(part + (s,)))
+                if every or i0 <= rest[0]:
+                    add(i0, rest, 2 * rest.count(s) * b * v)
+    return acc
 
 
 def _slots(entries):
@@ -269,18 +287,20 @@ def _airy_index_variables(table: OmegaTable):
 
 def verify_quadratic_pde(at: AiryTensors, hbar_max: int,
                          deg_max: int) -> ResidualReport:
-    """Expand the quadratic annihilation operator on Z(t') and collect all
-    (hbar, monomial) residual coefficients up to the cutoffs; log Z is
-    read from the table the tensors were read from.
-
-    The operator, derived from the tensor recursion (the only reading
-    with identically vanishing residual):
+    """Collect every nonzero (hbar, monomial) coefficient, up to the
+    cutoffs, of the quadratic annihilation operator
 
         d/dt'_i - hbar D[i] - (hbar/4) A[i,j,k] t'_j t'_k
                 - hbar B[i,j,k] t'_k d/dt'_j
                 - (hbar/2) C[i,j,k] (d2/dt'_j dt'_k + d/dt'_j d/dt'_k)
 
-    applied to log Z (all sums over the full label set).  The tensors
+    applied to log Z, which is read from the table the tensors were read
+    from (all sums over the full label set; the reading derived from the
+    tensor recursion, the only one with identically vanishing residual).
+    Its coefficient at hbar^(2g-1+n) t'^S, |S| = n, is
+    (2 F[g,n+1][i,S] - c) / (2 |Aut S|), with c the ``_contract`` of that
+    table read at every row (i, S) that the tensors or the table name.
+    Entries are (i, hbar order, monomial, value), sorted.  The tensors
     enter at hbar^1, so ``hbar_max`` must be at least 1 and ``deg_max``
     at least 0.
     """
@@ -288,71 +308,21 @@ def verify_quadratic_pde(at: AiryTensors, hbar_max: int,
         raise ValueError(f"the quadratic check needs hbar_max >= 1 and "
                          f"deg_max >= 0, got {hbar_max}, {deg_max}")
     table = at.table
-    fld = table.field
-    chi_needed = min(hbar_max, table.chi_max)
-    caps = (hbar_max, deg_max)
-    logz = HPoly(assemble_logZ(table, chi_needed), caps)
-    variables = _airy_index_variables(table)
-    zero = HPoly((), caps)
-
-    P = {v: logz.deriv(v) for v in variables}
+    rows = _rows(at)
     report = ResidualReport(checked_orders=(hbar_max, deg_max))
-
-    crows, brows = {}, {}   # i0 -> [(e, e', C)], [(j, s, B)]
-    for (i0, e, ep), v in at.C.items():
-        crows.setdefault(i0, []).append((e, ep, v))
-    for (i0, j, s), v in at.B.items():
-        brows.setdefault(i0, []).append((j, s, v))
-    targets = set(variables) | set(crows) | set(brows)
-    # the products each C and B entry scales, formed once: d/dt'_e' P_e +
-    # P_e P_e' per unordered (e, e'), t'_s P_j per (j, s)
-    both, tpj = {}, {}
-
-    for i0 in sorted(targets):
-        res = P.get(i0, zero)
-        dval = at.D.get(i0)
-        if dval:
-            res = res + HPoly({1: {(): -dval}}, caps)
-        acc_a = zero
-        for key, v in at.A.items():
-            for e, rest in _drops(key):
-                if e == i0:
-                    npairs = 1 if rest[0] == rest[1] else 2
-                    acc_a = acc_a + HPoly(
-                        {0: {monomial_from_multiset(rest): v * npairs}}, caps)
-        if acc_a:
-            res = res + acc_a.shift(1) * (fld.coerce(-1) / 4)
-        acc_b = zero
-        for j, s, v in brows.get(i0, ()):
-            pj = P.get(j)
-            if not pj:
-                continue
-            got = tpj.get((j, s))
-            if got is None:
-                got = tpj[j, s] = HPoly({0: {((s, 1),): fld.one()}},
-                                        caps) * pj
-            acc_b = acc_b + got * v
-        if acc_b:
-            res = res - acc_b.shift(1)
-        acc_c = zero
-        for e, ep, v in crows.get(i0, ()):
-            pair = (e, ep) if e <= ep else (ep, e)
-            got = both.get(pair)
-            if got is None:
-                pe = P.get(e, zero)
-                got = both[pair] = pe.deriv(ep) + pe * P.get(ep, zero)
-            if got:
-                acc_c = acc_c + got * v
-        if acc_c:
-            res = res + acc_c.shift(1) * (fld.coerce(-1) / 2)
-        for h in sorted(res):
-            if h > hbar_max or h > chi_needed:
-                continue
-            for mon, c in sorted(res[h].items()):
-                if sum(m for _, m in mon) > deg_max:
-                    continue
-                if c:
-                    report.entries.append((i0, h, mon, c))
+    for g, n1 in _levels(min(hbar_max, table.chi_max)):
+        if n1 - 1 > deg_max:
+            continue
+        h = 2 * g - 2 + n1
+        c = _contract(at, rows, table, g, n1, True)
+        stored = {(e, rest): v for key, v in table.entries(g, n1).items()
+                  for e, rest in _drops(key)}
+        for row in set(c) | set(stored):
+            v = 2 * stored.get(row, 0) - c.get(row, 0)
+            # the coefficient is (v/2)/|Aut S|, log Z's normalization
+            for mon, r in times_polynomial([(row[1], v / 2)]).items():
+                report.entries.append((row[0], h, mon, r))
+    report.entries.sort(key=lambda entry: entry[:3])
     return report
 
 

@@ -3,15 +3,22 @@
 The intersection-number recursion below is implemented directly from the
 Virasoro/KdV constraints in the (2d+1)!! normalization and is validated
 against textbook values before use; it shares no code or conventions with
-the package engines.  The sampled homogeneity check at the end is the
-exception: it reruns the package recursion on rescaled curves, and serves
-as the reference for the graded check of ``trcycles verify``.
+the package engines.  Two oracles at the end are exceptions: the sampled
+homogeneity check reruns the package recursion on rescaled curves, and
+serves as the reference for the graded check of ``trcycles verify``; the
+quadratic residual expands the annihilation operator on the package's
+log Z, the reference for ``verify_quadratic_pde``.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 from trcycles import compute_omega_table, scale_curve
+from trcycles.wavefunction import (
+    HPoly,
+    assemble_logZ,
+    monomial_from_multiset,
+)
 
 
 def double_factorial_odd(m: int) -> int:
@@ -165,3 +172,51 @@ def three_lambda_homogeneity(curve, table, chi):
                     ok = False
                     detail = f"extra entry at lambda={lam}: {key}"
     return ok, detail
+
+
+def quadratic_residual_by_expansion(at, hbar_max, deg_max):
+    """The nonzero coefficients (i, hbar order, monomial, value), sorted,
+    of the quadratic annihilation operator applied to log Z,
+
+        d/dt'_i log Z - hbar D[i] - (hbar/4) A[i,j,k] t'_j t'_k
+            - hbar B[i,j,k] t'_k d/dt'_j log Z
+            - (hbar/2) C[i,j,k] (d2/dt'_j dt'_k + d/dt'_j d/dt'_k) log Z,
+
+    expanded as hbar/times polynomials, at every index i that the table
+    or A, B, C, D name, through hbar order min(hbar_max, chi_max) and
+    times degree deg_max."""
+    table = at.table
+    chi = min(hbar_max, table.chi_max)
+    caps = (hbar_max, deg_max)
+    logz = HPoly(assemble_logZ(table, chi), caps)
+    crows, brows = {}, {}
+    for (i, e, ep), v in at.C.items():
+        crows.setdefault(i, []).append((e, ep, v))
+    for (i, j, s), v in at.B.items():
+        brows.setdefault(i, []).append((j, s, v))
+    rows = set(at.D) | {i for tab in (*table.tables.values(), at.A, at.B,
+                                      at.C) for key in tab for i in key}
+    P = {i: logz.deriv(i) for i in rows}
+    both = {}   # (e, e') -> d/dt'_e' P_e + P_e P_e', one per unordered pair
+    out = []
+    for i in sorted(rows):
+        res = P[i] - HPoly({1: {(): at.D.get(i, 0)}}, caps)
+        for key, v in at.A.items():
+            if i in key:
+                rest = list(key)
+                rest.remove(i)
+                npairs = 1 if rest[0] == rest[1] else 2
+                res = res - HPoly(
+                    {1: {monomial_from_multiset(rest): v * npairs / 4}}, caps)
+        for j, s, v in brows.get(i, ()):
+            ts = HPoly({0: {((s, 1),): 1}}, caps)
+            res = res - (ts * P[j]).shift(1) * v
+        for e, ep, v in crows.get(i, ()):
+            pair = tuple(sorted((e, ep)))
+            if pair not in both:
+                both[pair] = P[e].deriv(ep) + P[e] * P[ep]
+            res = res - both[pair].shift(1) * (v / 2)
+        out += [(i, h, mon, c) for h in sorted(res) if h <= chi
+                for mon, c in sorted(res[h].items())
+                if c and sum(m for _, m in mon) <= deg_max]
+    return out

@@ -189,9 +189,35 @@ def test_verify_c_perturbation_breaks_the_tensor_recursion(tmp_path):
                "--chi-max", "3", "--perturb", "C,((1,5),(1,1),(1,1)),+1",
                "--out", str(out))
     assert code == 1
-    failing = {c["name"] for c in json.loads(out.read_text())["checks"]
+    failing = {c["name"]: c["details"]
+               for c in json.loads(out.read_text())["checks"]
                if c["status"] == "fail"}
-    assert failing == {"engine-equivalence", "quadratic-pde"}
+    assert set(failing) == {"engine-equivalence", "quadratic-pde"}
+    # the rebuild reads (1,5) as distinguished index first at genus 2
+    assert failing["engine-equivalence"] == \
+        "first difference: (g,n)=(2,1), (('1', 5),)"
+
+
+@pytest.mark.parametrize("perturb, first", [
+    ("D,(1,2),+1", "(('1', 2), 1, (), Fraction(-1, 1))"),
+    ("D,(1,99),+1", "(('1', 99), 1, (), Fraction(-1, 1))"),
+    ("A,((1,2),(1,2),(1,2)),+1",
+     "(('1', 2), 1, ((('1', 2), 2),), Fraction(-1, 4))"),
+], ids=["D-2", "D-99", "A-222"])
+def test_verify_perturbation_on_a_row_no_entry_names(tmp_path, perturb,
+                                                     first):
+    # no stored entry, C row or B row names (1,2) or (1,99) on the Airy
+    # curve: the annihilation is still checked at these rows
+    out = tmp_path / "report.json"
+    code = run("verify", "--curve", str(DATA / "airy.json"),
+               "--chi-max", "3", "--hbar-max", "3", "--deg-max", "3",
+               "--perturb", perturb, "--out", str(out))
+    assert code == 1
+    failing = {c["name"]: c["details"]
+               for c in json.loads(out.read_text())["checks"]
+               if c["status"] == "fail"}
+    assert set(failing) == {"engine-equivalence", "quadratic-pde"}
+    assert failing["quadratic-pde"] == f"first nonzero: {first}"
 
 
 def test_verify_even_index_c_perturbation_breaks_the_tensor_recursion(

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from oracles import quadratic_residual_by_expansion
 
 from trcycles import (
     OmegaTable,
@@ -172,6 +173,55 @@ def test_quadratic_pde_perturbations(airy_tensors):
     rep = verify_quadratic_pde(
         airy_tensors.copy_with_perturbation("D", (("1", 3),), 1), 4, 4)
     assert rep.first_nonzero()[1] == 1   # residual located at order one
+
+
+@pytest.mark.parametrize("name, idx, first", [
+    ("D", L(2), (("1", 2), 1, (), -1)),
+    ("D", L(99), (("1", 99), 1, (), -1)),
+    ("A", L(2, 2, 2), (("1", 2), 1, ((("1", 2), 2),), Fraction(-1, 4))),
+], ids=["D-2", "D-99", "A-222"])
+def test_quadratic_pde_reads_rows_no_entry_names(airy_curve, name, idx,
+                                                 first):
+    # rows that no stored entry, C row or B row names: the perturbed D or A
+    # entry alone must fail the check
+    at = compute_airy_tensors(compute_omega_table(airy_curve, 3))
+    rep = verify_quadratic_pde(at.copy_with_perturbation(name, idx, 1), 3, 3)
+    assert rep.entries == [first]
+
+
+def _quadratic_matrix():
+    """(tensors, windows): each curve unperturbed and with two single-entry
+    +1 mutants of each of A, B, C and D, the first and the middle entry in
+    sorted order."""
+    two_point = validate_local_curve([("1", 2, {3: 2, 5: Fraction(1, 3)}),
+                                      ("-1", 2, {3: 2})])
+    cases = [
+        (validate_local_curve([("1", 2, {3: 1})]), 4, [(4, 4), (1, 0)]),
+        (two_point, 5, [(4, 4)]),
+        (validate_local_curve([("1", 2, {3: 1, 5: Fraction(1, 3)})]), 5,
+         [(5, 5)]),
+        (_cubic_local(24), 2, [(2, 2)]),
+    ]
+    for curve, chi, windows in cases:
+        at = compute_airy_tensors(compute_omega_table(curve, chi))
+        yield at, windows
+        for name in "ABCD":
+            keys = sorted(getattr(at, name))
+            for key in (keys[0], keys[len(keys) // 2]):
+                idx = (key,) if name == "D" else key
+                yield at.copy_with_perturbation(name, idx, 1), windows
+
+
+def test_quadratic_pde_equals_the_operator_expansion():
+    seen = 0
+    for at, windows in _quadratic_matrix():
+        for hbar_max, deg_max in windows:
+            rep = verify_quadratic_pde(at, hbar_max, deg_max)
+            want = quadratic_residual_by_expansion(at, hbar_max, deg_max)
+            assert rep.entries == want
+            assert rep.checked_orders == (hbar_max, deg_max)
+            seen += bool(want)
+    assert seen == 31
 
 
 # Negative controls for the higher verifier.  Each mutant removes one
@@ -402,18 +452,16 @@ def test_airy_kernel_products(monkeypatch, make, chi, calls):
     assert count[0] == calls
 
 
-def test_quadratic_pde_products(monkeypatch, two_point_curve):
-    # HPoly x HPoly products: one d/dt'_e' P_e + P_e P_e' per unordered
-    # (e, e') and one t'_s P_j per (j, s), shared by every row i0
+def test_quadratic_pde_forms_no_hpoly_product(monkeypatch, two_point_curve):
+    # the check reads the tensor recursion's contraction of the stored
+    # table at every row: no log Z is assembled and no HPoly multiplied
     table = compute_omega_table(two_point_curve, 5)
     at = compute_airy_tensors(table)
-    count = [0]
-    mul = HPoly.__mul__
 
-    def counted(self, other):
-        count[0] += isinstance(other, HPoly)
-        return mul(self, other)
+    def refuse(*args):
+        pytest.fail("the quadratic check expanded log Z")
 
-    monkeypatch.setattr(HPoly, "__mul__", counted)
+    monkeypatch.setattr(HPoly, "__mul__", refuse)
+    monkeypatch.setattr(HPoly, "__rmul__", refuse)
+    monkeypatch.setattr(tensors, "assemble_logZ", refuse)
     assert verify_quadratic_pde(at, 4, 4).ok
-    assert count[0] == 102
