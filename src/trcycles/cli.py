@@ -72,13 +72,8 @@ def _load_curve(path: str, n_max: int | None, chi_max: int):
     return parsed
 
 
-def _simple_tensors(table):
-    """The Airy tensors when every point is simple, else None."""
-    curve = table.curve
-    if all(curve.order(lb) == 2 for lb in curve.labels):
-        from .tensors import compute_airy_tensors
-        return compute_airy_tensors(table)
-    return None
+def _all_simple(curve) -> bool:
+    return all(curve.order(lb) == 2 for lb in curve.labels)
 
 
 def _results(table, tensors) -> dict:
@@ -93,9 +88,17 @@ def _results(table, tensors) -> dict:
 def cmd_compute(args) -> int:
     from .recursion import compute_omega_table
     curve = _load_curve(args.curve, args.n_max, args.chi_max)
-    table = compute_omega_table(curve, args.chi_max)
-    # the tensors are built for either format, so both fail alike
-    tensors = _simple_tensors(table)
+    if _all_simple(curve):
+        # the curve gives the tensors (F[0,3], F[1,1] and kernel residues)
+        # and the tensors give every level by contraction, for either
+        # format, so both fail alike; the chi 1 fill refuses a chi_max
+        # below 1, as the full fill does
+        from .tensors import compute_airy_tensors, tensor_recursion
+        tensors = compute_airy_tensors(
+            compute_omega_table(curve, min(args.chi_max, 1)), args.chi_max)
+        table = tensor_recursion(tensors)
+    else:
+        table, tensors = compute_omega_table(curve, args.chi_max), None
     write_out(format_table(table) if args.format == "table" else
               _results(table, tensors), args.out)
     return EXIT_OK
@@ -156,9 +159,14 @@ def cmd_verify(args) -> int:
     _verify_pole_bound(table, check)
     _verify_cycle_algebra(curve, check)
 
-    tensors = _simple_tensors(table)
-    if tensors is not None:
-        from .tensors import tensor_recursion, verify_quadratic_pde
+    tensors = None
+    if _all_simple(curve):
+        from .tensors import (
+            compute_airy_tensors,
+            tensor_recursion,
+            verify_quadratic_pde,
+        )
+        tensors = compute_airy_tensors(table)
         used = tensors if perturb is None else \
             tensors.copy_with_perturbation(*perturb)
         diff = _first_mismatch(table, tensor_recursion(used))
@@ -279,8 +287,7 @@ def _verify_zero_residue(table, check):
 
 def _verify_pole_bound(table, check):
     curve = table.curve
-    name = "pole-bound" if all(curve.order(lb) == 2
-                               for lb in curve.labels) else \
+    name = "pole-bound" if _all_simple(curve) else \
         "pole-bound(simple points; higher orders reported only)"
     measured = {}
     for (g, n), tab in sorted(table.tables.items()):

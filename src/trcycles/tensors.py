@@ -4,10 +4,14 @@ verification that the annihilation operators kill the wave function.
 Two independent routes to the same tensors meet here: A and D are read
 from the correlator table, C and the B-tensor come from fresh kernel
 residues.  The tensor recursion then rebuilds correlators by pure
-contraction.  The quadratic verifier reads the same contraction of the
-stored table at every index; its difference from the table gives the
-(hbar, times)-coefficients of the quadratic annihilation identity, and
-the higher verifier expands its identity in them; all must vanish.
+contraction.  Only F[0,3] and F[1,1] are read, so a table filled to
+chi 1 gives tensors for any level bound; at simple points ``compute``
+takes every level from them, and the residue fill of the whole table is
+the other side of ``verify``'s engine equivalence.  The quadratic
+verifier reads the same contraction of the stored table at every index;
+its difference from the table gives the (hbar, times)-coefficients of
+the quadratic annihilation identity, and the higher verifier expands its
+identity in them; all must vanish.
 Each consumer takes one object: ``compute_airy_tensors`` and the higher
 verifier a table, the tensor recursion and the quadratic verifier the
 tensors, which keep the table they were read from.  Every kernel
@@ -28,7 +32,7 @@ therefore pairs with derivatives and the i3 slot with time variables.
 
 from __future__ import annotations
 
-from .errors import UnsupportedError
+from .errors import PrecisionError, UnsupportedError
 from .recursion import (
     OmegaTable,
     _deal_count,
@@ -51,13 +55,14 @@ class AiryTensors:
     """Sparse A, B, C, D over local-cycle labels, dicts to scalars keyed:
     A by sorted triples (totally symmetric), D by labels, C by (i0, e, e')
     in raw slot order, B by (i1, i2, i3) with slots as in the module doc.
-    ``table`` is the correlator table they were read from; its curve and
-    level bound are theirs."""
+    ``table`` is the correlator table they were read from, and its curve
+    is theirs; ``chi_max`` is the level bound that fixed their index
+    range, and the one ``tensor_recursion`` rebuilds to."""
 
-    __slots__ = ("table", "A", "D", "C", "B")
+    __slots__ = ("table", "chi_max", "A", "D", "C", "B")
 
-    def __init__(self, table: OmegaTable, A, D, C, B):
-        self.table = table
+    def __init__(self, table: OmegaTable, chi_max: int, A, D, C, B):
+        self.table, self.chi_max = table, chi_max
         self.A, self.D, self.C, self.B = A, D, C, B
 
     def copy_with_perturbation(self, name: str, indices, delta):
@@ -75,27 +80,32 @@ class AiryTensors:
             key = tuple(tuple(i) for i in indices)
         fld = self.table.field
         tab[key] = tab.get(key, fld.zero()) + fld.coerce(delta)
-        return AiryTensors(self.table, **data)
+        return AiryTensors(self.table, self.chi_max, **data)
 
 
-def compute_airy_tensors(table: OmegaTable) -> AiryTensors:
+def compute_airy_tensors(table: OmegaTable,
+                         chi_max: int | None = None) -> AiryTensors:
     """Tensors of the quadratic Airy structure of the table's curve, which
-    must have simple ramification: A and D from the correlator table, C
-    and B from kernel residues taken by the table."""
+    must have simple ramification: A and D from the table's F[0,3] and
+    F[1,1], C and B from kernel residues taken by the table.  Their
+    indices reach the pole bound of every level up to ``chi_max`` (by
+    default the table's own bound), so a table filled to chi 1 gives
+    tensors that rebuild any level."""
     curve = table.curve
     for label in curve.labels:
         if curve.order(label) != 2:
             raise UnsupportedError(
                 "the quadratic tensor form needs simple ramification "
                 "everywhere; use the order-by-order verifier instead")
+    if chi_max is None:
+        chi_max = table.chi_max
     # the index bound and the parity fix which entries the tensors have,
     # not only which columns are skipped: entries outside them can be
     # nonzero (unfiltered, airy chi 3 has 21 C and 36 B entries instead
     # of 6 and 18), and the compute output publishes these tensors.  A
     # purely local curve enters only through y - sigma* y, where its even
     # times cancel, so its tensors are odd-indexed whatever its times
-    kmax = max((6 * g - 4 + 2 * n for g, n in _levels(table.chi_max)),
-               default=2)
+    kmax = max((6 * g - 4 + 2 * n for g, n in _levels(chi_max)), default=2)
     odd_only = curve.is_purely_local
     ks = [k for k in range(1, kmax + 1) if not odd_only or k % 2 == 1]
 
@@ -111,46 +121,56 @@ def compute_airy_tensors(table: OmegaTable) -> AiryTensors:
     # twin[k0] = (-1)^(k0+1) term[k0]
     C = {}
     B = {}
-    for label in curve.labels:
-        # a slot whose basis form vanishes at the kernel point gives no
-        # residue (on a purely local curve, those of the other points)
-        live = [e for e in slots
-                if not table.rotated_basis(label, e, 0).is_zero()]
-        for a, e in enumerate(live):
-            base = table.rotated_basis(label, e, 0)
-            for ep in live[a:]:
-                # C[i0, e, e'] = 2 * contraction of K2(basis_e, basis_e'),
-                # and C[i0, e', e] is its twin
-                column = table.kernel_contract(
-                    label, (1,), [base, table.rotated_basis(label, ep, 1)])
-                for k0 in ks:
-                    if column.get(k0):
-                        v = C[((label, k0), e, ep)] = 2 * column[k0]
-                        if ep != e:
-                            C[((label, k0), ep, e)] = v if k0 % 2 else -v
-            for ep_k in ks:
-                # B[i1, i2, i3]: the basis form of i2 against the
-                # contracted bilinear-kernel leg of i3 (which only lives
-                # at the kernel point), summed over the two slot
-                # assignments.  They are twins, so the sum is twice this
-                # residue at odd k0 and 0 at even k0, on every curve
-                first = table.kernel_contract(
-                    label, (1,), [base, table.leg(label, ep_k, 1)])
-                for k0 in ks:
-                    if k0 % 2 and first.get(k0):
-                        B[((label, k0), e, (label, ep_k))] = 2 * first[k0]
-    return AiryTensors(table, A, D, C, B)
+    try:
+        for label in curve.labels:
+            # a slot whose basis form vanishes at the kernel point gives
+            # no residue (on a purely local curve, those of the other
+            # points)
+            live = [e for e in slots
+                    if not table.rotated_basis(label, e, 0).is_zero()]
+            for a, e in enumerate(live):
+                base = table.rotated_basis(label, e, 0)
+                for ep in live[a:]:
+                    # C[i0, e, e'] = 2 * contraction of K2(basis_e,
+                    # basis_e'), and C[i0, e', e] is its twin
+                    column = table.kernel_contract(
+                        label, (1,),
+                        [base, table.rotated_basis(label, ep, 1)])
+                    for k0 in ks:
+                        if column.get(k0):
+                            v = C[((label, k0), e, ep)] = 2 * column[k0]
+                            if ep != e:
+                                C[((label, k0), ep, e)] = \
+                                    v if k0 % 2 else -v
+                for ep_k in ks:
+                    # B[i1, i2, i3]: the basis form of i2 against the
+                    # contracted bilinear-kernel leg of i3 (which only
+                    # lives at the kernel point), summed over the two slot
+                    # assignments.  They are twins, so the sum is twice
+                    # this residue at odd k0 and 0 at even k0, on every
+                    # curve
+                    first = table.kernel_contract(
+                        label, (1,), [base, table.leg(label, ep_k, 1)])
+                    for k0 in ks:
+                        if k0 % 2 and first.get(k0):
+                            B[((label, k0), e, (label, ep_k))] = \
+                                2 * first[k0]
+    except PrecisionError as exc:
+        raise PrecisionError(
+            f"insufficient truncation in the Airy tensors at point "
+            f"{label!r}: {exc}") from exc
+    return AiryTensors(table, chi_max, A, D, C, B)
 
 
 def tensor_recursion(at: AiryTensors) -> OmegaTable:
-    """Rebuild the correlator tensors by pure contraction, up to the level
-    bound of the table the tensors were read from: each level is
-    ``_contract`` of the levels already rebuilt, read at the rows
-    i0 <= min(rest) (the same reading as the residue recursion)."""
-    chi_max = at.table.chi_max
-    table = OmegaTable(at.table.curve, chi_max)
+    """Rebuild the correlator tensors by pure contraction, up to the
+    tensors' level bound ``at.chi_max``: each level is ``_contract`` of
+    the levels already rebuilt, read at the rows i0 <= min(rest) (the
+    same reading as the residue recursion).  No kernel residue is taken,
+    so a table filled to chi 1 and its tensors give every level."""
+    table = OmegaTable(at.table.curve, at.chi_max)
     rows = _rows(at)
-    for g, n1 in _levels(chi_max):
+    for g, n1 in _levels(at.chi_max):
         for (i0, rest), v in _contract(at, rows, table, g, n1,
                                        False).items():
             table.set_entry(g, n1, (i0,) + rest, v / 2)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from test_homogeneity import extra_denominator
 from test_wavefunction import drop_kernel_class
 from trcycles import cli, recursion, tensors
 from trcycles.cli import _parse_perturb, main
+from trcycles.serialize import canonical_json
 from trcycles.series import FORM, LaurentSeries
 
 DATA = Path(__file__).parent / "data"
@@ -389,6 +391,101 @@ def test_verify_results_roundtrip(tmp_path):
     assert recheck(b"\xff" + data) == (1, ["fail"])
 
 
+def _simple_spec(tmp_path, points):
+    """A purely local curve file with a simple point per (label, times)."""
+    spec = {"kind": "local", "version": 1, "phi": [], "n_max": None,
+            "points": [{"label": label, "order": 2,
+                        "times": {str(k): str(t) for k, t in times.items()}}
+                       for label, times in points]}
+    f = tmp_path / "simple.json"
+    f.write_text(json.dumps(spec))
+    return f
+
+
+def _random_simple_points(seed):
+    """One point at even seeds, two at odd ones; every point has t3, an
+    even time t4, and t5, t6 at random."""
+    rng = random.Random(seed)
+
+    def rat():
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+
+    return [(label, {3: rat(), 4: rat(),
+                     **{k: rat() for k in (5, 6) if rng.random() < 0.6}})
+            for label in ["1", "-1"][:1 + seed % 2]]
+
+
+@pytest.mark.parametrize("curve, n_max, chi", [
+    ("airy.json", None, 6),
+    ("two_point.json", None, 6),
+    ([("1", {3: 1, 4: Fraction(1, 2), 5: Fraction(1, 3)})], None, 4),
+    ("cubic_global.json", 32, 3),
+    ("airy_global.json", 24, 3),
+    *[(_random_simple_points(seed), None, 4) for seed in range(4)],
+], ids=["airy-chi6", "two-point-chi6", "t345-chi4", "cubic-n32-chi3",
+        "airy-global-n24-chi3", "random0", "random1", "random2", "random3"])
+def test_compute_equals_the_residue_route(tmp_path, capsys, curve, n_max,
+                                          chi):
+    # at simple points compute fills chi 1 by residues and contracts the
+    # rest from the tensors; its document must be the residue fill's and
+    # that fill's tensors', byte for byte
+    path = DATA / curve if isinstance(curve, str) else \
+        _simple_spec(tmp_path, curve)
+    extra = ("--n-max", str(n_max)) if n_max else ()
+    assert run("compute", "--curve", str(path), "--chi-max", str(chi),
+               *extra) == 0
+    table = recursion.compute_omega_table(
+        cli._load_curve(str(path), n_max, chi), chi)
+    assert capsys.readouterr().out == canonical_json(
+        cli._results(table, tensors.compute_airy_tensors(table)))
+
+
+@pytest.mark.parametrize("curve, chi", [("two_point.json", "5"),
+                                        ("cubic_global.json", "2")])
+def test_verify_rechecks_the_compute_output(tmp_path, curve, chi):
+    # compute's tensor route against verify's residue route
+    res, rep = tmp_path / "res.json", tmp_path / "rep.json"
+    assert run("compute", "--curve", str(DATA / curve), "--chi-max", chi,
+               "--out", str(res)) == 0
+    assert run("verify", "--curve", str(DATA / curve), "--chi-max", chi,
+               "--results", str(res), "--out", str(rep)) == 0
+    checks = {c["name"]: c["status"]
+              for c in json.loads(rep.read_text())["checks"]}
+    assert checks["results-roundtrip"] == "pass"
+
+
+@pytest.mark.parametrize("curve, chi, fills, products", [
+    ("two_point.json", "5", [1], [4, 200]),
+    ("r3.json", "3", [3], [196, 0]),
+], ids=["two-point-chi5", "r3-chi3"])
+def test_compute_fills_chi_one_at_simple_points(monkeypatch, capsys, curve,
+                                                chi, fills, products):
+    # kernel products inside the residue fill and outside it (the
+    # tensors'); all-simple curves fill chi 1 only, and the tensor
+    # recursion takes no residue
+    got, count, phase = [], [0, 0], [1]
+    contract = recursion.OmegaTable.kernel_contract
+    fill = recursion.compute_omega_table
+
+    def counted(self, *args, **kwargs):
+        count[phase[0]] += 1
+        return contract(self, *args, **kwargs)
+
+    def filled(curve, chi_max):
+        got.append(chi_max)
+        phase[0] = 0
+        try:
+            return fill(curve, chi_max)
+        finally:
+            phase[0] = 1
+
+    monkeypatch.setattr(recursion.OmegaTable, "kernel_contract", counted)
+    monkeypatch.setattr(recursion, "compute_omega_table", filled)
+    assert run("compute", "--curve", str(DATA / curve), "--chi-max",
+               chi) == 0
+    assert (got, count) == (fills, products)
+
+
 def test_localize_command(tmp_path):
     out = tmp_path / "local.json"
     assert run("localize", "--curve", str(DATA / "airy_global.json"),
@@ -419,11 +516,12 @@ def test_precision_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, n_max, chi, message", [
-    ("compute", "8", "2", "coefficient of z^-2 outside valid window [-8, -3]"),
-    ("compute", "10", "3", "insufficient truncation at (g,n)=(2,1), point "
-     "'1': coefficient of z^-2 outside valid window [-10, -3]"),
-    ("compute", "22", "3",
-     "coefficient of z^-2 outside valid window [-22, -3]"),
+    ("compute", "8", "2", "insufficient truncation in the Airy tensors at "
+     "point '1': coefficient of z^-2 outside valid window [-8, -3]"),
+    ("compute", "10", "3", "insufficient truncation in the Airy tensors at "
+     "point '1': coefficient of z^-2 outside valid window [-10, -3]"),
+    ("compute", "22", "3", "insufficient truncation in the Airy tensors at "
+     "point '1': coefficient of z^-2 outside valid window [-22, -3]"),
     ("verify", "4", "3", "insufficient truncation at (g,n)=(1,1), point "
      "'1': coefficient of z^-2 outside valid window [-4, -3]"),
 ], ids=["compute-n8-chi2", "compute-n10-chi3", "compute-n22-chi3",
@@ -437,6 +535,28 @@ def test_precision_error_record(tmp_path, capsys, command, n_max, chi,
     assert _error(capsys) == {"code": "precision", "exit": 4,
                               "message": message}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("chi, boundary", [(1, 13), (2, 17), (3, 25)])
+def test_compute_precision_boundary_of_global_cubic(tmp_path, capsys, chi,
+                                                    boundary):
+    # the smallest n_max at which compute (the chi-1 fill and the tensors)
+    # holds; one below it is a precision failure
+    out = tmp_path / "res.json"
+    for n_max, code in ((boundary - 1, 4), (boundary, 0)):
+        assert run("compute", "--curve", str(DATA / "cubic_global.json"),
+                   "--n-max", str(n_max), "--chi-max", str(chi),
+                   "--out", str(out)) == code
+    assert _error(capsys)["exit"] == 4
+    assert json.loads(out.read_text())["omega"]["chi_max"] == chi
+
+
+@pytest.mark.parametrize("curve", ["two_point.json", "r3.json"])
+def test_compute_chi_max_below_one_is_a_parse_error(capsys, curve):
+    # the simple route fills chi 1 only, and still refuses chi_max 0
+    assert run("compute", "--curve", str(DATA / curve), "--chi-max",
+               "0") == 2
+    assert _error(capsys)["message"] == "chi_max must be >= 1"
 
 
 def test_verify_order_four_curve(tmp_path):
