@@ -64,6 +64,8 @@ def _read_spec(path: str, n_max: int | None):
 
 
 def _load_curve(path: str, n_max: int | None, chi_max: int):
+    if chi_max < 1:
+        raise ValueError("chi_max must be >= 1")
     parsed = _read_spec(path, n_max)
     if isinstance(parsed, GlobalCurve):
         if n_max is None:
@@ -89,13 +91,11 @@ def cmd_compute(args) -> int:
     from .recursion import compute_omega_table
     curve = _load_curve(args.curve, args.n_max, args.chi_max)
     if _all_simple(curve):
-        # the curve gives the tensors (F[0,3], F[1,1] and kernel residues)
-        # and the tensors give every level by contraction, for either
-        # format, so both fail alike; the chi 1 fill refuses a chi_max
-        # below 1, as the full fill does
+        # the curve gives the tensors (F[0,3], F[1,1], kernel residues) and
+        # they give every level by contraction, so both formats fail alike
         from .tensors import compute_airy_tensors, tensor_recursion
-        tensors = compute_airy_tensors(
-            compute_omega_table(curve, min(args.chi_max, 1)), args.chi_max)
+        tensors = compute_airy_tensors(compute_omega_table(curve, 1),
+                                       args.chi_max)
         table = tensor_recursion(tensors)
     else:
         table, tensors = compute_omega_table(curve, args.chi_max), None
@@ -141,6 +141,8 @@ def cmd_verify(args) -> int:
         raise ValueError(f"--deg-max must be >= 0, got {args.deg_max}")
     perturb = _parse_perturb(args.perturb) if args.perturb else None
     curve = _load_curve(args.curve, args.n_max, args.chi_max)
+    if perturb and not _all_simple(curve):
+        raise ValueError("perturbation needs a simple curve")
     for lb, k in perturb[1] if perturb else ():
         if lb not in curve.labels or k < 1:
             raise ValueError(f"perturbation index ({lb},{k}) is not a "
@@ -186,8 +188,6 @@ def cmd_verify(args) -> int:
               else f"orders {reph.checked_orders}")
         if len(curve.labels) == 1:
             check("insertion-operator", not hirota_insertion_check(table))
-    if perturb is not None and tensors is None:
-        check("perturbation", False, "perturbation needs a simple curve")
 
     if args.results:
         with open(args.results, "rb") as fh:
@@ -210,11 +210,11 @@ def _verify_homogeneity(curve, chi_max, check):
     The table is filled over Laurent polynomials in lambda (HPoly, lambda
     in the hbar slot): every time t becomes t*lambda, phi stays in degree
     0, and each denominator y - sigma* y leads with lambda*c, so it
-    inverts exactly (else ArithmeticError).  Each entry must then be the
-    single monomial lambda^(2-2g-n) c; if all are, every step was
-    homogeneous, lambda = 1 is a ring map through the fill, and the plain
-    entry is c.  Otherwise the plain table is filled on its own and the
-    first entry where the two disagree is reported.
+    inverts exactly (else ArithmeticError).  lambda = 1 is then a ring map
+    through the fill, so each plain entry is its graded entry summed over
+    the lambda orders, homogeneous or not; the check reports the first
+    graded entry that is not one monomial lambda^(2-2g-n) c.  Only when
+    the graded fill raises is the plain table filled on its own.
     """
     from .recursion import OmegaTable, compute_omega_table
     from .wavefunction import HPoly, HPolyRing
@@ -233,25 +233,25 @@ def _verify_homogeneity(curve, chi_max, check):
         check("homogeneity", False, f"not monomial in lambda: {exc}")
         return compute_omega_table(curve, chi_max)
     table = OmegaTable(curve, chi_max)
+    bad = []
     for (g, n), gt in gtab.tables.items():
         for key, v in gt.items():
-            table.set_entry(g, n, key, v.get(2 - 2 * g - n, {}).get(()))
-    detail = _first_mismatch(table, gtab, graded=True)
-    if detail:
-        table = compute_omega_table(curve, chi_max)
-        detail = _first_mismatch(table, gtab, graded=True)
+            value = sum((p[()] for p in v.values()), curve.field.zero())
+            if value:
+                table.set_entry(g, n, key, value)
+            if list(v) != [2 - 2 * g - n]:
+                bad.append((g, n, key))
+    detail = "(g,n)=({},{}), {}".format(*min(bad)) if bad else ""
     check("homogeneity", not detail, detail)
     return table
 
 
-def _first_mismatch(table, other, graded=False) -> str:
-    """The first (g,n) and key where ``other``'s entry is not the plain
-    one, or lambda^(2-2g-n) times it if ``graded``; else ""."""
+def _first_mismatch(table, other) -> str:
+    """The first (g,n) and key where the two tables differ; else ""."""
     for g, n in sorted(set(table.tables) | set(other.tables)):
         tab, ot = table.entries(g, n), other.entries(g, n)
         for key in sorted(set(tab) | set(ot)):
-            if key not in tab or ot.get(key) != (
-                    {2 - 2 * g - n: {(): tab[key]}} if graded else tab[key]):
+            if tab.get(key) != ot.get(key):
                 return f"(g,n)=({g},{n}), {key}"
     return ""
 
@@ -263,8 +263,6 @@ def _verify_dilaton(table, check):
     # to the same global sign recorded for the pairing table)
     for (g, n), tab in sorted(table.tables.items()):
         if 2 - 2 * g - n >= 0 or 2 * g - 2 + n + 1 > table.chi_max:
-            continue
-        if (g, n + 1) not in table.tables:
             continue
         for key, v in tab.items():
             total = _dilaton_sum(table, g, key)

@@ -21,7 +21,8 @@ correlator recursion.  The higher verifier forms one kernel product per
 kernel term: each slot group's block is the recursion's own
 ``OmegaTable.table_block`` maps summed over every stored level with its
 hbar and times weights, plus the bridge for two slots and the one-form
-leg for one.  Blocks the fill built are not built again.
+leg for one; the kernel's own weight is a factor of that product.
+Blocks the fill built are not built again.
 
 Slot conventions for the stored B-tensor follow its defining residue:
 B[i1, i2, i3] contracts the kernel output with i1, feeds the basis form
@@ -329,8 +330,9 @@ def verify_quadratic_pde(at: AiryTensors, hbar_max: int,
                          f"deg_max >= 0, got {hbar_max}, {deg_max}")
     table = at.table
     rows = _rows(at)
-    report = ResidualReport(checked_orders=(hbar_max, deg_max))
-    for g, n1 in _levels(min(hbar_max, table.chi_max)):
+    top = min(hbar_max, table.chi_max)     # degrees reach top + 1
+    report = ResidualReport(checked_orders=(top, min(deg_max, top + 1)))
+    for g, n1 in _levels(top):
         if n1 - 1 > deg_max:
             continue
         h = 2 * g - 2 + n1
@@ -362,7 +364,9 @@ def verify_higher_pde(table: OmegaTable, hbar_max: int) -> ResidualReport:
     and each slot group takes one block, ``_slot_block``, summed over
     every stored level.  The kernel is multilinear, so this one product
     per term is the sum over every way of drawing each group's slots
-    from one level.  ``hbar_max`` must be at least 0.
+    from one level.  A kernel of order k weighs hbar^(k-2), a shift of
+    its first block, so the caps drop the orders it pushes past them.
+    ``hbar_max`` must be at least 0.
     """
     if hbar_max < 0:
         raise ValueError(f"the higher check needs hbar_max >= 0, "
@@ -397,27 +401,24 @@ def verify_higher_pde(table: OmegaTable, hbar_max: int) -> ResidualReport:
                     blocks[rots] = _slot_block(table, label, rots, ring,
                                                point_vars)
                 factors.append(blocks[rots])
+            if k > 2:
+                # hbar^(k-2), on a copy: blocks are shared across orders
+                f = factors[0]
+                factors[0] = LaurentSeries(ring, {
+                    ex: c.shift(k - 2) for ex, c in f.coeffs.items()},
+                    hi=f.hi, weight=f.weight)
             column = table.kernel_contract(label, slot_rot[1:], factors)
             # every term here is fixed by its rotations and slot groups,
             # so at j = r - j each is its own twin (index 0)
             row = rows.setdefault(j, {})
             for k0, poly in column.items():
-                # kernels of the hbar-rescaled curve: hbar^(k-2)
-                poly = HPoly({h + k - 2: p for h, p in poly.items()
-                              if h + k - 2 <= hbar_cap}, ring.caps)
-                if poly:
-                    got = row.get((k0,))
-                    row[k0,] = poly if got is None else got + poly
+                row[k0,] = row[k0,] + poly if (k0,) in row else poly
         rhs = {k0: v for (k0,), v in
                _fold_twins(curve.field, r, rows).items()}
         for k0 in sorted(set(lhs) | set(rhs)):
             res = lhs.get(k0, ring.zero()) - rhs.get(k0, ring.zero())
-            for h in sorted(res):
-                if h > hbar_cap:
-                    continue
-                for mon, c in sorted(res[h].items()):
-                    if c:
-                        report.entries.append(((label, k0), h, mon, c))
+            report.entries += [((label, k0), h, mon, c) for h in sorted(res)
+                               for mon, c in sorted(res[h].items())]
     return report
 
 

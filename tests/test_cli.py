@@ -6,7 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from test_homogeneity import extra_denominator
+from test_homogeneity import (
+    bridge_times_time,
+    extra_denominator,
+    inhomogeneous_denominator,
+    leg_wrong_rotation,
+)
 from test_wavefunction import drop_kernel_class
 from trcycles import cli, recursion, tensors
 from trcycles.cli import _parse_perturb, main
@@ -87,9 +92,10 @@ GOLDEN = [
     (("verify", "two_point.json", "--chi-max", "5", "--hbar-max", "4",
       "--deg-max", "4"),
      "889d7f66ca8267fa88a16f151d1ad7f2d4ddc44be1009c806940d3dadf925333"),
-    # the check set perfbench runs on the global cubic
+    # the check set perfbench runs on the global cubic; quadratic-pde
+    # reports the window it reads, "orders (1, 2)" at chi 1
     (("verify", "cubic_global.json", "--n-max", "14", "--chi-max", "1"),
-     "ec564071ee6779af9235fa778f6cd480a265c2b9d1e53acbce9a5701ff41b7c8"),
+     "e2e3ac3e7460bc6bdff25c4387122711db040c776f19589d3d3818c4a580ad5d"),
 ]
 GOLDEN_IDS = ["compute-two-point-chi5", "compute-r3-chi3",
               "compute-cubic-n14-chi1", "compute-r3-chi4", "verify-r3-chi3",
@@ -174,15 +180,20 @@ def test_verify_perturbation_negative_control(tmp_path):
     assert ", 1, " in detail   # residual located at hbar order one
 
 
-def test_verify_perturbation_needs_a_simple_curve(tmp_path):
+def test_verify_perturbation_needs_a_simple_curve(tmp_path, capsys,
+                                                  monkeypatch):
+    # the tensors it perturbs exist only at simple points: refused as a
+    # parse error before any fill, with no report written
+    def refuse(*args, **kwargs):
+        pytest.fail("the table was built before --perturb was refused")
+    monkeypatch.setattr(recursion, "compute_omega_table", refuse)
     out = tmp_path / "report.json"
     code = run("verify", "--curve", str(DATA / "r3.json"),
                "--perturb", "D,(0,4),+1", "--out", str(out))
-    assert code == 1
-    failing = [c for c in json.loads(out.read_text())["checks"]
-               if c["status"] == "fail"]
-    assert [(c["name"], c["details"]) for c in failing] == \
-        [("perturbation", "perturbation needs a simple curve")]
+    assert code == 2
+    assert _error(capsys) == {"code": "parse", "exit": 2,
+                              "message": "perturbation needs a simple curve"}
+    assert not out.exists()
 
 
 def test_verify_c_perturbation_breaks_the_tensor_recursion(tmp_path):
@@ -267,11 +278,15 @@ def test_verify_non_monomial_denominator_fails_homogeneity(
     ("airy.json", 3, None, 0, 1),
     ("two_point.json", 4, None, 0, 1),
     ("r3.json", 3, None, 0, 1),
-    # the graded fill fails its check, so the plain table is filled too
-    ("airy.json", 3, extra_denominator, 4, 2),
+    # the plain table is the graded one at lambda = 1, homogeneous or not
+    ("airy.json", 3, extra_denominator, 4, 1),
+    ("airy.json", 3, bridge_times_time, 1, 1),
+    ("airy.json", 3, inhomogeneous_denominator, 1, 1),
+    ("airy.json", 3, leg_wrong_rotation, 1, 1),
+    # the graded fill raises, so the plain table is filled on its own
     ("airy.json", 2, non_monomial_denominator, 1, 2),
 ])
-def test_verify_fills_one_table_unless_homogeneity_fails(
+def test_verify_fills_one_table_unless_the_graded_fill_fails(
         tmp_path, monkeypatch, curve, chi, bug, code, fills):
     if bug is not None:
         bug(monkeypatch)
@@ -551,11 +566,24 @@ def test_compute_precision_boundary_of_global_cubic(tmp_path, capsys, chi,
     assert json.loads(out.read_text())["omega"]["chi_max"] == chi
 
 
-@pytest.mark.parametrize("curve", ["two_point.json", "r3.json"])
-def test_compute_chi_max_below_one_is_a_parse_error(capsys, curve):
-    # the simple route fills chi 1 only, and still refuses chi_max 0
-    assert run("compute", "--curve", str(DATA / curve), "--chi-max",
-               "0") == 2
+@pytest.mark.parametrize("command, curve, chi", [
+    ("compute", "two_point.json", "0"), ("compute", "r3.json", "0"),
+    ("compute", "cubic_global.json", "0"),
+    ("compute", "cubic_global.json", "-5"),
+    ("verify", "cubic_global.json", "0"),
+    ("verify", "cubic_global.json", "-5"),
+], ids=["two_point.json", "r3.json", "compute-cubic_global.json-0",
+        "compute-cubic_global.json--5", "verify-cubic_global.json-0",
+        "verify-cubic_global.json--5"])
+def test_compute_chi_max_below_one_is_a_parse_error(capsys, monkeypatch,
+                                                    command, curve, chi):
+    # refused before the curve is localized (a global curve would derive
+    # its n_max from chi_max) or any table is filled
+    def refuse(*args, **kwargs):
+        pytest.fail("the curve was localized before chi_max was checked")
+    monkeypatch.setattr(cli, "localize_global_curve", refuse)
+    assert run(command, "--curve", str(DATA / curve), "--chi-max",
+               chi) == 2
     assert _error(capsys)["message"] == "chi_max must be >= 1"
 
 
@@ -600,13 +628,17 @@ def test_malformed_perturbation_is_a_parse_error(tmp_path, capsys, text):
 def test_malformed_perturbation_fails_before_the_table(tmp_path, capsys,
                                                        monkeypatch):
     # a malformed index, an unknown tensor, A or C with two pairs, a
-    # label that is not on the curve, and k < 1
+    # label that is not on the curve, k < 1, and a curve with a point of
+    # order 3, which has no tensors to perturb
     def refuse(*args, **kwargs):
         pytest.fail("the table was built before --perturb was checked")
     monkeypatch.setattr(recursion, "compute_omega_table", refuse)
-    for perturb in ["D,(1,),1", "Q,(1,3),1", "A,((1,1),(1,1)),1",
-                    "C,((1,5),(1,1)),1", "D,(9,3),1", "D,(1,-3),1"]:
-        code = run("verify", "--curve", str(DATA / "airy.json"),
+    for curve, perturb in [
+            ("airy.json", "D,(1,),1"), ("airy.json", "Q,(1,3),1"),
+            ("airy.json", "A,((1,1),(1,1)),1"),
+            ("airy.json", "C,((1,5),(1,1)),1"), ("airy.json", "D,(9,3),1"),
+            ("airy.json", "D,(1,-3),1"), ("r3.json", "D,(0,4),1")]:
+        code = run("verify", "--curve", str(DATA / curve),
                    "--perturb", perturb, "--out", str(tmp_path / "r.json"))
         assert code == 2, perturb
         err = capsys.readouterr().err.strip().splitlines()
@@ -644,6 +676,41 @@ def test_smallest_verify_window_sees_a_perturbed_d(tmp_path):
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert checks["quadratic-pde"]["status"] == "fail"
     assert ", 1, " in checks["quadratic-pde"]["details"]
+
+
+def test_quadratic_pde_reports_the_window_it_reads(tmp_path):
+    # a chi 2 table holds orders up to 2 and degrees up to 3, whatever
+    # larger window is asked for
+    out = tmp_path / "r.json"
+    assert run("verify", "--curve", str(DATA / "airy.json"), "--chi-max",
+               "2", "--hbar-max", "6", "--deg-max", "6",
+               "--out", str(out)) == 0
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["quadratic-pde"]["details"] == "orders (2, 3)"
+
+
+def test_dilaton_reads_a_missing_level_as_zero(tmp_path, monkeypatch):
+    # x = z^3/3 + z^4/4, y = z + z^2: a point of order 3 and a simple one,
+    # so no tensor or operator check reads F[1,2].  With that level
+    # dropped from the fill, the dilaton equation of F[1,1] still sees it
+    spec = {"kind": "global", "version": 1,
+            "declared_ramification": [["0", 3], ["-1", 2]],
+            "x": {"num": ["0", "0", "0", "1/3", "1/4"], "den": ["1"]},
+            "y": {"num": ["0", "1", "1"], "den": ["1"]}}
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(spec))
+    row = recursion._point_row
+    monkeypatch.setattr(
+        recursion, "_point_row", lambda table, label, g, n:
+        {} if (g, n) == (1, 1) else row(table, label, g, n))
+    out = tmp_path / "r.json"
+    assert run("verify", "--curve", str(curve), "--n-max", "12",
+               "--chi-max", "2", "--out", str(out)) == 1
+    failing = {c["name"]: c["details"]
+               for c in json.loads(out.read_text())["checks"]
+               if c["status"] == "fail"}
+    assert list(failing) == ["dilaton"]
+    assert failing["dilaton"].startswith("(g,n)=(1,1) (('-1', 1),): ")
 
 
 def test_localize_n_max_zero_is_rejected(tmp_path, capsys):

@@ -203,7 +203,7 @@ def _cubic_global(n_max):
     return localize_global_curve(parse_curve_spec(text), n_max)
 
 
-def test_parity_filter_and_pole_bound_match_unpruned():
+def test_term_driven_fill_matches_unpruned():
     # the term-driven fill against every key up to kmax, every split
     cases = [
         (validate_local_curve([("0", 3, {4: 1})]), 3, 12),

@@ -347,6 +347,30 @@ def test_kernel_products_per_verification(monkeypatch):
         assert count[0] == calls, points
 
 
+def test_hbar_weight_is_a_factor_the_caps_prune(monkeypatch):
+    # a kernel of order k carries hbar^(k-2) into its product, so the cap
+    # drops every order the weight pushes past it before it is formed:
+    # the (hbar, times) monomial pairs multiplied within the hbar cap
+    pairs = [0]
+    mul = HPoly.__mul__
+
+    def counted(self, other):
+        if isinstance(other, HPoly):
+            cap = self.caps[0]
+            pairs[0] += sum(len(p1) * len(p2) for h1, p1 in self.items()
+                            for h2, p2 in other.items() if h1 + h2 <= cap)
+        return mul(self, other)
+
+    for points, chi, kept in [([("0", 3, {4: 1})], 4, 2129),
+                              ([("0", 4, {5: 1})], 3, 5049)]:
+        table = compute_omega_table(validate_local_curve(points), chi)
+        pairs[0] = 0
+        with monkeypatch.context() as mp:
+            mp.setattr(HPoly, "__mul__", counted)
+            assert verify_higher_pde(table, 3).ok
+        assert pairs[0] == kept, points
+
+
 def test_set_entry_reaches_the_cached_blocks(r3_curve):
     # the fill and a first verification cache blocks of F[0,3] on the
     # table; after one entry changes, the verifier reports what it
